@@ -51,7 +51,6 @@ from .floer import (
 from .model import (
     Constant,
     Hartree,
-    HoferConfig,
     ModelSpec,
     Potential,
     Quadratic,
@@ -61,6 +60,7 @@ from .model import (
     exponential_kernel,
     galerkin_gap,
     hofer_norm,
+    mode_squares,
 )
 from .smalldiv import convergents, divisor_scan, inv_two_pi
 from .spectral import SpectralField
@@ -388,7 +388,7 @@ def _pipe_simulate(cfg: dict, out: ArtifactWriter) -> dict:
     p = cfg["simulate"]
     model = build_model(cfg["model"])
     u0 = mode_point(p["n0"], model.k).field
-    is_hartree = isinstance(model.nonlinearity, Hartree)
+    is_hartree = model.nonlinearity.diagonal
 
     times = np.linspace(0.0, p["t_final"], p["samples"] + 1)
     seg_steps = max(1, int(math.ceil(p["steps"] / p["samples"])))
@@ -397,8 +397,7 @@ def _pipe_simulate(cfg: dict, out: ArtifactWriter) -> dict:
     rows = []
     max_drift = 0.0
     max_cf_err = 0.0
-    n = np.arange(-model.k, model.k + 1)
-    omega = n.astype(float) ** 2 + model.nonlinearity.strength * model.psi_band**2
+    omega = mode_squares(model.k) + model.nonlinearity.strength * model.psi_band**2
     for j, t in enumerate(times):
         if j > 0:
             u = evolve(model, u, float(times[j - 1]), float(t), seg_steps)
@@ -606,10 +605,7 @@ def _pipe_divisors(cfg: dict, out: ArtifactWriter) -> dict:
 def _pipe_hofer(cfg: dict, out: ArtifactWriter) -> dict:
     p = cfg["hofer"]
     model = build_model(cfg["model"])
-    report = hofer_norm(
-        model,
-        cfg=HoferConfig(t_nodes=p["t_nodes"], starts=p["starts"], seed=cfg["seed"]),
-    )
+    report = hofer_norm(model, p["t_nodes"], p["starts"], cfg["seed"])
     out.write(
         "hofer_nodes.csv",
         _csv(
@@ -770,21 +766,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "--out", default="nls-floer-out", help="output directory for artifacts"
         )
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker budget recorded in the manifest",
-        )
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        print("threads: must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-
     try:
         raw_text = _read_text(args.config)
     except OSError as exc:

@@ -26,37 +26,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .model import Hartree, ModelSpec, free_phases, grad_F_many
-from .spectral import (
-    GridField,
-    SpectralField,
-    analyze,
-    analyze_many,
-    basis_point,
-    synthesize,
-    synthesize_many,
-)
-
-TWO_PI = 2.0 * math.pi
+from .model import ModelSpec, free_phases
+from .spectral import TWO_PI, SpectralField, analyze_many, basis_point, synthesize_many
 
 
 def free_flow(u: SpectralField, t: float) -> SpectralField:
     """Exact free propagator, diagonal phases exp(-i n^2 t)."""
     return SpectralField(u.k, u.coeffs * free_phases(u.k, t))
-
-
-def potential_flow(u: SpectralField, V: GridField, t: float) -> SpectralField:
-    """Pointwise phase flow u -> exp(i t V(x)) u on V's grid.
-
-    V must be real-valued; the result is re-analyzed at u's bandwidth, so
-    norms are preserved only up to quadrature error once the product
-    leaves the band.
-    """
-    if np.max(np.abs(V.values.imag)) > 1e-12:
-        raise ValueError("potential samples must be real")
-    g = synthesize(u, V.N)
-    rotated = GridField(V.N, g.values * np.exp(1j * t * V.values.real))
-    return analyze(rotated, u.k)
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +62,15 @@ def evolve_many(
     psi = model.psi_band
 
     hartree_diag = None
-    if isinstance(nl, Hartree):
-        hartree_diag = np.exp(-1j * nl.eps * psi**2 * h)
+    if nl.diagonal:
+        hartree_diag = np.exp(-1j * nl.strength * psi**2 * h)
 
     k, N = model.k, model.quad_points
-    x = model._x
+    v = model._v
 
     def field(cc, tau):
         vals = synthesize_many(cc * psi, k, N)
-        d1 = nl.d1f(np.abs(vals) ** 2, x, tau)
+        d1 = nl.d1f(np.abs(vals) ** 2, v, tau)
         return 1j * (analyze_many(-d1 * vals, k) * psi)
 
     with np.errstate(over="ignore", invalid="ignore"):

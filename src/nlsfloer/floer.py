@@ -28,7 +28,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lsmr
 
 from .dynamics import ProjectivePoint, fs_distance
-from .model import ModelSpec, grad_F_many
+from .model import ModelSpec, grad_F_many, mode_squares
 from .spectral import SpectralField
 
 # ---------------------------------------------------------------------------
@@ -298,11 +298,6 @@ def _check_compatible(model: ModelSpec, state: FloerState):
         raise ValueError("model bandwidth must match the grid")
 
 
-def _mode_squares(k: int) -> np.ndarray:
-    n = np.arange(-k, k + 1)
-    return (n.astype(np.float64)) ** 2
-
-
 def _grad_rows(model: ModelSpec, C: np.ndarray, t_nodes: np.ndarray) -> np.ndarray:
     """grad F_t at every node of C, shape (rows, N_t, dim)."""
     rows, N_t, d = C.shape
@@ -328,7 +323,7 @@ def floer_residual(
     Ds = (C[2:] - C[:-2]) / (2.0 * grid.ds)
     Dt = _dt_spectral(C)[1:-1]
     V = C[1:-1]
-    lin = Ds + 1j * Dt - _mode_squares(grid.k)[None, None, :] * V
+    lin = Ds + 1j * Dt - mode_squares(grid.k)[None, None, :] * V
     G = _grad_rows(model, V, grid.t_nodes)
     R = _project_out(lin + phi[1:-1, None, None] * G, V)
     norm = math.sqrt(grid.ds * grid.dt * float(np.sum(np.abs(R) ** 2)))
@@ -350,7 +345,7 @@ def floer_residual_twisted(
     grid = state.grid
     C = state.normalized()
     phi = cutoff.phi(grid.s_nodes)
-    n2 = _mode_squares(grid.k)
+    n2 = mode_squares(grid.k)
     phases = np.exp(-1j * n2[None, :] * grid.t_nodes[:, None])  # free flow
     U = C * np.conj(phases)[None]  # twisted picture nodes
 
@@ -389,7 +384,7 @@ def _energy_node_map(
     Ds = _project_out(Ds, C)
 
     Dt = _dt_spectral(C)
-    n2 = _mode_squares(grid.k)
+    n2 = mode_squares(grid.k)
     G = _grad_rows(model, C, grid.t_nodes)
     # X^{H0} v = -i n^2 v ; X^F = i grad F
     tpart = Dt + 1j * n2[None, None, :] * C - phi[:, None, None] * (1j * G)
@@ -482,7 +477,7 @@ class _GaussNewtonOperator:
         self.V = V
         self.B = B.reshape(V.shape[0], grid.N_t, 2 * grid.dim, 2 * grid.dim)
         self.phi_int = phi[1:-1]
-        self.n2 = _mode_squares(grid.k)
+        self.n2 = mode_squares(grid.k)
         m = V.size * 2
         self.shape = (m, m)
         self.dtype = np.float64

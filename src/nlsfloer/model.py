@@ -1,28 +1,34 @@
 """Convolution-type nonlinearities on the circle and their gradients.
 
 A model couples a smoothing kernel psi (real, even, nonnegative Fourier
-coefficients) to a scalar density f(w, x, t) through
+coefficients) to one scalar density
+
+    f(w, x, t) = eps * a(t) * V(x) * w^p,   p in {0, 1, 2},
+
+with a(t) = 1 or 1 + cos 2pi t and V = 1 or a real band-limited
+multiplier, through the time-dependent value functional
 
     F_t(u) = -1/2 * integral_0^{2pi} f(|(u * psi)(x)|^2, x, t) dx,
 
-the time-dependent value functional whose L2 gradient is
+whose L2 gradient is
 
     grad F_t(u) = -d1f(|u * psi|^2, x, t) * (u * psi) conv psi.
 
 All quadratures run on the oversampled grid with N = 4(2k+1) points, which
-integrates every polynomial density in the catalog exactly at bandwidth k,
-so gradients are consistent with values to rounding.
+integrates every such density exactly at bandwidth k, so gradients are
+consistent with values to rounding.  V is sampled on that grid once, when
+the model is built.
 
-The catalog is closed: constant, hartree, quadratic, potential, and a
-time-modulated wrapper with factor (1 + cos 2pi t).  Every member reports
-a certified bound for sup |f| over [0, L2(psi)^2] x S^1 x [0, 1]; the
-sufficient smallness gate compares that bound against 1/8.
+The catalog names constant (p = 0), hartree (p = 1), quadratic (p = 2),
+potential (p = 1 with V) and time_modulated(...) (a(t) = 1 + cos 2pi t)
+build Density values.  Every density reports a certified bound for
+sup |f| over [0, L2(psi)^2] x S^1 x [0, 1]; the sufficient smallness gate
+compares that bound against 1/8.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -32,7 +38,6 @@ from .spectral import (
     TWO_PI,
     SpectralField,
     analyze_many,
-    grid_nodes,
     inner_real,
     synthesize_many,
 )
@@ -103,194 +108,95 @@ def truncate_kernel(kernel: KernelSpec, k: int) -> KernelSpec:
 
 
 # ---------------------------------------------------------------------------
-# nonlinearity catalog
+# the density
 
 
-class Nonlinearity:
-    """Interface for the closed catalog of densities f(w, x, t).
+@dataclass(frozen=True)
+class Density:
+    """f(w, x, t) = strength * a(t) * V(x) * w**power.
 
-    w is the smoothed intensity |u * psi|^2 >= 0; all members are
-    1-periodic in t.
+    w is the smoothed intensity |u * psi|^2 >= 0.  V is a real band-limited
+    multiplier (None for V = 1) and a(t) = 1 + cos(2pi t) when modulated,
+    1 otherwise, so every density is 1-periodic in t.  f and d1f take the
+    values v of V on the model's quadrature grid (see ModelSpec), or 1.0.
     """
 
     strength: float
-
-    def f(self, w, x, t):
-        raise NotImplementedError
-
-    def d1f(self, w, x, t):
-        """Partial derivative of f in its first argument."""
-        raise NotImplementedError
-
-    def sup_f_bound(self, w_max: float) -> float:
-        """Certified bound for sup |f| over [0, w_max] x S^1 x [0, 1]."""
-        raise NotImplementedError
-
-    def with_strength(self, strength: float) -> "Nonlinearity":
-        raise NotImplementedError
-
-    def label(self) -> str:
-        raise NotImplementedError
-
-
-@dataclass
-class Constant(Nonlinearity):
-    c: float = 1.0
-
-    @property
-    def strength(self):
-        return self.c
-
-    def f(self, w, x, t):
-        return np.broadcast_to(np.asarray(self.c, dtype=float), np.shape(w)).copy()
-
-    def d1f(self, w, x, t):
-        return np.zeros(np.shape(w))
-
-    def sup_f_bound(self, w_max):
-        return abs(self.c)
-
-    def with_strength(self, strength):
-        return Constant(strength)
-
-    def label(self):
-        return "constant"
-
-
-@dataclass
-class Hartree(Nonlinearity):
-    """f = eps * w; the gradient is diagonal on Fourier modes."""
-
-    eps: float
-
-    @property
-    def strength(self):
-        return self.eps
-
-    def f(self, w, x, t):
-        return self.eps * np.asarray(w)
-
-    def d1f(self, w, x, t):
-        return np.full(np.shape(w), self.eps)
-
-    def sup_f_bound(self, w_max):
-        return abs(self.eps) * w_max
-
-    def with_strength(self, strength):
-        return Hartree(strength)
-
-    def label(self):
-        return "hartree"
-
-
-@dataclass
-class Quadratic(Nonlinearity):
-    eps: float
-
-    @property
-    def strength(self):
-        return self.eps
-
-    def f(self, w, x, t):
-        return self.eps * np.asarray(w) ** 2
-
-    def d1f(self, w, x, t):
-        return 2.0 * self.eps * np.asarray(w)
-
-    def sup_f_bound(self, w_max):
-        return abs(self.eps) * w_max**2
-
-    def with_strength(self, strength):
-        return Quadratic(strength)
-
-    def label(self):
-        return "quadratic"
-
-
-@dataclass
-class Potential(Nonlinearity):
-    """f = eps * V(x) * w for a real band-limited multiplier V."""
-
-    eps: float
-    V: SpectralField
-    _value_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    power: int
+    V: Optional[SpectralField] = None
+    modulated: bool = False
 
     def __post_init__(self):
-        rev = np.conj(self.V.coeffs[::-1])
-        if not np.allclose(self.V.coeffs, rev, rtol=0, atol=1e-13):
-            raise ValueError("potential multiplier must be real-valued")
+        if self.power not in (0, 1, 2):
+            raise ValueError("power must be 0, 1 or 2")
+        if self.V is not None:
+            if self.power != 1:
+                raise ValueError("a multiplier V needs power 1")
+            rev = np.conj(self.V.coeffs[::-1])
+            if not np.allclose(self.V.coeffs, rev, rtol=0, atol=1e-13):
+                raise ValueError("potential multiplier must be real-valued")
 
     @property
-    def strength(self):
-        return self.eps
-
-    def values_on(self, N: int) -> np.ndarray:
-        if N not in self._value_cache:
-            vals = synthesize_many(self.V.coeffs[np.newaxis, :], self.V.k, N)[0]
-            self._value_cache[N] = vals.real.copy()
-        return self._value_cache[N]
-
-    def _values_at(self, x) -> np.ndarray:
-        x = np.asarray(x)
-        n = np.arange(-self.V.k, self.V.k + 1)
-        vals = (self.V.coeffs * np.exp(1j * np.outer(x.ravel(), n))).sum(axis=-1)
-        return (vals.real / ROOT_2PI).reshape(x.shape)
-
-    def f(self, w, x, t):
-        return self.eps * self._grid_values(w, x) * np.asarray(w)
-
-    def d1f(self, w, x, t):
-        return self.eps * np.broadcast_to(self._grid_values(w, x), np.shape(w)).copy()
-
-    def _grid_values(self, w, x):
-        x = np.asarray(x)
-        # Fast path: x is the canonical N-point grid, dense in the solvers.
-        if x.ndim == 1 and x.size >= 2 and x[0] == 0.0:
-            N = x.size
-            if abs(x[1] - TWO_PI / N) < 1e-15:
-                return self.values_on(N)
-        return self._values_at(x)
-
-    def sup_f_bound(self, w_max):
-        # sup|V| <= (2pi)^(-1/2) * sum |V^(n)|, exact for single-harmonic V.
-        v_bound = float(np.sum(np.abs(self.V.coeffs))) / ROOT_2PI
-        return abs(self.eps) * v_bound * w_max
-
-    def with_strength(self, strength):
-        return Potential(strength, self.V)
-
-    def label(self):
-        return "potential"
-
-
-@dataclass
-class TimeModulated(Nonlinearity):
-    """Wrapper multiplying a base density by 1 + cos(2pi t)."""
-
-    base: Nonlinearity
-
-    @property
-    def strength(self):
-        return self.base.strength
+    def diagonal(self) -> bool:
+        """f = strength * w: the gradient is diagonal on Fourier modes."""
+        return self.power == 1 and self.V is None and not self.modulated
 
     @staticmethod
     def factor(t):
         return 1.0 + np.cos(TWO_PI * np.asarray(t, dtype=float))
 
-    def f(self, w, x, t):
-        return self.factor(t) * self.base.f(w, x, t)
+    def f(self, w, v, t):
+        out = (self.strength * v) * np.asarray(w) ** self.power
+        return self.factor(t) * out if self.modulated else out
 
-    def d1f(self, w, x, t):
-        return self.factor(t) * self.base.d1f(w, x, t)
+    def d1f(self, w, v, t):
+        """Partial derivative of f in its first argument."""
+        if self.power == 0:
+            return np.zeros(np.shape(w))
+        out = ((self.power * self.strength) * v) * np.asarray(w) ** (self.power - 1)
+        return self.factor(t) * out if self.modulated else out
 
-    def sup_f_bound(self, w_max):
-        return 2.0 * self.base.sup_f_bound(w_max)
+    def sup_f_bound(self, w_max: float) -> float:
+        """Certified bound for sup |f| over [0, w_max] x S^1 x [0, 1]."""
+        # sup|V| <= (2pi)^(-1/2) * sum |V^(n)|, exact for single-harmonic V.
+        v_bound = 1.0
+        if self.V is not None:
+            v_bound = float(np.sum(np.abs(self.V.coeffs))) / ROOT_2PI
+        a_bound = 2 if self.modulated else 1
+        return a_bound * abs(self.strength) * v_bound * w_max**self.power
 
-    def with_strength(self, strength):
-        return TimeModulated(self.base.with_strength(strength))
+    def with_strength(self, strength: float) -> "Density":
+        return replace(self, strength=strength)
 
-    def label(self):
-        return "time_modulated(" + self.base.label() + ")"
+    def label(self) -> str:
+        if self.V is not None:
+            name = "potential"
+        else:
+            name = ("constant", "hartree", "quadratic")[self.power]
+        return f"time_modulated({name})" if self.modulated else name
+
+
+def Constant(c: float = 1.0) -> Density:
+    return Density(c, 0)
+
+
+def Hartree(eps: float) -> Density:
+    """f = eps * w; the gradient is diagonal on Fourier modes."""
+    return Density(eps, 1)
+
+
+def Quadratic(eps: float) -> Density:
+    return Density(eps, 2)
+
+
+def Potential(eps: float, V: SpectralField) -> Density:
+    """f = eps * V(x) * w for a real band-limited multiplier V."""
+    return Density(eps, 1, V)
+
+
+def TimeModulated(base: Density) -> Density:
+    """base multiplied by 1 + cos(2pi t)."""
+    return replace(base, modulated=True)
 
 
 def cosine_field(k: int = 1) -> SpectralField:
@@ -308,10 +214,14 @@ def cosine_field(k: int = 1) -> SpectralField:
 
 @dataclass
 class ModelSpec:
-    """Kernel + nonlinearity evaluated at a fixed working bandwidth."""
+    """Kernel + density at a fixed working bandwidth.
+
+    The density's multiplier V is sampled once on the N-point quadrature
+    grid; f and d1f read those samples.
+    """
 
     kernel: KernelSpec
-    nonlinearity: Nonlinearity
+    nonlinearity: Density
     k: int
 
     def __post_init__(self):
@@ -319,7 +229,10 @@ class ModelSpec:
             raise ValueError("bandwidth must be nonnegative")
         self._psi_band = self.kernel.coeff_array(self.k)
         self._N = 4 * (2 * self.k + 1)
-        self._x = grid_nodes(self._N)
+        V = self.nonlinearity.V
+        self._v = 1.0
+        if V is not None:
+            self._v = synthesize_many(V.coeffs[np.newaxis, :], V.k, self._N)[0].real
 
     @property
     def quad_points(self) -> int:
@@ -362,7 +275,7 @@ def eval_F_many(model: ModelSpec, coeffs: np.ndarray, t) -> np.ndarray:
     vals = synthesize_many(v, model.k, model.quad_points)
     w = np.abs(vals) ** 2
     t_arr = np.asarray(t, dtype=float)
-    fvals = model.nonlinearity.f(w, model._x, t_arr[..., np.newaxis])
+    fvals = model.nonlinearity.f(w, model._v, t_arr[..., np.newaxis])
     return -0.5 * (TWO_PI / model.quad_points) * np.sum(fvals, axis=-1)
 
 
@@ -372,7 +285,7 @@ def grad_F_many(model: ModelSpec, coeffs: np.ndarray, t) -> np.ndarray:
     vals = synthesize_many(v, model.k, model.quad_points)
     w = np.abs(vals) ** 2
     t_arr = np.asarray(t, dtype=float)
-    d1 = model.nonlinearity.d1f(w, model._x, t_arr[..., np.newaxis])
+    d1 = model.nonlinearity.d1f(w, model._v, t_arr[..., np.newaxis])
     ghat = analyze_many(-d1 * vals, model.k)
     return ghat * model.psi_band
 
@@ -390,10 +303,14 @@ def grad_F(model: ModelSpec, u: SpectralField, t: float) -> SpectralField:
     return SpectralField(model.k, g)
 
 
+def mode_squares(k: int) -> np.ndarray:
+    """n^2 for n = -k..k, the free frequencies."""
+    return np.arange(-k, k + 1).astype(np.float64) ** 2
+
+
 def free_phases(k: int, t: float) -> np.ndarray:
     """Diagonal of the free propagator: exp(-i n^2 t) for n = -k..k."""
-    n = np.arange(-k, k + 1)
-    return np.exp(-1j * (n.astype(float) ** 2) * t)
+    return np.exp(-1j * mode_squares(k) * t)
 
 
 def eval_G(model: ModelSpec, u: SpectralField, t: float) -> float:
@@ -469,13 +386,9 @@ def galerkin_gap(
 # Hofer-type oscillation of the functional
 
 
-@dataclass
-class HoferConfig:
-    t_nodes: int = 16
-    starts: int = 8
-    iters: int = 300
-    grad_tol: float = 1e-10
-    seed: int = 0
+# projected gradient steps per start, and the tangent-gradient norm that stops them
+HOFER_ITERS = 300
+HOFER_GRAD_TOL = 1e-10
 
 
 @dataclass
@@ -498,7 +411,7 @@ class HoferReport:
         return np.array([nd.max_value - nd.min_value for nd in self.nodes])
 
 
-def _extremize_on_sphere(model, t, sign, starts, iters, grad_tol, rng):
+def _extremize_on_sphere(model, t, sign, starts, rng):
     """Maximize sign * F_t on the unit sphere by projected gradient ascent.
 
     Coordinate fields are screened first; for diagonal functionals they
@@ -521,11 +434,11 @@ def _extremize_on_sphere(model, t, sign, starts, iters, grad_tol, rng):
         fval = sign * float(eval_F_many(model, u[np.newaxis], t1)[0])
         step = 0.5
         converged = False
-        for _ in range(iters):
+        for _ in range(HOFER_ITERS):
             g = sign * grad_F_many(model, u[np.newaxis], t1)[0]
             g_tan = g - np.vdot(u, g).real * u
             gn = float(np.linalg.norm(g_tan))
-            if gn < grad_tol:
+            if gn < HOFER_GRAD_TOL:
                 converged = True
                 break
             moved = False
@@ -540,7 +453,7 @@ def _extremize_on_sphere(model, t, sign, starts, iters, grad_tol, rng):
                     break
                 step *= 0.5
             if not moved:
-                converged = gn < 1e3 * grad_tol
+                converged = gn < 1e3 * HOFER_GRAD_TOL
                 break
         if fval > best:
             best, best_converged = fval, converged
@@ -548,7 +461,7 @@ def _extremize_on_sphere(model, t, sign, starts, iters, grad_tol, rng):
 
 
 def hofer_norm(
-    model: ModelSpec, t_nodes: int = 16, cfg: Optional[HoferConfig] = None
+    model: ModelSpec, t_nodes: int = 16, starts: int = 8, seed: int = 0
 ) -> HoferReport:
     """Estimate the oscillation integral int_0^1 (max F_t - min F_t) dt.
 
@@ -558,18 +471,12 @@ def hofer_norm(
     true oscillation, and non-converged nodes are flagged rather than
     dropped.
     """
-    if cfg is None:
-        cfg = HoferConfig(t_nodes=t_nodes)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     nodes = []
     for j in range(t_nodes):
         t = j / t_nodes
-        fmax, c1 = _extremize_on_sphere(
-            model, t, +1.0, cfg.starts, cfg.iters, cfg.grad_tol, rng
-        )
-        fmin_neg, c2 = _extremize_on_sphere(
-            model, t, -1.0, cfg.starts, cfg.iters, cfg.grad_tol, rng
-        )
+        fmax, c1 = _extremize_on_sphere(model, t, +1.0, starts, rng)
+        fmin_neg, c2 = _extremize_on_sphere(model, t, -1.0, starts, rng)
         nodes.append(
             HoferNode(t=t, max_value=fmax, min_value=-fmin_neg, converged=c1 and c2)
         )

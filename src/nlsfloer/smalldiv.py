@@ -18,7 +18,8 @@ import numpy as np
 from mpmath import mp
 from scipy.signal import lfilter
 
-TWO_PI = 2.0 * math.pi
+from .floer import _smooth_step
+from .spectral import TWO_PI
 
 # double precision loses the divisor signal once q outgrows this
 _EXACT_Q = 10**8
@@ -266,20 +267,6 @@ def inv_two_pi(digits: int = 50) -> tuple[Fraction, Fraction]:
 
 # ---------------------------------------------------------------------------
 # forcing catalog
-
-
-def _smooth_step(y: np.ndarray) -> np.ndarray:
-    """C-infinity step: 0 for y <= 0, 1 for y >= 1."""
-    y = np.asarray(y, dtype=np.float64)
-    out = np.zeros_like(y)
-    inside = (y > 0.0) & (y < 1.0)
-    yi = y[inside]
-    with np.errstate(over="ignore"):
-        e0 = np.exp(-1.0 / yi)
-        e1 = np.exp(-1.0 / (1.0 - yi))
-    out[inside] = e0 / (e0 + e1)
-    out[y >= 1.0] = 1.0
-    return out
 
 
 def _window(s: np.ndarray, a: float, b: float, ramp: float) -> np.ndarray:

@@ -87,14 +87,6 @@ def test_invalid_mode_rejected_before_running(tmp_path, capsys):
     assert "simulate.n0" in capsys.readouterr().err
 
 
-def test_bad_thread_count_rejected(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"pipeline": "divisors"})
-    rc = main(
-        ["divisors", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "0"]
-    )
-    assert rc == 2
-
-
 # ---------------------------------------------------------------------------
 # divisors pipeline and the manifest
 
@@ -203,6 +195,20 @@ def test_hofer_constant_prints_zero(tmp_path, capsys):
     assert "estimate 0 " in capsys.readouterr().out
     summary = json.loads((tmp_path / "o" / "hofer_summary.json").read_text())
     assert summary["estimate"] == 0.0
+
+
+def test_hofer_runs_the_configured_t_nodes(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {
+            "pipeline": "hofer",
+            "model": {"kind": "hartree", "eps": 0.1, "k": 2},
+            "hofer": {"t_nodes": 2, "starts": 2},
+        },
+    )
+    assert main(["hofer", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "hofer_nodes.csv").read_text().splitlines()
+    assert len(lines) == 1 + 2
 
 
 def test_simulate_hartree_matches_closed_form(tmp_path):

@@ -17,7 +17,6 @@ from nlsfloer.dynamics import (
     gauge_fix,
     mode_point,
     newton_fixed_point,
-    potential_flow,
 )
 from nlsfloer.model import (
     Hartree,
@@ -28,7 +27,7 @@ from nlsfloer.model import (
     cosine_field,
     exponential_kernel,
 )
-from nlsfloer.spectral import GridField, SpectralField, analyze, basis_point, norm, synthesize
+from nlsfloer.spectral import SpectralField, norm
 
 RNG = np.random.default_rng
 
@@ -65,23 +64,6 @@ def test_free_flow_period():
     u = random_unit(k, RNG(1))
     v = free_flow(u, 2 * math.pi)
     assert np.max(np.abs(v.coeffs - u.coeffs)) < 1e-12
-
-
-def test_potential_flow_constant_potential_is_global_phase():
-    k = 4
-    u = random_unit(k, RNG(2))
-    N = 4 * (2 * k + 1)
-    V = GridField(N, np.full(N, 0.3))
-    v = potential_flow(u, V, t=0.5)
-    assert np.max(np.abs(v.coeffs - np.exp(0.15j) * u.coeffs)) < 1e-14
-
-
-def test_potential_flow_rejects_complex_potential():
-    k = 2
-    u = random_unit(k, RNG(3))
-    N = 4 * (2 * k + 1)
-    with pytest.raises(ValueError):
-        potential_flow(u, GridField(N, np.full(N, 1j)), t=0.1)
 
 
 def test_hartree_evolution_is_exact_diagonal():

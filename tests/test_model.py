@@ -24,7 +24,7 @@ from nlsfloer.model import (
     orthogonality_defect,
     truncate_kernel,
 )
-from nlsfloer.spectral import SpectralField, basis_point, inner_real, norm
+from nlsfloer.spectral import ROOT_2PI, SpectralField, basis_point, inner_real, norm
 
 RNG = np.random.default_rng
 
@@ -111,7 +111,7 @@ def test_zero_field_zero_value_for_homogeneous_members():
     k = 4
     zero = SpectralField(k, np.zeros(2 * k + 1, dtype=complex))
     for model in catalog(k):
-        if isinstance(model.nonlinearity, Constant):
+        if model.nonlinearity.power == 0:
             continue
         assert abs(eval_F(model, zero, 0.2)) < 1e-15
 
@@ -136,6 +136,9 @@ def test_hartree_gradient_is_diagonal():
     g = grad_F(model, u, 0.0)
     psi2 = np.exp(-2.0 * np.abs(np.arange(-k, k + 1)))
     assert np.max(np.abs(g.coeffs + eps * psi2 * u.coeffs)) < 1e-14
+    diagonal = [m.nonlinearity.diagonal for m in catalog(k)]
+    diagonal.append(TimeModulated(Hartree(eps)).diagonal)
+    assert diagonal == [False, True, False, False, False, False]
 
 
 def test_constant_gradient_vanishes():
@@ -265,6 +268,13 @@ def test_smallness_gate_thresholds():
     assert not just_above.smallness_gate()
 
 
+def _values_at(V, x):
+    """V at arbitrary points x by its direct Fourier sum."""
+    n = np.arange(-V.k, V.k + 1)
+    vals = (V.coeffs * np.exp(1j * np.outer(x, n))).sum(axis=-1)
+    return vals.real / ROOT_2PI
+
+
 def test_sup_f_bounds_dominate_samples():
     rng = RNG(8)
     for model in catalog():
@@ -273,7 +283,9 @@ def test_sup_f_bounds_dominate_samples():
         w = rng.uniform(0.0, w_max, size=200)
         x = rng.uniform(0.0, 2 * np.pi, size=200)
         t = rng.uniform(0.0, 1.0, size=200)
-        vals = np.abs(model.nonlinearity.f(w, x, t))
+        V = model.nonlinearity.V
+        v = 1.0 if V is None else _values_at(V, x)
+        vals = np.abs(model.nonlinearity.f(w, v, t))
         assert np.max(vals) <= bound + 1e-12
 
 
