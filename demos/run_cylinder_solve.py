@@ -34,11 +34,12 @@ def main():
     right = boundary_orbit(free, target, grid.N_t, side="right")
 
     result = solve_floer(model, grid, T, (left, right), tol=1e-8)
-    print("iter  residual    energy      damping")
+    print("iter  residual    energy      damping  lsmr_itn  lsmr_istop")
     for h in result.history:
         print(
             f"{h['iteration']:4d}  {h['residual_norm']:.2e}  "
-            f"{h['energy']:.4e}  {h['damping']:.1e}"
+            f"{h['energy']:.4e}  {h['damping']:.1e}  {h['lsmr_itn']:8d}  "
+            f"{h['lsmr_istop']}"
         )
     print(f"converged: {result.converged} ({result.message})")
 

@@ -421,6 +421,9 @@ def floer_energy(
 # ---------------------------------------------------------------------------
 # Gauss-Newton solver
 
+INITIAL_DAMPING = 1e-3
+LSMR_ITERS = 3000
+
 
 @dataclass
 class FloerResult:
@@ -462,22 +465,67 @@ def _fd_blocks(
     return B
 
 
-class _GaussNewtonOperator:
-    """Linearization of the projected residual at the current state.
+class _FreeInverse:
+    """Exact inverse of the free operator A0 = D_s + i D_t - n^2.
 
-    matvec: delta on interior nodes -> P_V [ A delta + phi B delta ] with
-    A = D_s + i D_t - n^2 analytic, B the frozen gradient blocks; the
-    tangent projector removes radial directions on input, the complex
-    projector removes the node line on output.  rmatvec mirrors each
-    factor, so the pair is an exact adjoint.
+    A0 acts on the interior rows with zero Dirichlet ends, as
+    _GaussNewtonOperator assembles it.  After an FFT in t, mode (p, m) is
+    the real tridiagonal system with off-diagonals -/+ h, h = 1/(2 ds),
+    and diagonal c = -(2 pi p + m^2).  Its Thomas pivots obey d_1 = c,
+    d_i = c + h^2 / d_(i-1), so each keeps the sign of c and no pivoting
+    is needed.  The one zero shift, (p, m) = (0, 0), is the skew central
+    difference alone, singular for odd N_s (the sawtooth mode) and with
+    d_1 = 0 for any N_s; that block is shifted by `shift`.  Only the
+    reciprocal pivots are stored.
     """
 
-    def __init__(self, grid: CylinderGrid, V: np.ndarray, B: np.ndarray, phi: np.ndarray):
+    def __init__(self, grid: CylinderGrid, shift: float):
+        self.h = 1.0 / (2.0 * grid.ds)
+        p = np.fft.fftfreq(grid.N_t) * grid.N_t
+        c = -(2.0 * math.pi * p[:, None] + mode_squares(grid.k)[None, :])
+        c[0, grid.k] = shift
+        inv = np.empty((grid.N_s - 2,) + c.shape)
+        inv[0] = 1.0 / c
+        for i in range(1, inv.shape[0]):
+            inv[i] = 1.0 / (c + self.h**2 * inv[i - 1])
+        self.inv = inv
+
+    def __call__(self, R: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """A0^-1 R, or its adjoint (the same sweep, off-diagonals swapped)."""
+        h = -self.h if adjoint else self.h
+        inv = self.inv
+        X = np.fft.fft(R, axis=1)
+        for i in range(1, X.shape[0]):
+            X[i] += (h * inv[i - 1]) * X[i - 1]
+        X[-1] *= inv[-1]
+        for i in range(X.shape[0] - 2, -1, -1):
+            X[i] = (X[i] - h * X[i + 1]) * inv[i]
+        return np.fft.ifft(X, axis=1)
+
+
+class _GaussNewtonOperator:
+    """Right-preconditioned linearization J M of the projected residual.
+
+    J: delta on interior nodes -> P_V [ A delta + phi B delta ] with
+    A = D_s + i D_t - n^2 analytic, B the frozen gradient blocks; the
+    tangent projector T removes radial directions on input, the complex
+    projector removes the node line on output.  M = T A^-1 (the exact
+    free inverse, its sawtooth block shifted by the LSMR damping), so
+    J M is the identity plus the phi B and projection terms, and the
+    step is x = M y.  rmatvec mirrors each factor, so the pair is an
+    exact adjoint.
+    """
+
+    def __init__(
+        self, grid: CylinderGrid, V: np.ndarray, B: np.ndarray, phi: np.ndarray,
+        damping: float,
+    ):
         self.grid = grid
         self.V = V
         self.B = B.reshape(V.shape[0], grid.N_t, 2 * grid.dim, 2 * grid.dim)
         self.phi_int = phi[1:-1]
         self.n2 = mode_squares(grid.k)
+        self.free = _FreeInverse(grid, damping)
         m = V.size * 2
         self.shape = (m, m)
         self.dtype = np.float64
@@ -503,23 +551,27 @@ class _GaussNewtonOperator:
             :, None, None
         ]
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        delta = _complex_view(np.ascontiguousarray(x), self.V.shape)
-        delta = _tangent(delta, self.V)
+    def step(self, y: np.ndarray) -> np.ndarray:
+        """The node update x = M y = T A^-1 y, complex (rows, N_t, dim)."""
+        y = _complex_view(np.ascontiguousarray(y), self.V.shape)
+        return _tangent(self.free(y), self.V)
+
+    def matvec(self, y: np.ndarray) -> np.ndarray:
+        delta = self.step(y)
         lin = self._ds(delta) + 1j * _dt_spectral(delta)
         lin -= self.n2[None, None, :] * delta
         lin += self._apply_blocks(delta, transpose=False)
         out = _project_out(lin, self.V)
         return _real_view(np.ascontiguousarray(out)).copy()
 
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        rho = _complex_view(np.ascontiguousarray(y), self.V.shape)
+    def rmatvec(self, z: np.ndarray) -> np.ndarray:
+        rho = _complex_view(np.ascontiguousarray(z), self.V.shape)
         rho = _project_out(rho, self.V)
         # adjoints: D_s^T as assembled, (i D_t)^* = i D_t, diagonal real
         out = self._ds_adjoint(rho) + 1j * _dt_spectral(rho)
         out -= self.n2[None, None, :] * rho
         out += self._apply_blocks(rho, transpose=True)
-        out = _tangent(out, self.V)
+        out = self.free(_tangent(out, self.V), adjoint=True)
         return _real_view(np.ascontiguousarray(out)).copy()
 
     def as_linear_operator(self) -> LinearOperator:
@@ -536,15 +588,17 @@ def solve_floer(
     guess: Optional[FloerState] = None,
     tol: float = 1e-6,
     max_iter: int = 60,
-    damping: float = 1e-3,
-    lsmr_iters: int = 3000,
 ) -> FloerResult:
     """Damped Gauss-Newton solve of the cylinder boundary-value problem.
 
-    boundary is (left_rows, right_rows) of shape (N_t, 2k+1) each.  The
-    damping parameter grows tenfold on rejected steps and shrinks on
-    accepted ones; exhausting it returns the best state found with
-    converged = False.
+    boundary is (left_rows, right_rows) of shape (N_t, 2k+1) each.  Each
+    step is a right-preconditioned LSMR solve (see _GaussNewtonOperator).
+    The damping starts at INITIAL_DAMPING, grows tenfold on rejected
+    steps and shrinks on accepted ones; exhausting it returns the best
+    state found with converged = False.  History rows after the first
+    carry lsmr_itn (LSMR iterations over the step's damping retries) and
+    lsmr_istop (the stop code of the accepted solve, or of the last one
+    tried; 7 means it hit LSMR_ITERS).
     """
     if model.k != grid.k:
         raise ValueError("model bandwidth must match the grid")
@@ -571,12 +625,15 @@ def solve_floer(
 
     st, res = assemble(C)
     energy = floer_energy(model, st, cutoff)
+    damping = INITIAL_DAMPING
     history = [
         {
             "iteration": 0,
             "residual_norm": res.norm,
             "energy": energy,
             "damping": damping,
+            "lsmr_itn": 0,
+            "lsmr_istop": None,
         }
     ]
     if res.norm < tol:
@@ -587,19 +644,22 @@ def solve_floer(
     for attempt in range(1, max_iter + 1):
         V = C[1:-1]
         B = _fd_blocks(model, V, grid.t_nodes)
-        op = _GaussNewtonOperator(grid, V, B, phi).as_linear_operator()
         rhs = -_real_view(np.ascontiguousarray(res.field))
         accepted = False
+        itn, istop = 0, None
         while damping <= 1e8:
+            op = _GaussNewtonOperator(grid, V, B, phi, damping)
             sol = lsmr(
-                op,
+                op.as_linear_operator(),
                 rhs,
                 damp=damping,
                 atol=1e-10,
                 btol=1e-10,
-                maxiter=lsmr_iters,
+                maxiter=LSMR_ITERS,
             )
-            delta = _complex_view(np.ascontiguousarray(sol[0]), V.shape)
+            istop = int(sol[1])
+            itn += int(sol[2])
+            delta = op.step(sol[0])
             C_try = C.copy()
             C_try[1:-1] = V + delta
             C_try[1:-1] /= np.linalg.norm(C_try[1:-1], axis=-1, keepdims=True)
@@ -618,6 +678,8 @@ def solve_floer(
                 "residual_norm": res.norm,
                 "energy": energy,
                 "damping": damping,
+                "lsmr_itn": itn,
+                "lsmr_istop": istop,
             }
         )
         if not accepted:

@@ -122,10 +122,6 @@ class GridField:
         if self.N < 1 or self.values.shape != (self.N,):
             raise ValueError("values must have shape (N,) with N >= 1")
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return TWO_PI * np.arange(self.N) / self.N
-
 
 def grid_nodes(N: int) -> np.ndarray:
     return TWO_PI * np.arange(N) / N

@@ -10,6 +10,8 @@ from nlsfloer.dynamics import continue_fixed_point, fs_distance, gauge_fix, mode
 from nlsfloer.floer import (
     CylinderGrid,
     FloerState,
+    _dt_spectral,
+    _GaussNewtonOperator,
     boundary_orbit,
     build_cutoff,
     build_initial_guess,
@@ -388,10 +390,62 @@ def test_solve_pins_boundary_rows():
 def test_solve_history_schema():
     _, _, result = solved_potential()
     assert result.history[0]["iteration"] == 0
+    assert result.history[0]["lsmr_itn"] == 0
+    assert result.history[0]["lsmr_istop"] is None
     for row in result.history:
-        assert set(row) == {"iteration", "residual_norm", "energy", "damping"}
+        assert set(row) == {
+            "iteration", "residual_norm", "energy", "damping", "lsmr_itn", "lsmr_istop"
+        }
+    for row in result.history[1:]:
+        assert row["lsmr_itn"] > 0
+        assert row["lsmr_istop"] in range(8)
     drops = [h["residual_norm"] for h in result.history]
     assert drops[-1] < drops[0]
+
+
+def test_solve_lsmr_iterations_stay_small():
+    # the free-operator preconditioner leaves only the phi B and projection
+    # terms for LSMR; unpreconditioned, these solves took hundreds of steps
+    _, _, result = solved_potential()
+    for row in result.history[1:]:
+        assert row["lsmr_itn"] <= 50
+
+
+def _free_operator(op, X, adjoint=False):
+    """A0 = D_s + i D_t - n^2 (or its adjoint) on interior rows, zero ends."""
+    ds = op._ds_adjoint(X) if adjoint else op._ds(X)
+    return ds + 1j * _dt_spectral(X) - op.n2[None, None, :] * X
+
+
+@pytest.mark.parametrize("N_s", [16, 17])
+def test_free_inverse_sweep_and_adjoint(N_s):
+    k, N_t = 4, 8
+    grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k)
+    shape = (N_s - 2, N_t, grid.dim)
+    rng = RNG(N_s)
+
+    def field():
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    V = field()
+    V /= np.linalg.norm(V, axis=-1, keepdims=True)
+    B = rng.normal(size=(shape[0] * N_t, 2 * grid.dim, 2 * grid.dim))
+    phi = build_cutoff(1.0).phi(grid.s_nodes)
+    op = _GaussNewtonOperator(grid, V, B, phi, 1e-3)
+
+    # every mode but the shifted (p, m) = (0, 0) block is inverted exactly
+    R = np.fft.fft(field(), axis=1)
+    R[:, 0, k] = 0.0
+    R = np.fft.ifft(R, axis=1)
+    for adjoint in (False, True):
+        X = op.free(R, adjoint=adjoint)
+        assert np.max(np.abs(_free_operator(op, X, adjoint) - R)) < 1e-12
+
+    x = rng.normal(size=op.shape[1])
+    y = rng.normal(size=op.shape[0])
+    Jx = op.matvec(x)
+    scale = np.linalg.norm(y) * np.linalg.norm(Jx)
+    assert abs(y @ Jx - x @ op.rmatvec(y)) < 1e-12 * scale
 
 
 def test_solve_partial_result_when_budget_exhausted():
