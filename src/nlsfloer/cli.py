@@ -406,9 +406,9 @@ def _pipe_simulate(cfg: dict, out: ArtifactWriter) -> dict:
         if is_hartree:
             expect = u0.coeffs * np.exp(-1j * omega * t)
             cf_err = float(np.max(np.abs(u.coeffs - expect)))
+            max_cf_err = max(max_cf_err, cf_err)
         else:
             cf_err = float("nan")
-        max_cf_err = max(max_cf_err, cf_err) if is_hartree else max_cf_err
         rows.append([_fmt(t), _fmt(u.l2()), _fmt(drift), _fmt(cf_err)])
     out.write(
         "simulate.csv",

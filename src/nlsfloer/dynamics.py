@@ -70,7 +70,7 @@ def evolve_many(
 
     def field(cc, tau):
         vals = synthesize_many(cc * psi, k, N)
-        d1 = nl.d1f(np.abs(vals) ** 2, v, tau)
+        d1 = nl.f(np.abs(vals) ** 2, v, tau, 1)
         return 1j * (analyze_many(-d1 * vals, k) * psi)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -179,9 +179,7 @@ def fs_distance(
     with theta the aligning phase; arccos of the overlap loses half the
     digits near coincident classes, the chord keeps full precision there.
     """
-    kp = p.k if isinstance(p, ProjectivePoint) else p.k
-    kq = q.k if isinstance(q, ProjectivePoint) else q.k
-    k = max(kp, kq)
+    k = max(p.k, q.k)
     a = _as_unit_coeffs(p, k)
     b = _as_unit_coeffs(q, k)
     z = np.vdot(b, a)

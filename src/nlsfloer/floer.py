@@ -28,7 +28,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lsmr
 
 from .dynamics import ProjectivePoint, fs_distance
-from .model import ModelSpec, grad_F_many, mode_squares
+from .model import ModelSpec, grad_F_many, grad_F_tangent, mode_squares
 from .spectral import SpectralField
 
 # ---------------------------------------------------------------------------
@@ -173,9 +173,6 @@ class FloerState:
         if np.any(norms == 0):
             raise ValueError("node field with zero norm")
         return self.coeffs / norms
-
-    def node(self, i: int, j: int) -> SpectralField:
-        return SpectralField(self.grid.k, self.coeffs[i, j].copy())
 
     def to_json(self) -> str:
         payload = {
@@ -444,27 +441,6 @@ def _complex_view(r: np.ndarray, shape) -> np.ndarray:
     return r.view(np.complex128).reshape(shape)
 
 
-def _fd_blocks(
-    model: ModelSpec, V: np.ndarray, t_nodes: np.ndarray, h: float = 1e-6
-) -> np.ndarray:
-    """Forward-difference real Jacobian blocks of grad F at each node.
-
-    Returns (M, 2d, 2d) acting on interleaved re/im coordinates.
-    """
-    rows, N_t, d = V.shape
-    M = rows * N_t
-    flat = V.reshape(M, d)
-    t_flat = np.tile(t_nodes, rows)
-    base = grad_F_many(model, flat, t_flat)
-    B = np.empty((M, 2 * d, 2 * d))
-    for col in range(2 * d):
-        direction = np.zeros(d, dtype=np.complex128)
-        direction[col // 2] = 1.0 if col % 2 == 0 else 1.0j
-        g = grad_F_many(model, flat + h * direction, t_flat)
-        B[:, :, col] = (g - base).view(np.float64).reshape(M, 2 * d) / h
-    return B
-
-
 class _FreeInverse:
     """Exact inverse of the free operator A0 = D_s + i D_t - n^2.
 
@@ -506,24 +482,25 @@ class _FreeInverse:
 class _GaussNewtonOperator:
     """Right-preconditioned linearization J M of the projected residual.
 
-    J: delta on interior nodes -> P_V [ A delta + phi B delta ] with
-    A = D_s + i D_t - n^2 analytic, B the frozen gradient blocks; the
-    tangent projector T removes radial directions on input, the complex
-    projector removes the node line on output.  M = T A^-1 (the exact
-    free inverse, its sawtooth block shifted by the LSMR damping), so
-    J M is the identity plus the phi B and projection terms, and the
-    step is x = M y.  rmatvec mirrors each factor, so the pair is an
+    J: delta on interior nodes -> P_V [ A delta + phi H delta ] with
+    A = D_s + i D_t - n^2 and H the exact Hessian of F_t at the nodes
+    (grad_F_tangent), both matrix-free; the tangent projector T removes
+    radial directions on input, the complex projector removes the node
+    line on output.  M = T A^-1 (the exact free inverse, its sawtooth
+    block shifted by the LSMR damping), so J M is the identity plus the
+    phi H and projection terms, and the step is x = M y.  rmatvec
+    mirrors each factor (D_s is skew, H symmetric), so the pair is an
     exact adjoint.
     """
 
     def __init__(
-        self, grid: CylinderGrid, V: np.ndarray, B: np.ndarray, phi: np.ndarray,
+        self, grid: CylinderGrid, V: np.ndarray, hessian, phi: np.ndarray,
         damping: float,
     ):
         self.grid = grid
         self.V = V
-        self.B = B.reshape(V.shape[0], grid.N_t, 2 * grid.dim, 2 * grid.dim)
-        self.phi_int = phi[1:-1]
+        self.hessian = hessian
+        self.phi_int = phi[1:-1, None, None]
         self.n2 = mode_squares(grid.k)
         self.free = _FreeInverse(grid, damping)
         m = V.size * 2
@@ -536,21 +513,6 @@ class _GaussNewtonOperator:
         out[:-1] += X[1:]
         return out / (2.0 * self.grid.ds)
 
-    def _ds_adjoint(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(X)
-        out[1:] += X[:-1]
-        out[:-1] += X[1:] * (-1.0)
-        return out / (2.0 * self.grid.ds)
-
-    def _apply_blocks(self, X: np.ndarray, transpose: bool) -> np.ndarray:
-        rows, N_t, d = X.shape
-        xr = X.view(np.float64).reshape(rows, N_t, 2 * d)
-        sub = "ijab,ijb->ija" if not transpose else "ijba,ijb->ija"
-        out = np.einsum(sub, self.B, xr)
-        return out.reshape(rows, N_t, d, 2).view(np.complex128)[..., 0] * self.phi_int[
-            :, None, None
-        ]
-
     def step(self, y: np.ndarray) -> np.ndarray:
         """The node update x = M y = T A^-1 y, complex (rows, N_t, dim)."""
         y = _complex_view(np.ascontiguousarray(y), self.V.shape)
@@ -560,17 +522,17 @@ class _GaussNewtonOperator:
         delta = self.step(y)
         lin = self._ds(delta) + 1j * _dt_spectral(delta)
         lin -= self.n2[None, None, :] * delta
-        lin += self._apply_blocks(delta, transpose=False)
+        lin += self.hessian(delta) * self.phi_int
         out = _project_out(lin, self.V)
         return _real_view(np.ascontiguousarray(out)).copy()
 
     def rmatvec(self, z: np.ndarray) -> np.ndarray:
         rho = _complex_view(np.ascontiguousarray(z), self.V.shape)
         rho = _project_out(rho, self.V)
-        # adjoints: D_s^T as assembled, (i D_t)^* = i D_t, diagonal real
-        out = self._ds_adjoint(rho) + 1j * _dt_spectral(rho)
+        # adjoints: D_s^T = -D_s, (i D_t)^* = i D_t, n^2 and H symmetric
+        out = -self._ds(rho) + 1j * _dt_spectral(rho)
         out -= self.n2[None, None, :] * rho
-        out += self._apply_blocks(rho, transpose=True)
+        out += self.hessian(rho) * self.phi_int
         out = self.free(_tangent(out, self.V), adjoint=True)
         return _real_view(np.ascontiguousarray(out)).copy()
 
@@ -643,12 +605,12 @@ def solve_floer(
     message = "iteration budget exhausted"
     for attempt in range(1, max_iter + 1):
         V = C[1:-1]
-        B = _fd_blocks(model, V, grid.t_nodes)
+        hessian = grad_F_tangent(model, V, grid.t_nodes)
         rhs = -_real_view(np.ascontiguousarray(res.field))
         accepted = False
         itn, istop = 0, None
         while damping <= 1e8:
-            op = _GaussNewtonOperator(grid, V, B, phi, damping)
+            op = _GaussNewtonOperator(grid, V, hessian, phi, damping)
             sol = lsmr(
                 op.as_linear_operator(),
                 rhs,

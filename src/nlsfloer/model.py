@@ -28,6 +28,7 @@ compares that bound against 1/8.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -56,7 +57,6 @@ class KernelSpec:
 
     k_max: int
     psi_hat: np.ndarray
-    decay_law: str = "custom"
 
     def __post_init__(self):
         self.psi_hat = np.asarray(self.psi_hat, dtype=float)
@@ -76,9 +76,6 @@ class KernelSpec:
         out[k - m : k + m + 1] = self.psi_hat[self.k_max - m : self.k_max + m + 1]
         return out
 
-    def as_field(self, k: int) -> SpectralField:
-        return SpectralField(k, self.coeff_array(k).astype(np.complex128))
-
     def l2(self) -> float:
         return float(np.linalg.norm(self.psi_hat))
 
@@ -90,21 +87,21 @@ class KernelSpec:
 
 def exponential_kernel(rate: float, k_max: int) -> KernelSpec:
     n = np.arange(-k_max, k_max + 1)
-    return KernelSpec(k_max, np.exp(-rate * np.abs(n)), decay_law="exponential")
+    return KernelSpec(k_max, np.exp(-rate * np.abs(n)))
 
 
 def band_limited_kernel(ell: int, k_max: Optional[int] = None) -> KernelSpec:
     if k_max is None:
         k_max = ell
     n = np.arange(-k_max, k_max + 1)
-    return KernelSpec(k_max, (np.abs(n) <= ell).astype(float), decay_law="band_limited")
+    return KernelSpec(k_max, (np.abs(n) <= ell).astype(float))
 
 
 def truncate_kernel(kernel: KernelSpec, k: int) -> KernelSpec:
     """Drop the modes |n| > k.  Truncation only ever removes mass."""
     if k < 0:
         raise ValueError("truncation order must be nonnegative")
-    return KernelSpec(k, kernel.coeff_array(k), decay_law=kernel.decay_law)
+    return KernelSpec(k, kernel.coeff_array(k))
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +114,8 @@ class Density:
 
     w is the smoothed intensity |u * psi|^2 >= 0.  V is a real band-limited
     multiplier (None for V = 1) and a(t) = 1 + cos(2pi t) when modulated,
-    1 otherwise, so every density is 1-periodic in t.  f and d1f take the
-    values v of V on the model's quadrature grid (see ModelSpec), or 1.0.
+    1 otherwise, so every density is 1-periodic in t.  f takes the values v
+    of V on the model's quadrature grid (see ModelSpec), or 1.0.
     """
 
     strength: float
@@ -145,15 +142,12 @@ class Density:
     def factor(t):
         return 1.0 + np.cos(TWO_PI * np.asarray(t, dtype=float))
 
-    def f(self, w, v, t):
-        out = (self.strength * v) * np.asarray(w) ** self.power
-        return self.factor(t) * out if self.modulated else out
-
-    def d1f(self, w, v, t):
-        """Partial derivative of f in its first argument."""
-        if self.power == 0:
+    def f(self, w, v, t, order: int = 0):
+        """f, or its partial derivative of the given order in w."""
+        if order > self.power:
             return np.zeros(np.shape(w))
-        out = ((self.power * self.strength) * v) * np.asarray(w) ** (self.power - 1)
+        scale = math.perm(self.power, order) * self.strength
+        out = (scale * v) * np.asarray(w) ** (self.power - order)
         return self.factor(t) * out if self.modulated else out
 
     def sup_f_bound(self, w_max: float) -> float:
@@ -217,7 +211,7 @@ class ModelSpec:
     """Kernel + density at a fixed working bandwidth.
 
     The density's multiplier V is sampled once on the N-point quadrature
-    grid; f and d1f read those samples.
+    grid; f reads those samples.
     """
 
     kernel: KernelSpec
@@ -269,25 +263,43 @@ def _check_band(model: ModelSpec, u: SpectralField):
         )
 
 
+def _smoothed(model: ModelSpec, coeffs: np.ndarray, t) -> tuple:
+    """z = u * psi on the quadrature grid, w = |z|^2, and t as a column."""
+    z = synthesize_many(coeffs * model.psi_band, model.k, model.quad_points)
+    return z, np.abs(z) ** 2, np.asarray(t, dtype=float)[..., np.newaxis]
+
+
 def eval_F_many(model: ModelSpec, coeffs: np.ndarray, t) -> np.ndarray:
     """Batched values of F_t; coeffs has shape (..., 2k+1)."""
-    v = coeffs * model.psi_band
-    vals = synthesize_many(v, model.k, model.quad_points)
-    w = np.abs(vals) ** 2
-    t_arr = np.asarray(t, dtype=float)
-    fvals = model.nonlinearity.f(w, model._v, t_arr[..., np.newaxis])
+    _, w, t_col = _smoothed(model, coeffs, t)
+    fvals = model.nonlinearity.f(w, model._v, t_col)
     return -0.5 * (TWO_PI / model.quad_points) * np.sum(fvals, axis=-1)
 
 
 def grad_F_many(model: ModelSpec, coeffs: np.ndarray, t) -> np.ndarray:
     """Batched L2 gradients of F_t; shapes mirror eval_F_many."""
-    v = coeffs * model.psi_band
-    vals = synthesize_many(v, model.k, model.quad_points)
-    w = np.abs(vals) ** 2
-    t_arr = np.asarray(t, dtype=float)
-    d1 = model.nonlinearity.d1f(w, model._v, t_arr[..., np.newaxis])
-    ghat = analyze_many(-d1 * vals, model.k)
-    return ghat * model.psi_band
+    z, w, t_col = _smoothed(model, coeffs, t)
+    d1 = model.nonlinearity.f(w, model._v, t_col, 1)
+    return analyze_many(-d1 * z, model.k) * model.psi_band
+
+
+def grad_F_tangent(model: ModelSpec, coeffs: np.ndarray, t):
+    """The exact derivative of grad_F_many at coeffs, as a map on directions.
+
+    delta -> -psi A[d1f(w) dz + 2 d2f(w) Re(conj(z) dz) z], dz = S(psi delta),
+    with S/A synthesis/analysis.  It is the Hessian of F_t, so it is
+    symmetric under Re<.,.>.  Directions have the shape of coeffs.
+    """
+    z, w, t_col = _smoothed(model, coeffs, t)
+    d1 = model.nonlinearity.f(w, model._v, t_col, 1)
+    d2 = 2.0 * model.nonlinearity.f(w, model._v, t_col, 2)
+
+    def apply(delta: np.ndarray) -> np.ndarray:
+        dz = synthesize_many(delta * model.psi_band, model.k, model.quad_points)
+        dg = d1 * dz + (d2 * (z.real * dz.real + z.imag * dz.imag)) * z
+        return analyze_many(-dg, model.k) * model.psi_band
+
+    return apply
 
 
 def eval_F(model: ModelSpec, u: SpectralField, t: float) -> float:
@@ -406,9 +418,6 @@ class HoferReport:
     sup_f_bound: float
     nodes: list
     all_converged: bool
-
-    def oscillations(self) -> np.ndarray:
-        return np.array([nd.max_value - nd.min_value for nd in self.nodes])
 
 
 def _extremize_on_sphere(model, t, sign, starts, rng):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -236,14 +235,3 @@ def inner(u: SpectralField, v: SpectralField) -> complex:
 def inner_real(u: SpectralField, v: SpectralField) -> float:
     """Real inner product Re<u, v>, the one gradients pair against."""
     return inner(u, v).real
-
-
-def save_field(u: SpectralField, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(u.to_json())
-        fh.write("\n")
-
-
-def load_field(path) -> SpectralField:
-    with open(path) as fh:
-        return SpectralField.from_json(fh.read())

@@ -26,10 +26,13 @@ from nlsfloer.model import (
     Hartree,
     ModelSpec,
     Potential,
+    Quadratic,
+    TimeModulated,
     band_limited_kernel,
     cosine_field,
     exponential_kernel,
     galerkin_gap,
+    grad_F_tangent,
     hofer_norm,
 )
 from nlsfloer.spectral import SpectralField
@@ -43,6 +46,11 @@ def potential_model(k=4, eps=0.05):
 
 def hartree_model(k=3, eps=0.1):
     return ModelSpec(exponential_kernel(1.0, k), Hartree(eps), k)
+
+
+def quadratic_model(k=4, eps=0.05):
+    """A density with a nonzero second derivative, modulated in t."""
+    return ModelSpec(exponential_kernel(1.0, k), TimeModulated(Quadratic(eps)), k)
 
 
 def constant_rows(point, N_t):
@@ -69,6 +77,18 @@ def solved_potential(k=4, N_s=60, N_t=16, S=4.0, T=1.0):
     grid = CylinderGrid(S=S, N_s=N_s, N_t=N_t, k=k)
     left = boundary_orbit(free, mode_point(0, k), N_t, side="left")
     right = boundary_orbit(free, continued_point(k), N_t, side="right")
+    return model, grid, solve_floer(model, grid, T, (left, right), tol=1e-8)
+
+
+@functools.lru_cache(maxsize=None)
+def solved_quadratic(k=4, N_s=32, N_t=16, S=4.0, T=1.0):
+    model = quadratic_model(k)
+    free = model.with_strength(0.0)
+    grid = CylinderGrid(S=S, N_s=N_s, N_t=N_t, k=k)
+    mix = np.zeros(2 * k + 1, dtype=np.complex128)
+    mix[k], mix[k + 1] = 0.8, 0.6
+    left = boundary_orbit(free, mode_point(0, k), N_t, side="left")
+    right = boundary_orbit(free, gauge_fix(SpectralField(k, mix)), N_t, side="right")
     return model, grid, solve_floer(model, grid, T, (left, right), tol=1e-8)
 
 
@@ -403,17 +423,19 @@ def test_solve_history_schema():
     assert drops[-1] < drops[0]
 
 
-def test_solve_lsmr_iterations_stay_small():
-    # the free-operator preconditioner leaves only the phi B and projection
+@pytest.mark.parametrize("solve", [solved_potential, solved_quadratic])
+def test_solve_lsmr_iterations_stay_small(solve):
+    # the free-operator preconditioner leaves only the phi H and projection
     # terms for LSMR; unpreconditioned, these solves took hundreds of steps
-    _, _, result = solved_potential()
+    _, _, result = solve()
+    assert result.converged
     for row in result.history[1:]:
         assert row["lsmr_itn"] <= 50
 
 
 def _free_operator(op, X, adjoint=False):
     """A0 = D_s + i D_t - n^2 (or its adjoint) on interior rows, zero ends."""
-    ds = op._ds_adjoint(X) if adjoint else op._ds(X)
+    ds = -op._ds(X) if adjoint else op._ds(X)
     return ds + 1j * _dt_spectral(X) - op.n2[None, None, :] * X
 
 
@@ -429,9 +451,9 @@ def test_free_inverse_sweep_and_adjoint(N_s):
 
     V = field()
     V /= np.linalg.norm(V, axis=-1, keepdims=True)
-    B = rng.normal(size=(shape[0] * N_t, 2 * grid.dim, 2 * grid.dim))
+    hessian = grad_F_tangent(quadratic_model(k), V, grid.t_nodes)
     phi = build_cutoff(1.0).phi(grid.s_nodes)
-    op = _GaussNewtonOperator(grid, V, B, phi, 1e-3)
+    op = _GaussNewtonOperator(grid, V, hessian, phi, 1e-3)
 
     # every mode but the shifted (p, m) = (0, 0) block is inverted exactly
     R = np.fft.fft(field(), axis=1)

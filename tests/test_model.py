@@ -19,6 +19,8 @@ from nlsfloer.model import (
     exponential_kernel,
     galerkin_gap,
     grad_F,
+    grad_F_many,
+    grad_F_tangent,
     grad_G,
     hofer_norm,
     orthogonality_defect,
@@ -165,6 +167,30 @@ def test_gradient_matches_directional_difference(member):
         pairing = inner_real(g, h)
         scale = max(1.0, abs(fd))
         assert abs(fd - pairing) / scale < 1e-6
+
+
+@pytest.mark.parametrize("member", range(5))
+def test_gradient_tangent_matches_central_difference(member):
+    model = catalog()[member]
+    dim = 2 * model.k + 1
+    rng = RNG(60 + member)
+
+    def unit_rows():
+        c = rng.standard_normal((10, dim)) + 1j * rng.standard_normal((10, dim))
+        return c / np.linalg.norm(c, axis=-1, keepdims=True)
+
+    u, h1, h2 = unit_rows(), unit_rows(), unit_rows()
+    t = rng.uniform(size=10)
+    tangent = grad_F_tangent(model, u, t)
+    eta = 1e-5
+    fd = (grad_F_many(model, u + eta * h1, t) - grad_F_many(model, u - eta * h1, t)) / (
+        2 * eta
+    )
+    assert np.max(np.abs(tangent(h1) - fd)) < 1e-9
+    # the Hessian is symmetric under Re<.,.>
+    lhs = np.sum((np.conj(h2) * tangent(h1)).real, axis=-1)
+    rhs = np.sum((np.conj(tangent(h2)) * h1).real, axis=-1)
+    assert np.max(np.abs(lhs - rhs)) < 1e-14
 
 
 def test_rotated_gradient_matches_rotated_functional():
