@@ -26,8 +26,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .model import ModelSpec, free_phases
-from .spectral import TWO_PI, SpectralField, analyze_many, basis_point, synthesize_many
+from .model import ModelSpec, free_phases, grad_F_many
+from .spectral import TWO_PI, SpectralField, basis_point
 
 
 def free_flow(u: SpectralField, t: float) -> SpectralField:
@@ -59,19 +59,12 @@ def evolve_many(
     h = (t1 - t0) / steps
     half = free_phases(model.k, h / 2.0)
     nl = model.nonlinearity
-    psi = model.psi_band
-
     hartree_diag = None
     if nl.diagonal:
-        hartree_diag = np.exp(-1j * nl.strength * psi**2 * h)
-
-    k, N = model.k, model.quad_points
-    v = model._v
+        hartree_diag = np.exp(-1j * nl.strength * model.psi_band**2 * h)
 
     def field(cc, tau):
-        vals = synthesize_many(cc * psi, k, N)
-        d1 = nl.f(np.abs(vals) ** 2, v, tau, 1)
-        return 1j * (analyze_many(-d1 * vals, k) * psi)
+        return 1j * grad_F_many(model, cc, tau)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(steps):
@@ -274,6 +267,9 @@ def newton_fixed_point(
         r[m2 + 1] = cc[g_idx].imag
         return r
 
+    # rows 2*alpha and 2*alpha + 1 of the difference batch move component alpha by 1, i
+    units = np.kron(np.eye(dim), [[1.0], [1j]])
+
     r = residual_vec(c, flows[0], a)
     rnorm = float(np.linalg.norm(r))
     iters = 0
@@ -284,16 +280,12 @@ def newton_fixed_point(
         iters += 1
         J = np.zeros((m2 + 2, m2 + 1))
         e_ia = np.exp(1j * a)
-        for alpha in range(dim):
-            for part, col in ((0, 2 * alpha), (1, 2 * alpha + 1)):
-                d_flow = (flows[1 + 2 * alpha + part] - flows[0]) / FD_STEP
-                unit = np.zeros(dim, dtype=np.complex128)
-                unit[alpha] = 1.0 if part == 0 else 1j
-                d_eq = d_flow - e_ia * unit
-                J[:m2:2, col] = d_eq.real
-                J[1:m2:2, col] = d_eq.imag
-                J[m2, col] = 2.0 * (c[alpha].real if part == 0 else c[alpha].imag)
-                J[m2 + 1, col] = 1.0 if (part == 1 and alpha == g_idx) else 0.0
+        d_eq = (flows[1:] - flows[0]) / FD_STEP - e_ia * units
+        J[:m2:2, :m2] = d_eq.real.T
+        J[1:m2:2, :m2] = d_eq.imag.T
+        J[m2, :m2:2] = 2.0 * c.real
+        J[m2, 1:m2:2] = 2.0 * c.imag
+        J[m2 + 1, 2 * g_idx + 1] = 1.0
         d_phase = -1j * e_ia * c
         J[:m2:2, m2] = d_phase.real
         J[1:m2:2, m2] = d_phase.imag

@@ -290,13 +290,16 @@ def grad_F_tangent(model: ModelSpec, coeffs: np.ndarray, t):
     with S/A synthesis/analysis.  It is the Hessian of F_t, so it is
     symmetric under Re<.,.>.  Directions have the shape of coeffs.
     """
+    nl = model.nonlinearity
     z, w, t_col = _smoothed(model, coeffs, t)
-    d1 = model.nonlinearity.f(w, model._v, t_col, 1)
-    d2 = 2.0 * model.nonlinearity.f(w, model._v, t_col, 2)
+    d1 = nl.f(w, model._v, t_col, 1)
+    d2 = 2.0 * nl.f(w, model._v, t_col, 2) if nl.power == 2 else None
 
     def apply(delta: np.ndarray) -> np.ndarray:
         dz = synthesize_many(delta * model.psi_band, model.k, model.quad_points)
-        dg = d1 * dz + (d2 * (z.real * dz.real + z.imag * dz.imag)) * z
+        dg = d1 * dz
+        if d2 is not None:  # d2f vanishes identically for power <= 1
+            dg = dg + (d2 * (z.real * dz.real + z.imag * dz.imag)) * z
         return analyze_many(-dg, model.k) * model.psi_band
 
     return apply
@@ -420,15 +423,16 @@ class HoferReport:
     all_converged: bool
 
 
-def _extremize_on_sphere(model, t, sign, starts, rng):
-    """Maximize sign * F_t on the unit sphere by projected gradient ascent.
+def _extremize_on_sphere(model, sign, starts, rng):
+    """Maximize sign * F on the unit sphere by projected gradient ascent.
 
+    F is evaluated at t = 0, so the density must not depend on t.
     Coordinate fields are screened first; for diagonal functionals they
     already sit at the extrema.  Returns (best value of sign*F, converged).
     """
     dim = 2 * model.k + 1
     basis = np.eye(dim, dtype=np.complex128)
-    fb = sign * eval_F_many(model, basis, np.full(dim, t))
+    fb = sign * eval_F_many(model, basis, 0.0)
     order = np.argsort(fb)[::-1]
     cand = [basis[i] for i in order[: max(2, starts // 2)]]
     while len(cand) < starts:
@@ -437,14 +441,13 @@ def _extremize_on_sphere(model, t, sign, starts, rng):
 
     best = -np.inf
     best_converged = False
-    t1 = np.array([t])
     for c in cand:
         u = c.copy()
-        fval = sign * float(eval_F_many(model, u[np.newaxis], t1)[0])
+        fval = sign * float(eval_F_many(model, u[np.newaxis], 0.0)[0])
         step = 0.5
         converged = False
         for _ in range(HOFER_ITERS):
-            g = sign * grad_F_many(model, u[np.newaxis], t1)[0]
+            g = sign * grad_F_many(model, u[np.newaxis], 0.0)[0]
             g_tan = g - np.vdot(u, g).real * u
             gn = float(np.linalg.norm(g_tan))
             if gn < HOFER_GRAD_TOL:
@@ -454,7 +457,7 @@ def _extremize_on_sphere(model, t, sign, starts, rng):
             while step > 1e-15:
                 cand_u = u + step * g_tan
                 cand_u /= np.linalg.norm(cand_u)
-                fc = sign * float(eval_F_many(model, cand_u[np.newaxis], t1)[0])
+                fc = sign * float(eval_F_many(model, cand_u[np.newaxis], 0.0)[0])
                 if fc > fval + 1e-4 * step * gn * gn:
                     u, fval = cand_u, fc
                     step *= 1.5
@@ -474,28 +477,31 @@ def hofer_norm(
 ) -> HoferReport:
     """Estimate the oscillation integral int_0^1 (max F_t - min F_t) dt.
 
-    The max and min over the unit sphere are found by multi-start
-    projected gradient ascent/descent; the t-integral uses the uniform
-    (periodic trapezoid) rule.  The sampled estimate never exceeds the
-    true oscillation, and non-converged nodes are flagged rather than
-    dropped.
+    Every density is f = a(t) * f0 with a(t) >= 0, so F_t = a(t) * F0 and
+    the max and min of F_t over the unit sphere are a(t) times those of
+    F0.  F0 is therefore extremized once each way, by multi-start
+    projected gradient ascent/descent; node j at t_j = j / t_nodes reports
+    a(t_j) times those extremes, and the t-integral uses the uniform
+    (periodic trapezoid) rule.  `converged` reports whether both
+    extremizations of F0 converged, so it is the same on every node.  The
+    sampled estimate never exceeds the true oscillation.
     """
+    nl = model.nonlinearity
+    base = ModelSpec(model.kernel, replace(nl, modulated=False), model.k)
     rng = np.random.default_rng(seed)
-    nodes = []
-    for j in range(t_nodes):
-        t = j / t_nodes
-        fmax, c1 = _extremize_on_sphere(model, t, +1.0, starts, rng)
-        fmin_neg, c2 = _extremize_on_sphere(model, t, -1.0, starts, rng)
-        nodes.append(
-            HoferNode(t=t, max_value=fmax, min_value=-fmin_neg, converged=c1 and c2)
-        )
-    osc = np.array([nd.max_value - nd.min_value for nd in nodes])
+    fmax, c1 = _extremize_on_sphere(base, +1.0, starts, rng)
+    fmin_neg, c2 = _extremize_on_sphere(base, -1.0, starts, rng)
+    fmin, converged = -fmin_neg, c1 and c2
+    ts = [j / t_nodes for j in range(t_nodes)]
+    a = nl.factor(ts) if nl.modulated else np.ones(t_nodes)
+    nodes = [HoferNode(t, float(aj * fmax), float(aj * fmin), converged)
+             for t, aj in zip(ts, a)]
     return HoferReport(
-        estimate=float(np.mean(osc)),
+        estimate=float(np.mean(a) * (fmax - fmin)),
         sufficient_gate=model.smallness_gate(),
         sup_f_bound=model.sup_f_bound(),
         nodes=nodes,
-        all_converged=all(nd.converged for nd in nodes),
+        all_converged=converged,
     )
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nlsfloer import model as model_module
 from nlsfloer.model import (
     Constant,
     Hartree,
@@ -281,6 +282,56 @@ def test_hartree_oscillation_closed_form():
     expected = 0.5 * eps * (1.0 - math.exp(-2.0 * k))
     assert rep.all_converged
     assert abs(rep.estimate - expected) <= 0.01 * expected
+
+
+@pytest.mark.parametrize("t_nodes", [1, 16])
+def test_hofer_extremizes_once_each_way(t_nodes, monkeypatch):
+    # F_t = a(t) F0, so one maximization and one minimization serve every node
+    calls = []
+    extremize = model_module._extremize_on_sphere
+
+    def counted(*args):
+        calls.append(args)
+        return extremize(*args)
+
+    monkeypatch.setattr(model_module, "_extremize_on_sphere", counted)
+    model = ModelSpec(exponential_kernel(1.0, 4), TimeModulated(Quadratic(0.05)), 4)
+    rep = hofer_norm(model, t_nodes=t_nodes)
+    assert len(calls) == 2
+    assert len(rep.nodes) == t_nodes
+
+
+def test_hofer_matches_hermitian_eigenvalues():
+    # for power 1 the functional is F(u) = 1/2 Re<u, Qu> with Q the gradient's
+    # matrix, so its extremes on the sphere are half Q's extreme eigenvalues
+    k = 4
+    model = ModelSpec(exponential_kernel(1.0, k), Potential(0.05, cosine_field(k)), k)
+    dim = 2 * k + 1
+    Q = grad_F_many(model, np.eye(dim, dtype=np.complex128), np.zeros(dim)).T
+    lam = np.linalg.eigvalsh(Q)
+    expected = 0.5 * (lam[-1] - lam[0])
+    rep = hofer_norm(model)
+    assert rep.all_converged
+    assert abs(rep.estimate - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("base", [Potential(0.05, cosine_field()), Quadratic(0.05)])
+def test_modulated_hofer_nodes_scale_the_base(base):
+    ker = exponential_kernel(1.0, 4)
+    plain = ModelSpec(ker, base, 4)
+    modulated = ModelSpec(ker, TimeModulated(base), 4)
+    ref = hofer_norm(plain, t_nodes=8)
+    rep = hofer_norm(modulated, t_nodes=8)
+    for nd, nd0 in zip(rep.nodes, ref.nodes):
+        a = 1.0 + math.cos(2 * math.pi * nd.t)
+        assert nd.t == nd0.t
+        assert nd.max_value == pytest.approx(a * nd0.max_value, rel=1e-14, abs=1e-18)
+        assert nd.min_value == pytest.approx(a * nd0.min_value, rel=1e-14, abs=1e-18)
+    # the one-node rule samples a(0) = 2, so it doubles the modulated estimate
+    one, two = hofer_norm(modulated, t_nodes=1), hofer_norm(modulated, t_nodes=2)
+    assert one.estimate == pytest.approx(2.0 * two.estimate, rel=1e-14)
+    one, two = hofer_norm(plain, t_nodes=1), hofer_norm(plain, t_nodes=2)
+    assert one.estimate == pytest.approx(two.estimate, rel=1e-14)
 
 
 def test_smallness_gate_thresholds():
