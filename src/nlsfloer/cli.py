@@ -457,7 +457,8 @@ def _pipe_fixed_points(cfg: dict, out: ArtifactWriter) -> dict:
         )
         print(
             f"fixed-points: n={n} residual {entry.residual:.3e} "
-            f"iterations {entry.iterations} converged={result.converged}"
+            f"iterations {entry.iterations} converged={result.converged} "
+            f"attempts {result.attempts} ({result.corrector_iterations} iterations)"
         )
         if not result.converged:
             out.write("fixed_points_summary.json", _json_text(summaries))

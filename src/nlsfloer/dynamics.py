@@ -242,10 +242,10 @@ def newton_fixed_point(
     accepted, the same choice a sequential halving loop makes.  Stops when
     the residual l2 norm drops below tol.
 
-    The budget is generous because the free time-one map is degenerate on
-    every +-n mode pair; a guess on such a pair circle can spend many
-    iterations drifting along the near-flat direction before the usual
-    quadratic tail kicks in.
+    Ends early, "not contracting", when an accepted step fails to halve a
+    residual still above sqrt(tol): converging calls from above 1e-8
+    contract by 270x or more per step, while a guess on a degenerate +-n
+    pair circle of the free map drifts at a ratio near 0.995.
     """
     p0 = gauge_fix(guess)
     g_idx = p0.gauge_index + p0.k
@@ -294,6 +294,7 @@ def newton_fixed_point(
         step = delta[:m2:2] + 1j * delta[1:m2:2]
         trials = np.array([c + scale * step for scale in LINE_SEARCH_SCALES])
         out = evolve_many(model, trials, 0.0, 1.0, steps)
+        rnorm_before = rnorm
         for scale, c_new, flow_new in zip(LINE_SEARCH_SCALES, trials, out):
             a_new = a + scale * delta[m2]
             r_new = residual_vec(c_new, flow_new, a_new)
@@ -303,6 +304,9 @@ def newton_fixed_point(
                 break
         else:
             message = "stalled: no descent along the Gauss-Newton direction"
+            break
+        if rnorm > 0.5 * rnorm_before and rnorm > math.sqrt(tol):
+            message = f"not contracting: residual {rnorm_before:.3e} -> {rnorm:.3e}"
             break
 
     converged = rnorm <= tol
@@ -339,6 +343,8 @@ class ContinuationResult:
     entries: list
     converged: bool
     message: str = ""
+    attempts: int = 0  # newton_fixed_point calls, failed ones too; not in to_json
+    corrector_iterations: int = 0  # their summed iterations; not in to_json
 
     @property
     def final(self) -> PathEntry:
@@ -429,9 +435,9 @@ def continue_fixed_point(
     the strength interval is bisected (up to max_bisect times); partial
     paths are returned with converged=False rather than discarded.
 
-    max_iter here is the per-attempt corrector budget; it is deliberately
-    smaller than the newton_fixed_point default so a predictor caught on a
-    degenerate pair circle fails over to the seeded retries quickly.
+    max_iter is a per-attempt backstop.  What fails a predictor caught on a
+    degenerate pair circle over to the seeded retries quickly is the
+    corrector's contraction monitor, after its first step.
     """
     if abs(n) > model.k:
         raise ValueError("mode outside model bandwidth")
@@ -456,6 +462,7 @@ def continue_fixed_point(
     res0 = fixed_point_residual(model.with_strength(0.0), point, steps)
     entries.append(PathEntry(0.0, point, phase, res0, 0))
 
+    attempts = iterations = 0
     prev_eps = 0.0
     for eps in sched[1:]:
         lo, lo_point, lo_phase = prev_eps, point, phase
@@ -466,11 +473,13 @@ def continue_fixed_point(
             result = newton_fixed_point(
                 trial, lo_point, lo_phase, tol=tol, max_iter=max_iter, steps=steps
             )
+            attempts, iterations = attempts + 1, iterations + result.iterations
             if not result.converged and n != 0:
                 for seed in _pair_seeds(lo_point):
                     retry = newton_fixed_point(
                         trial, seed, lo_phase, tol=tol, max_iter=max_iter, steps=steps
                     )
+                    attempts, iterations = attempts + 1, iterations + retry.iterations
                     if retry.converged:
                         result = retry
                         break
@@ -496,8 +505,13 @@ def continue_fixed_point(
                             f"corrector failed at strength {hi:.6g} "
                             f"after {max_bisect} bisections: {result.message}"
                         ),
+                        attempts=attempts,
+                        corrector_iterations=iterations,
                     )
                 hi = 0.5 * (lo + hi)
         prev_eps = eps
 
-    return ContinuationResult(n=n, k=model.k, entries=entries, converged=True)
+    return ContinuationResult(
+        n=n, k=model.k, entries=entries, converged=True,
+        attempts=attempts, corrector_iterations=iterations,
+    )

@@ -45,6 +45,10 @@ def quadratic_model(k=6, eps=0.05):
     return ModelSpec(exponential_kernel(1.0, k), Quadratic(eps), k)
 
 
+def potential_model(k=4, eps=0.05):
+    return ModelSpec(exponential_kernel(1.0, k), Potential(eps, cosine_field(k)), k)
+
+
 # ---------------------------------------------------------------------------
 # flows
 
@@ -213,6 +217,28 @@ def test_newton_quadratic_perturbs_mode():
     assert res.converged
     assert res.residual < 1e-10
     assert fs_distance(res.point.field, mode_point(1, 5).field) < 0.2
+
+
+def test_newton_fails_fast_when_drifting_on_a_pair_circle():
+    # the free map is degenerate on the +-1 pair, so the bare mode drifts:
+    # the first step moves the residual by a ratio near 0.995, not by 270x
+    model = potential_model(4, 0.005)
+    res = newton_fixed_point(
+        model, mode_point(1, 4), phase_guess=-1.0, steps=30, max_iter=25
+    )
+    assert not res.converged
+    assert res.iterations == 1
+    assert res.message.startswith("not contracting")
+
+
+def test_continuation_counts_corrector_attempts():
+    # n = 1 fails over from the bare mode to a pair seed once, at the first
+    # strength step, then converges in two iterations per step
+    out = continue_fixed_point(potential_model(4), n=1, steps=30)
+    assert out.converged
+    assert out.attempts == 11
+    assert out.corrector_iterations <= 21
+    assert "attempts" not in out.to_json()
 
 
 def test_continuation_free_schedule_is_trivial():
