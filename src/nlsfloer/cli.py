@@ -814,10 +814,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         status, code, message = "config-error", EXIT_CONFIG, str(exc)
         print(f"config error: {exc}", file=sys.stderr)
-    except NumericError as exc:
-        status, code, message = "numeric-failure", EXIT_NUMERIC, str(exc)
-        print(f"numeric failure: {exc}", file=sys.stderr)
-    except (ValueError, ArithmeticError) as exc:
+    except (NumericError, ValueError, ArithmeticError) as exc:
         status, code, message = "numeric-failure", EXIT_NUMERIC, str(exc)
         print(f"numeric failure: {exc}", file=sys.stderr)
     except OSError as exc:

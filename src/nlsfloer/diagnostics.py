@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 import numpy as np
 
 from .dynamics import ProjectivePoint, fs_distance
-from .floer import CutoffProfile, FloerState, _dt_spectral, _energy_node_map
+from .floer import CutoffProfile, FloerState, _density_maps, _dt_spectral, _equation
 from .model import ModelSpec
 from .spectral import SpectralField
 
@@ -145,16 +145,12 @@ def gradient_monitor(
     if model.k != grid.k:
         raise ValueError("model and state bandwidths disagree")
     C = state.normalized()
-
-    if grid.N_s >= 3:
-        Ds = (C[2:] - C[:-2]) / (2.0 * grid.ds)
-        sup_ds = float(np.sqrt(np.max(np.sum(np.abs(Ds) ** 2, axis=2))))
-    else:
-        sup_ds = 0.0
+    Ds = (C[2:] - C[:-2]) / (2.0 * grid.ds)
+    sup_ds = float(np.sqrt(np.max(np.sum(np.abs(Ds) ** 2, axis=2))))
     Dt = _dt_spectral(C)
     sup_dt = float(np.sqrt(np.max(np.sum(np.abs(Dt) ** 2, axis=2))))
 
-    ds_map, t_map = _energy_node_map(model, state, cutoff)
+    ds_map, t_map = _density_maps(*_equation(model, state, cutoff))
     emap = 0.5 * (ds_map + t_map)
     return {"sup_ds": sup_ds, "sup_dt": sup_dt, "energy_density_map": emap}
 

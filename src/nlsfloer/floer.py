@@ -6,7 +6,9 @@ equation discretized at each interior node is
 
     residual = D_s v + i D_t v + grad H0(v) + phi_T(s) grad F_t(v),
 
-projected onto the complex orthogonal complement of the node field.  The
+projected onto the complex orthogonal complement of the node field.  It is
+assembled once per state, as P(D_s v) + i P(D_t v - X_t(v)); the mean of
+the two parts' squares is the energy density (see _equation).  The
 projection removes the radial and global-phase directions, which is what
 makes the residual a statement about the projective curve: the gauge-fixed
 constant free orbit solves it exactly, and the reported norm, energy, and
@@ -290,11 +292,6 @@ def _tangent(delta: np.ndarray, V: np.ndarray) -> np.ndarray:
     return delta - radial * V
 
 
-def _check_compatible(model: ModelSpec, state: FloerState):
-    if model.k != state.grid.k:
-        raise ValueError("model bandwidth must match the grid")
-
-
 def _grad_rows(model: ModelSpec, C: np.ndarray, t_nodes: np.ndarray) -> np.ndarray:
     """grad F_t at every node of C, shape (rows, N_t, dim)."""
     rows, N_t, d = C.shape
@@ -303,90 +300,50 @@ def _grad_rows(model: ModelSpec, C: np.ndarray, t_nodes: np.ndarray) -> np.ndarr
     return grad_F_many(model, flat, t_flat).reshape(rows, N_t, d)
 
 
+def _equation(model: ModelSpec, state: FloerState, cutoff: CutoffProfile) -> tuple:
+    """One evaluation of the discrete equation at every node.
+
+    Returns Ds = P(D_s v), zero on the end rows (they have no central
+    stencil), and tpart = P(D_t v - X_t(v)) with X^{H0} v = -i n^2 v and
+    X^F = i grad F_t, each (N_s, N_t, dim) and projected off the node line.
+    The residual is Ds + i tpart and the energy density is the mean of their
+    squares; the two agree pointwise on a solved curve.
+    """
+    grid = state.grid
+    if model.k != grid.k:
+        raise ValueError("model bandwidth must match the grid")
+    C = state.normalized()
+    phi = cutoff.phi(grid.s_nodes)
+    Ds = np.zeros_like(C)
+    Ds[1:-1] = (C[2:] - C[:-2]) / (2.0 * grid.ds)
+    G = _grad_rows(model, C, grid.t_nodes)
+    tpart = (
+        _dt_spectral(C)
+        + 1j * mode_squares(grid.k)[None, None, :] * C
+        - phi[:, None, None] * (1j * G)
+    )
+    return _project_out(Ds, C), _project_out(tpart, C)
+
+
 @dataclass
 class FloerResidual:
     field: np.ndarray
     norm: float
 
 
-def floer_residual(
-    model: ModelSpec, state: FloerState, cutoff: CutoffProfile
-) -> FloerResidual:
-    """Projected equation residual at the interior nodes."""
-    _check_compatible(model, state)
-    grid = state.grid
-    C = state.normalized()
-    phi = cutoff.phi(grid.s_nodes)
-    Ds = (C[2:] - C[:-2]) / (2.0 * grid.ds)
-    Dt = _dt_spectral(C)[1:-1]
-    V = C[1:-1]
-    lin = Ds + 1j * Dt - mode_squares(grid.k)[None, None, :] * V
-    G = _grad_rows(model, V, grid.t_nodes)
-    R = _project_out(lin + phi[1:-1, None, None] * G, V)
+def _residual(grid: CylinderGrid, Ds: np.ndarray, tpart: np.ndarray) -> FloerResidual:
+    R = (Ds + 1j * tpart)[1:-1]
     norm = math.sqrt(grid.ds * grid.dt * float(np.sum(np.abs(R) ** 2)))
     return FloerResidual(field=R, norm=norm)
 
 
-def floer_residual_twisted(
-    model: ModelSpec, state: FloerState, cutoff: CutoffProfile
-) -> FloerResidual:
-    """Same residual assembled in the untransformed twisted picture.
+def _density_maps(Ds: np.ndarray, tpart: np.ndarray) -> tuple:
+    """Per-node |Ds|^2 and |tpart|^2 summed over modes, each (N_s, N_t).
 
-    The stored state is mapped node by node through the inverse free flow,
-    differentiated with the twist-aware t-derivative, and driven by the
-    rotated gradient grad G_t; the result is mapped back.  Per mode the
-    free flow is a phase, so this must agree with floer_residual to
-    rounding; it exercises the conjugation identities end to end.
+    A one-sided difference at the end rows picks up the sawtooth branch of
+    the scheme at amplitude 1/ds, so the t density stands in for |D_s|^2
+    there, as it equals it on a solved curve.
     """
-    _check_compatible(model, state)
-    grid = state.grid
-    C = state.normalized()
-    phi = cutoff.phi(grid.s_nodes)
-    n2 = mode_squares(grid.k)
-    phases = np.exp(-1j * n2[None, :] * grid.t_nodes[:, None])  # free flow
-    U = C * np.conj(phases)[None]  # twisted picture nodes
-
-    Ds = (U[2:] - U[:-2]) / (2.0 * grid.ds)
-    W = U * phases[None]
-    DtW = _dt_spectral(W)
-    # twisted derivative: conjugate back and subtract the connection term
-    DtU = DtW * np.conj(phases)[None] - (1j * (-n2))[None, None, :] * U
-    UI = U[1:-1]
-    # grad G_t via conjugation by the free flow
-    G = _grad_rows(model, UI * phases[None], grid.t_nodes) * np.conj(phases)[None]
-    lin = Ds + 1j * DtU[1:-1]
-    R = _project_out(lin + phi[1:-1, None, None] * G, UI)
-    back = R * phases[None]
-    norm = math.sqrt(grid.ds * grid.dt * float(np.sum(np.abs(back) ** 2)))
-    return FloerResidual(field=back, norm=norm)
-
-
-def _energy_node_map(
-    model: ModelSpec, state: FloerState, cutoff: CutoffProfile
-) -> tuple:
-    """Projected |D_s|^2 and t-equation density summed over modes, per node.
-
-    Returns two (N_s, N_t) real arrays.  The end rows have no interior
-    stencil, and a one-sided difference picks up the sawtooth branch of
-    the scheme at amplitude 1/ds.  On a solved curve the two densities
-    agree pointwise (D_s = -i times the t-part), so the t-equation
-    density stands in for |D_s|^2 there.
-    """
-    grid = state.grid
-    C = state.normalized()
-    phi = cutoff.phi(grid.s_nodes)
-
-    Ds = np.zeros_like(C)
-    Ds[1:-1] = (C[2:] - C[:-2]) / (2.0 * grid.ds)
-    Ds = _project_out(Ds, C)
-
-    Dt = _dt_spectral(C)
-    n2 = mode_squares(grid.k)
-    G = _grad_rows(model, C, grid.t_nodes)
-    # X^{H0} v = -i n^2 v ; X^F = i grad F
-    tpart = Dt + 1j * n2[None, None, :] * C - phi[:, None, None] * (1j * G)
-    tpart = _project_out(tpart, C)
-
     ds_map = np.sum(np.abs(Ds) ** 2, axis=2)
     t_map = np.sum(np.abs(tpart) ** 2, axis=2)
     ds_map[0] = t_map[0]
@@ -394,25 +351,27 @@ def _energy_node_map(
     return ds_map, t_map
 
 
-def _energy_densities(
+def _energy(grid: CylinderGrid, Ds: np.ndarray, tpart: np.ndarray) -> float:
+    ds_map, t_map = _density_maps(Ds, tpart)
+    ds_density = grid.dt * np.sum(ds_map, axis=1)
+    t_density = grid.dt * np.sum(t_map, axis=1)
+    w = np.ones(grid.N_s)
+    w[0] = w[-1] = 0.5
+    return float(0.5 * grid.ds * np.sum(w * (ds_density + t_density)))
+
+
+def floer_residual(
     model: ModelSpec, state: FloerState, cutoff: CutoffProfile
-) -> tuple:
-    """Projected |D_s|^2 and t-equation density per s row."""
-    ds_map, t_map = _energy_node_map(model, state, cutoff)
-    ds_density = state.grid.dt * np.sum(ds_map, axis=1)
-    t_density = state.grid.dt * np.sum(t_map, axis=1)
-    return ds_density, t_density
+) -> FloerResidual:
+    """Projected equation residual at the interior nodes."""
+    return _residual(state.grid, *_equation(model, state, cutoff))
 
 
 def floer_energy(
     model: ModelSpec, state: FloerState, cutoff: CutoffProfile
 ) -> float:
     """Trapezoid-in-s, spectral-in-t quadrature of the curve energy."""
-    _check_compatible(model, state)
-    ds_density, t_density = _energy_densities(model, state, cutoff)
-    w = np.ones(state.grid.N_s)
-    w[0] = w[-1] = 0.5
-    return float(0.5 * state.grid.ds * np.sum(w * (ds_density + t_density)))
+    return _energy(state.grid, *_equation(model, state, cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +506,6 @@ def solve_floer(
     grid: CylinderGrid,
     T: float,
     boundary: tuple,
-    guess: Optional[FloerState] = None,
     tol: float = 1e-6,
     max_iter: int = 60,
 ) -> FloerResult:
@@ -568,25 +526,11 @@ def solve_floer(
     if cutoff.support[1] >= grid.S:
         raise ValueError("cutoff support must sit strictly inside the window")
 
-    left = np.asarray(boundary[0], dtype=np.complex128)
-    right = np.asarray(boundary[1], dtype=np.complex128)
-    if guess is None:
-        state = build_initial_guess(grid, left, right, cutoff)
-    else:
-        state = FloerState(grid, guess.coeffs.copy())
-        state.coeffs[0] = left
-        state.coeffs[-1] = right
-
-    C = state.normalized()
+    guess = build_initial_guess(grid, boundary[0], boundary[1], cutoff)
+    st = FloerState(grid, guess.normalized())
     phi = cutoff.phi(grid.s_nodes)
-
-    def assemble(Cfull):
-        st = FloerState(grid, Cfull)
-        res = floer_residual(model, st, cutoff)
-        return st, res
-
-    st, res = assemble(C)
-    energy = floer_energy(model, st, cutoff)
+    eq = _equation(model, st, cutoff)
+    res, energy = _residual(grid, *eq), _energy(grid, *eq)
     damping = INITIAL_DAMPING
     history = [
         {
@@ -604,7 +548,7 @@ def solve_floer(
     iterations = 0
     message = "iteration budget exhausted"
     for attempt in range(1, max_iter + 1):
-        V = C[1:-1]
+        V = st.coeffs[1:-1]
         hessian = grad_F_tangent(model, V, grid.t_nodes)
         rhs = -_real_view(np.ascontiguousarray(res.field))
         accepted = False
@@ -622,18 +566,20 @@ def solve_floer(
             istop = int(sol[1])
             itn += int(sol[2])
             delta = op.step(sol[0])
-            C_try = C.copy()
+            C_try = st.coeffs.copy()
             C_try[1:-1] = V + delta
             C_try[1:-1] /= np.linalg.norm(C_try[1:-1], axis=-1, keepdims=True)
-            st_try, res_try = assemble(C_try)
+            st_try = FloerState(grid, C_try)
+            eq = _equation(model, st_try, cutoff)
+            res_try = _residual(grid, *eq)
             if res_try.norm < res.norm:
-                C, st, res = C_try, st_try, res_try
+                st, res = st_try, res_try
+                energy = _energy(grid, *eq)
                 damping = max(damping / 3.0, 1e-12)
                 accepted = True
                 break
             damping *= 10.0
         iterations = attempt
-        energy = floer_energy(model, st, cutoff)
         history.append(
             {
                 "iteration": attempt,
@@ -697,11 +643,11 @@ def extract_slices(
     to the corresponding boundary orbit.  An empty or non-qualifying
     window is reported with a count of zero, not raised.
     """
-    _check_compatible(model, state)
     if gamma_max < 1:
         raise ValueError("gamma_max must be >= 1")
     grid = state.grid
-    _, t_density = _energy_densities(model, state, cutoff)
+    _, t_map = _density_maps(*_equation(model, state, cutoff))
+    t_density = grid.dt * np.sum(t_map, axis=1)
     s = grid.s_nodes
     k = grid.k
 

@@ -143,11 +143,15 @@ class Density:
         return 1.0 + np.cos(TWO_PI * np.asarray(t, dtype=float))
 
     def f(self, w, v, t, order: int = 0):
-        """f, or its partial derivative of the given order in w."""
+        """f, or its partial derivative of the given order in w.
+
+        At order == power it does not depend on w and is not broadcast to w.
+        """
         if order > self.power:
             return np.zeros(np.shape(w))
-        scale = math.perm(self.power, order) * self.strength
-        out = (scale * v) * np.asarray(w) ** (self.power - order)
+        out = math.perm(self.power, order) * self.strength * v
+        if order < self.power:
+            out = out * np.asarray(w) ** (self.power - order)
         return self.factor(t) * out if self.modulated else out
 
     def sup_f_bound(self, w_max: float) -> float:
@@ -272,7 +276,7 @@ def _smoothed(model: ModelSpec, coeffs: np.ndarray, t) -> tuple:
 def eval_F_many(model: ModelSpec, coeffs: np.ndarray, t) -> np.ndarray:
     """Batched values of F_t; coeffs has shape (..., 2k+1)."""
     _, w, t_col = _smoothed(model, coeffs, t)
-    fvals = model.nonlinearity.f(w, model._v, t_col)
+    fvals = np.broadcast_to(model.nonlinearity.f(w, model._v, t_col), w.shape)
     return -0.5 * (TWO_PI / model.quad_points) * np.sum(fvals, axis=-1)
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import nlsfloer.floer as floer_module
 from nlsfloer.dynamics import continue_fixed_point, fs_distance, gauge_fix, mode_point
 from nlsfloer.floer import (
     CylinderGrid,
@@ -18,7 +19,6 @@ from nlsfloer.floer import (
     extract_slices,
     floer_energy,
     floer_residual,
-    floer_residual_twisted,
     solve_floer,
 )
 from nlsfloer.model import (
@@ -36,6 +36,7 @@ from nlsfloer.model import (
     hofer_norm,
 )
 from nlsfloer.spectral import SpectralField
+from reference import floer_residual_twisted
 
 RNG = np.random.default_rng
 
@@ -486,6 +487,34 @@ def test_solve_partial_result_when_budget_exhausted():
     assert result.message
     assert len(result.history) == 3
     assert result.state.coeffs.shape == (30, 8, 9)
+
+
+def test_solve_evaluates_each_state_once(monkeypatch):
+    # the initial guess and every trial step cost one grad F pass each:
+    # residual, energy and history all read that one evaluation
+    calls = {"grad_F_many": 0, "lsmr": 0}
+
+    def counted(name):
+        inner = getattr(floer_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(floer_module, name, wrapper)
+
+    counted("grad_F_many")
+    counted("lsmr")
+    k, N_t = 4, 32
+    model = potential_model(k)
+    free = model.with_strength(0.0)
+    grid = CylinderGrid(S=4.0, N_s=32, N_t=N_t, k=k)
+    left = boundary_orbit(free, mode_point(0, k), N_t, side="left")
+    right = boundary_orbit(free, mode_point(0, k), N_t, side="right")
+    result = solve_floer(model, grid, 1.0, (left, right), tol=1e-8)
+    assert result.converged
+    assert calls["lsmr"] >= 1
+    assert calls["grad_F_many"] == 1 + calls["lsmr"]
 
 
 def test_solve_validates_setup():
