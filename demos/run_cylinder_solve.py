@@ -54,7 +54,7 @@ def main():
     quad = integrate_density(result.state, monitor["energy_density_map"])
     print(f"sup |D_s| {monitor['sup_ds']:.3e}, density integrates to {quad:.4e}")
 
-    slices = extract_slices(model, result.state, cutoff, gamma_max=2)
+    slices = extract_slices(result.equation, gamma_max=2)
     for entry in slices.entries:
         for side in ("left", "right"):
             cand = getattr(entry, side)

@@ -21,7 +21,7 @@ import os
 import sys
 import tempfile
 from datetime import datetime, timezone
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .floer import (
     boundary_orbit,
     build_cutoff,
     extract_slices,
-    floer_energy,
     solve_floer,
 )
 from .model import (
@@ -267,8 +266,10 @@ def _validate_params(section: str, p: dict, model: dict):
         positive("continuation_steps", p["continuation_steps"])
         if p["S"] <= 2.0 * p["T"] + 1.0:
             raise ConfigError("floer.S: need S > 2T + 1 to fit the cutoff")
-        if p["N_s"] < 16 or p["N_t"] < 8:
-            raise ConfigError("floer.N_s: need N_s >= 16 and N_t >= 8")
+        if p["N_s"] < 16:
+            raise ConfigError("floer.N_s: need N_s >= 16")
+        if p["N_t"] < 8:
+            raise ConfigError("floer.N_t: need N_t >= 8")
         for name in ("n_left", "n_right"):
             if abs(p[name]) > model["k"]:
                 raise ConfigError(f"floer.{name}: mode outside the model bandwidth")
@@ -297,6 +298,10 @@ def _validate_params(section: str, p: dict, model: dict):
         if not p["states"] and not p["points"]:
             raise ConfigError("diagnose.states: need at least one state or point")
         positive("ell_min", p["ell_min"], strict=False)
+        if not 0 <= p["ell_max"] <= model["k"]:
+            raise ConfigError(f"diagnose.ell_max: must lie in [0, {model['k']}]")
+        if p["ell_min"] > (p["ell_max"] or model["k"]):  # 0: the model bandwidth
+            raise ConfigError("diagnose.ell_min: must not exceed ell_max")
         positive("threshold", p["threshold"])
         positive("T", p["T"], strict=False)
         for i, a in enumerate(p["deriv_orders"]):
@@ -512,8 +517,7 @@ def _pipe_floer(cfg: dict, out: ArtifactWriter) -> dict:
         SpectralField(model.k, result.state.coeffs[-1, 0].copy()),
         right_point,
     )
-    cutoff = build_cutoff(p["T"])
-    slices = extract_slices(model, result.state, cutoff, p["gamma_max"])
+    slices = extract_slices(result.equation, p["gamma_max"])
     srows = []
     for entry in slices.entries:
         for side in ("left", "right"):
@@ -544,6 +548,9 @@ def _pipe_floer(cfg: dict, out: ArtifactWriter) -> dict:
         f"floer: converged={result.converged} residual {result.residual_norm:.3e} "
         f"energy {result.energy:.6e} iterations {result.iterations}"
     )
+    capped = sum(h["lsmr_istop"] == 7 for h in result.history)
+    if capped:
+        print(f"floer: {capped} Gauss-Newton steps hit the LSMR iteration cap")
     if not result.converged:
         raise NumericError(f"cylinder solve stalled: {result.message}")
     return summary
@@ -665,8 +672,7 @@ def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
     p = cfg["diagnose"]
     model = build_model(cfg["model"])
     cutoff = build_cutoff(p["T"])
-    ell_max = p["ell_max"] if p["ell_max"] > 0 else model.k
-    ells = range(p["ell_min"], ell_max + 1)
+    ells = range(p["ell_min"], (p["ell_max"] or model.k) + 1)
     monitors = []
 
     for i, path in enumerate(p["states"]):

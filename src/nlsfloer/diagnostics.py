@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 import numpy as np
 
 from .dynamics import ProjectivePoint, fs_distance
-from .floer import CutoffProfile, FloerState, _density_maps, _dt_spectral, _equation
+from .floer import CutoffProfile, FloerState, _dt_spectral, _equation
 from .model import ModelSpec
 from .spectral import SpectralField
 
@@ -136,33 +136,24 @@ def gradient_monitor(
     """Suprema of discrete first derivatives and the energy density map.
 
     Returns sup_ds (largest per-node l2 norm of the interior central
-    s-difference; the end rows have no interior stencil and are
-    excluded), sup_dt (largest per-node l2 norm of the spectral
-    t-derivative), and energy_density_map, the (N_s, N_t) density whose
-    trapezoid-in-s, uniform-in-t quadrature is exactly the curve energy.
+    s-difference; the end rows have no interior stencil), sup_dt (largest
+    per-node l2 norm of the spectral t-derivative), and
+    energy_density_map, the (N_s, N_t) density whose trapezoid-in-s,
+    uniform-in-t quadrature is exactly the curve energy.  All three read
+    one evaluation of the equation.
     """
-    grid = state.grid
-    if model.k != grid.k:
-        raise ValueError("model and state bandwidths disagree")
-    C = state.normalized()
-    Ds = (C[2:] - C[:-2]) / (2.0 * grid.ds)
-    sup_ds = float(np.sqrt(np.max(np.sum(np.abs(Ds) ** 2, axis=2))))
-    Dt = _dt_spectral(C)
-    sup_dt = float(np.sqrt(np.max(np.sum(np.abs(Dt) ** 2, axis=2))))
-
-    ds_map, t_map = _density_maps(*_equation(model, state, cutoff))
-    emap = 0.5 * (ds_map + t_map)
+    eq = _equation(model, state, cutoff)
+    sup_ds, sup_dt = (
+        float(np.sqrt(np.max(np.sum(np.abs(D) ** 2, axis=2))))
+        for D in (eq.ds_v, eq.dt_v)
+    )
+    emap = eq.energy_density()
     return {"sup_ds": sup_ds, "sup_dt": sup_dt, "energy_density_map": emap}
 
 
 def integrate_density(state: FloerState, density_map: np.ndarray) -> float:
     """Trapezoid-in-s, uniform-in-t quadrature of a per-node density."""
-    grid = state.grid
-    if density_map.shape != (grid.N_s, grid.N_t):
-        raise ValueError("density map shape does not match the grid")
-    w = np.ones(grid.N_s)
-    w[0] = w[-1] = 0.5
-    return float(grid.ds * grid.dt * np.sum(w[:, None] * density_map))
+    return state.grid.integrate(density_map)
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,8 @@ class FixedPointResult:
 
 
 FD_STEP = 1e-6
+MAX_BISECT = 8  # continue_fixed_point: halvings of one strength step
+CORRECTOR_ITERS = 25  # continue_fixed_point: backstop per corrector attempt
 # backtracking scales 1, 1/2, ..., 1/512, tried largest first
 LINE_SEARCH_SCALES = tuple(0.5**i for i in range(10))
 
@@ -424,20 +426,18 @@ def continue_fixed_point(
     eps_schedule: Optional[Sequence[float]] = None,
     tol: float = 1e-10,
     steps: int = 400,
-    max_bisect: int = 8,
-    max_iter: int = 25,
 ) -> ContinuationResult:
     """Continue the free single-mode state to the model's full strength.
 
     The schedule starts at 0; each step reuses the previous corrected
     state (and phase) as predictor.  A corrector that stalls is retried
     from the reflection-symmetrized combinations of the predictor before
-    the strength interval is bisected (up to max_bisect times); partial
+    the strength interval is bisected (up to MAX_BISECT times); partial
     paths are returned with converged=False rather than discarded.
 
-    max_iter is a per-attempt backstop.  What fails a predictor caught on a
-    degenerate pair circle over to the seeded retries quickly is the
-    corrector's contraction monitor, after its first step.
+    CORRECTOR_ITERS is a per-attempt backstop.  What fails a predictor
+    caught on a degenerate pair circle over to the seeded retries quickly
+    is the corrector's contraction monitor, after its first step.
     """
     if abs(n) > model.k:
         raise ValueError("mode outside model bandwidth")
@@ -462,6 +462,7 @@ def continue_fixed_point(
     res0 = fixed_point_residual(model.with_strength(0.0), point, steps)
     entries.append(PathEntry(0.0, point, phase, res0, 0))
 
+    corrector = dict(tol=tol, max_iter=CORRECTOR_ITERS, steps=steps)
     attempts = iterations = 0
     prev_eps = 0.0
     for eps in sched[1:]:
@@ -470,15 +471,11 @@ def continue_fixed_point(
         depth = 0
         while True:
             trial = model.with_strength(hi)
-            result = newton_fixed_point(
-                trial, lo_point, lo_phase, tol=tol, max_iter=max_iter, steps=steps
-            )
+            result = newton_fixed_point(trial, lo_point, lo_phase, **corrector)
             attempts, iterations = attempts + 1, iterations + result.iterations
             if not result.converged and n != 0:
                 for seed in _pair_seeds(lo_point):
-                    retry = newton_fixed_point(
-                        trial, seed, lo_phase, tol=tol, max_iter=max_iter, steps=steps
-                    )
+                    retry = newton_fixed_point(trial, seed, lo_phase, **corrector)
                     attempts, iterations = attempts + 1, iterations + retry.iterations
                     if retry.converged:
                         result = retry
@@ -495,7 +492,7 @@ def continue_fixed_point(
                 hi = eps
             else:
                 depth += 1
-                if depth > max_bisect:
+                if depth > MAX_BISECT:
                     return ContinuationResult(
                         n=n,
                         k=model.k,
@@ -503,7 +500,7 @@ def continue_fixed_point(
                         converged=False,
                         message=(
                             f"corrector failed at strength {hi:.6g} "
-                            f"after {max_bisect} bisections: {result.message}"
+                            f"after {MAX_BISECT} bisections: {result.message}"
                         ),
                         attempts=attempts,
                         corrector_iterations=iterations,

@@ -145,6 +145,14 @@ class CylinderGrid:
     def dim(self) -> int:
         return 2 * self.k + 1
 
+    def integrate(self, density: np.ndarray) -> float:
+        """Trapezoid-in-s, uniform-in-t quadrature of an (N_s, N_t) density."""
+        if density.shape != (self.N_s, self.N_t):
+            raise ValueError("density map shape does not match the grid")
+        w = np.ones(self.N_s)
+        w[0] = w[-1] = 0.5
+        return float(self.ds * self.dt * np.sum(w[:, None] * density))
+
 
 @dataclass
 class FloerState:
@@ -165,10 +173,6 @@ class FloerState:
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("state coefficients must be finite")
 
-    @property
-    def boundary(self) -> tuple:
-        return self.coeffs[0], self.coeffs[-1]
-
     def normalized(self) -> np.ndarray:
         """Coefficients with every node scaled to the unit sphere."""
         norms = np.linalg.norm(self.coeffs, axis=-1, keepdims=True)
@@ -177,22 +181,10 @@ class FloerState:
         return self.coeffs / norms
 
     def to_json(self) -> str:
-        payload = {
-            "grid": {
-                "S": self.grid.S,
-                "N_s": self.grid.N_s,
-                "N_t": self.grid.N_t,
-                "k": self.grid.k,
-            },
-            "coeffs": [
-                [
-                    [[float(z.real), float(z.imag)] for z in node]
-                    for node in row
-                ]
-                for row in self.coeffs
-            ],
-        }
-        return json.dumps(payload)
+        g = self.grid
+        grid = {"S": g.S, "N_s": g.N_s, "N_t": g.N_t, "k": g.k}
+        coeffs = np.stack([self.coeffs.real, self.coeffs.imag], axis=-1)
+        return json.dumps({"grid": grid, "coeffs": coeffs.tolist()})
 
     @staticmethod
     def from_json(text: str) -> "FloerState":
@@ -300,78 +292,92 @@ def _grad_rows(model: ModelSpec, C: np.ndarray, t_nodes: np.ndarray) -> np.ndarr
     return grad_F_many(model, flat, t_flat).reshape(rows, N_t, d)
 
 
-def _equation(model: ModelSpec, state: FloerState, cutoff: CutoffProfile) -> tuple:
-    """One evaluation of the discrete equation at every node.
-
-    Returns Ds = P(D_s v), zero on the end rows (they have no central
-    stencil), and tpart = P(D_t v - X_t(v)) with X^{H0} v = -i n^2 v and
-    X^F = i grad F_t, each (N_s, N_t, dim) and projected off the node line.
-    The residual is Ds + i tpart and the energy density is the mean of their
-    squares; the two agree pointwise on a solved curve.
-    """
-    grid = state.grid
-    if model.k != grid.k:
-        raise ValueError("model bandwidth must match the grid")
-    C = state.normalized()
-    phi = cutoff.phi(grid.s_nodes)
-    Ds = np.zeros_like(C)
-    Ds[1:-1] = (C[2:] - C[:-2]) / (2.0 * grid.ds)
-    G = _grad_rows(model, C, grid.t_nodes)
-    tpart = (
-        _dt_spectral(C)
-        + 1j * mode_squares(grid.k)[None, None, :] * C
-        - phi[:, None, None] * (1j * G)
-    )
-    return _project_out(Ds, C), _project_out(tpart, C)
-
-
 @dataclass
 class FloerResidual:
     field: np.ndarray
     norm: float
 
 
-def _residual(grid: CylinderGrid, Ds: np.ndarray, tpart: np.ndarray) -> FloerResidual:
-    R = (Ds + 1j * tpart)[1:-1]
-    norm = math.sqrt(grid.ds * grid.dt * float(np.sum(np.abs(R) ** 2)))
-    return FloerResidual(field=R, norm=norm)
+@dataclass(frozen=True)
+class FloerEquation:
+    """The discrete equation evaluated once at every node of a state.
 
-
-def _density_maps(Ds: np.ndarray, tpart: np.ndarray) -> tuple:
-    """Per-node |Ds|^2 and |tpart|^2 summed over modes, each (N_s, N_t).
-
-    A one-sided difference at the end rows picks up the sawtooth branch of
-    the scheme at amplitude 1/ds, so the t density stands in for |D_s|^2
-    there, as it equals it on a solved curve.
+    ds_v = D_s v (zero on the end rows: no central stencil) and dt_v = D_t v
+    are the unprojected derivatives of the normalized state; Ds = P(D_s v)
+    and tpart = P(D_t v - X_t(v)), with X^{H0} v = -i n^2 v and
+    X^F = i grad F_t, are projected off the node line; each is
+    (N_s, N_t, dim).  The residual is Ds + i tpart and the energy density
+    the mean of their squares; the two agree pointwise on a solved curve.
     """
-    ds_map = np.sum(np.abs(Ds) ** 2, axis=2)
-    t_map = np.sum(np.abs(tpart) ** 2, axis=2)
-    ds_map[0] = t_map[0]
-    ds_map[-1] = t_map[-1]
-    return ds_map, t_map
+
+    state: FloerState
+    cutoff: CutoffProfile
+    ds_v: np.ndarray
+    dt_v: np.ndarray
+    Ds: np.ndarray
+    tpart: np.ndarray
+
+    def residual(self) -> FloerResidual:
+        grid = self.state.grid
+        R = (self.Ds + 1j * self.tpart)[1:-1]
+        norm = math.sqrt(grid.ds * grid.dt * float(np.sum(np.abs(R) ** 2)))
+        return FloerResidual(field=R, norm=norm)
+
+    def t_map(self) -> np.ndarray:
+        """Per-node |tpart|^2 summed over modes, (N_s, N_t)."""
+        return np.sum(np.abs(self.tpart) ** 2, axis=2)
+
+    def energy_density(self) -> np.ndarray:
+        """Per-node mean of |Ds|^2 and |tpart|^2, (N_s, N_t).
+
+        A one-sided difference at the end rows picks up the sawtooth branch
+        of the scheme at amplitude 1/ds, so the t density stands in for
+        |D_s|^2 there, as it equals it on a solved curve.
+        """
+        t_map = self.t_map()
+        ds_map = np.sum(np.abs(self.Ds) ** 2, axis=2)
+        ds_map[[0, -1]] = t_map[[0, -1]]
+        return 0.5 * (ds_map + t_map)
+
+    def energy(self) -> float:
+        return self.state.grid.integrate(self.energy_density())
 
 
-def _energy(grid: CylinderGrid, Ds: np.ndarray, tpart: np.ndarray) -> float:
-    ds_map, t_map = _density_maps(Ds, tpart)
-    ds_density = grid.dt * np.sum(ds_map, axis=1)
-    t_density = grid.dt * np.sum(t_map, axis=1)
-    w = np.ones(grid.N_s)
-    w[0] = w[-1] = 0.5
-    return float(0.5 * grid.ds * np.sum(w * (ds_density + t_density)))
+def _equation(
+    model: ModelSpec, state: FloerState, cutoff: CutoffProfile
+) -> FloerEquation:
+    """One evaluation of the discrete equation at every node."""
+    grid = state.grid
+    if model.k != grid.k:
+        raise ValueError("model bandwidth must match the grid")
+    C = state.normalized()
+    phi = cutoff.phi(grid.s_nodes)
+    ds_v = np.zeros_like(C)
+    ds_v[1:-1] = (C[2:] - C[:-2]) / (2.0 * grid.ds)
+    dt_v = _dt_spectral(C)
+    G = _grad_rows(model, C, grid.t_nodes)
+    tpart = (
+        dt_v
+        + 1j * mode_squares(grid.k)[None, None, :] * C
+        - phi[:, None, None] * (1j * G)
+    )
+    return FloerEquation(
+        state, cutoff, ds_v, dt_v, _project_out(ds_v, C), _project_out(tpart, C)
+    )
 
 
 def floer_residual(
     model: ModelSpec, state: FloerState, cutoff: CutoffProfile
 ) -> FloerResidual:
     """Projected equation residual at the interior nodes."""
-    return _residual(state.grid, *_equation(model, state, cutoff))
+    return _equation(model, state, cutoff).residual()
 
 
 def floer_energy(
     model: ModelSpec, state: FloerState, cutoff: CutoffProfile
 ) -> float:
     """Trapezoid-in-s, spectral-in-t quadrature of the curve energy."""
-    return _energy(state.grid, *_equation(model, state, cutoff))
+    return _equation(model, state, cutoff).energy()
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +389,17 @@ LSMR_ITERS = 3000
 
 @dataclass
 class FloerResult:
-    state: FloerState
+    equation: FloerEquation
     converged: bool
     iterations: int
     residual_norm: float
     energy: float
     history: list
     message: str
+
+    @property
+    def state(self) -> FloerState:
+        return self.equation.state
 
 
 def _real_view(z: np.ndarray) -> np.ndarray:
@@ -515,9 +525,10 @@ def solve_floer(
     step is a right-preconditioned LSMR solve (see _GaussNewtonOperator).
     The damping starts at INITIAL_DAMPING, grows tenfold on rejected
     steps and shrinks on accepted ones; exhausting it returns the best
-    state found with converged = False.  History rows after the first
-    carry lsmr_itn (LSMR iterations over the step's damping retries) and
-    lsmr_istop (the stop code of the accepted solve, or of the last one
+    state found with converged = False.  result.equation is the evaluation
+    of result.state, never of a rejected trial.  History rows after the
+    first carry lsmr_itn (LSMR iterations over the step's damping retries)
+    and lsmr_istop (the stop code of the accepted solve, or of the last one
     tried; 7 means it hit LSMR_ITERS).
     """
     if model.k != grid.k:
@@ -527,10 +538,9 @@ def solve_floer(
         raise ValueError("cutoff support must sit strictly inside the window")
 
     guess = build_initial_guess(grid, boundary[0], boundary[1], cutoff)
-    st = FloerState(grid, guess.normalized())
     phi = cutoff.phi(grid.s_nodes)
-    eq = _equation(model, st, cutoff)
-    res, energy = _residual(grid, *eq), _energy(grid, *eq)
+    eq = _equation(model, FloerState(grid, guess.normalized()), cutoff)
+    res, energy = eq.residual(), eq.energy()
     damping = INITIAL_DAMPING
     history = [
         {
@@ -543,12 +553,12 @@ def solve_floer(
         }
     ]
     if res.norm < tol:
-        return FloerResult(st, True, 0, res.norm, energy, history, "converged")
+        return FloerResult(eq, True, 0, res.norm, energy, history, "converged")
 
     iterations = 0
     message = "iteration budget exhausted"
     for attempt in range(1, max_iter + 1):
-        V = st.coeffs[1:-1]
+        V = eq.state.coeffs[1:-1]
         hessian = grad_F_tangent(model, V, grid.t_nodes)
         rhs = -_real_view(np.ascontiguousarray(res.field))
         accepted = False
@@ -566,15 +576,13 @@ def solve_floer(
             istop = int(sol[1])
             itn += int(sol[2])
             delta = op.step(sol[0])
-            C_try = st.coeffs.copy()
+            C_try = eq.state.coeffs.copy()
             C_try[1:-1] = V + delta
             C_try[1:-1] /= np.linalg.norm(C_try[1:-1], axis=-1, keepdims=True)
-            st_try = FloerState(grid, C_try)
-            eq = _equation(model, st_try, cutoff)
-            res_try = _residual(grid, *eq)
+            trial = _equation(model, FloerState(grid, C_try), cutoff)
+            res_try = trial.residual()
             if res_try.norm < res.norm:
-                st, res = st_try, res_try
-                energy = _energy(grid, *eq)
+                eq, res, energy = trial, res_try, trial.energy()
                 damping = max(damping / 3.0, 1e-12)
                 accepted = True
                 break
@@ -595,9 +603,9 @@ def solve_floer(
             break
         if res.norm < tol:
             return FloerResult(
-                st, True, iterations, res.norm, energy, history, "converged"
+                eq, True, iterations, res.norm, energy, history, "converged"
             )
-    return FloerResult(st, False, iterations, res.norm, energy, history, message)
+    return FloerResult(eq, False, iterations, res.norm, energy, history, message)
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +637,8 @@ class SliceReport:
     criterion: np.ndarray = field(repr=False)
 
 
-def extract_slices(
-    model: ModelSpec, state: FloerState, cutoff: CutoffProfile, gamma_max: int
-) -> SliceReport:
-    """Search the free-side windows for slices meeting pi/gamma.
+def extract_slices(equation: FloerEquation, gamma_max: int) -> SliceReport:
+    """Search an evaluated state's free-side windows for slices meeting pi/gamma.
 
     For each gamma the windows sit a distance gamma into the free region
     on either side of the cutoff support: [-2 gamma, -gamma] on the left
@@ -641,25 +647,25 @@ def extract_slices(
     t-equation density, matching the orbit-convergence test; for each
     qualifying side the best slice is reported with its distance at t = 0
     to the corresponding boundary orbit.  An empty or non-qualifying
-    window is reported with a count of zero, not raised.
+    window is reported with a count of zero, not raised.  The evaluation
+    is solve_floer's result.equation, or _equation(...) of a bare state.
     """
     if gamma_max < 1:
         raise ValueError("gamma_max must be >= 1")
+    state = equation.state
     grid = state.grid
-    _, t_map = _density_maps(*_equation(model, state, cutoff))
-    t_density = grid.dt * np.sum(t_map, axis=1)
+    t_density = grid.dt * np.sum(equation.t_map(), axis=1)
     s = grid.s_nodes
     k = grid.k
 
-    def best_in(mask, boundary_row):
+    def best_in(mask, boundary_node):
         idx = np.nonzero(mask)[0]
         if idx.size == 0:
             return None, 0
-        qualifying = idx
-        i_best = qualifying[np.argmin(t_density[qualifying])]
+        i_best = idx[np.argmin(t_density[idx])]
         dist = fs_distance(
             SpectralField(k, state.coeffs[i_best, 0].copy()),
-            SpectralField(k, boundary_row[0].copy()),
+            SpectralField(k, boundary_node.copy()),
         )
         return (
             SliceCandidate(
@@ -670,16 +676,15 @@ def extract_slices(
             int(idx.size),
         )
 
-    left_rows, right_rows = state.boundary
-    two_t = cutoff.support[1] - 1.0
+    two_t = equation.cutoff.support[1] - 1.0
     entries = []
     for gamma in range(1, gamma_max + 1):
         thr = math.pi / gamma
         ok = t_density < thr
         lmask = ok & (s >= -2.0 * gamma) & (s <= -1.0 * gamma)
         rmask = ok & (s >= two_t + gamma) & (s <= two_t + 2.0 * gamma)
-        lbest, lcount = best_in(lmask, left_rows)
-        rbest, rcount = best_in(rmask, right_rows)
+        lbest, lcount = best_in(lmask, state.coeffs[0, 0])
+        rbest, rcount = best_in(rmask, state.coeffs[-1, 0])
         entries.append(
             GammaSlices(
                 gamma=gamma,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 from mpmath import mp
@@ -47,20 +47,27 @@ def _divisor_exact(q: int) -> tuple[int, float]:
         return p, float(abs(q - two_pi * p))
 
 
-def divisor(m: int, n: int) -> DivisorRecord:
-    """Distance of m^2 - n^2 to the nearest multiple of 2*pi.
+def _nearest_multiples(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p_star and |q - 2*pi*p_star| for int64 gaps q.
 
-    Uses an extended-precision constant for 2*pi once the cancellation
-    q - 2*pi*p_star would eat the double-precision signal.
+    Double precision cannot certify |q| > _EXACT_Q or a value near 0 or
+    the tie at pi; those are recomputed with an extended-precision 2*pi.
     """
+    p_stars = np.round(qs.astype(np.float64) / TWO_PI).astype(np.int64)
+    values = np.abs(qs.astype(np.float64) - TWO_PI * p_stars.astype(np.float64))
+    suspect = (np.abs(qs) > _EXACT_Q) | (values < 1e-6) | (values > math.pi - 1e-9)
+    for i in np.nonzero(suspect)[0]:
+        p_stars[i], values[i] = _divisor_exact(int(qs[i]))
+    return p_stars, values
+
+
+def divisor(m: int, n: int) -> DivisorRecord:
+    """Distance of m^2 - n^2 to the nearest multiple of 2*pi."""
     q = int(m) * int(m) - int(n) * int(n)
-    if abs(q) > _EXACT_Q:
+    if abs(q) >= 2**63:  # beyond int64, so far past _EXACT_Q
         p, value = _divisor_exact(q)
     else:
-        p = round(q / TWO_PI)
-        value = abs(q - TWO_PI * p)
-        if value < 1e-6 or value > math.pi - 1e-9:
-            p, value = _divisor_exact(q)
+        p, value = (a[0].item() for a in _nearest_multiples(np.array([q])))
     return DivisorRecord(m=int(m), n=int(n), p_star=p, value=value)
 
 
@@ -95,16 +102,7 @@ def divisor_scan(m_max: int, n: int = 0) -> ScanReport:
         raise ValueError("scan too large; call divisor() for individual large m")
     ms = np.arange(abs(n) + 1, m_max + 1, dtype=np.int64)
     qs = ms * ms - np.int64(n) * np.int64(n)
-    ratio = qs.astype(np.float64) / TWO_PI
-    p_stars = np.round(ratio).astype(np.int64)
-    values = np.abs(qs.astype(np.float64) - TWO_PI * p_stars.astype(np.float64))
-
-    # refine anything the double path cannot certify
-    suspect = (np.abs(qs) > _EXACT_Q) | (values < 1e-6) | (values > math.pi - 1e-9)
-    for i in np.nonzero(suspect)[0]:
-        p, v = _divisor_exact(int(qs[i]))
-        p_stars[i] = p
-        values[i] = v
+    p_stars, values = _nearest_multiples(qs)
 
     is_record = np.zeros(len(ms), dtype=bool)
     records = []

@@ -6,7 +6,10 @@ import os
 
 import pytest
 
-from nlsfloer.cli import main
+import nlsfloer.cli as cli_module
+import nlsfloer.floer as floer_module
+from nlsfloer.cli import build_model, main, resolve_config
+from nlsfloer.floer import FloerState, _equation, build_cutoff, extract_slices
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -85,6 +88,26 @@ def test_invalid_mode_rejected_before_running(tmp_path, capsys):
     rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "simulate.n0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "pipeline, section, field",
+    [
+        ("diagnose", {"states": ["s.json"], "ell_max": 10}, "diagnose.ell_max"),
+        ("diagnose", {"states": ["s.json"], "ell_max": -1}, "diagnose.ell_max"),
+        ("diagnose", {"states": ["s.json"], "ell_min": 3, "ell_max": 2},
+         "diagnose.ell_min"),
+        ("floer", {"N_t": 4}, "floer.N_t"),
+    ],
+)
+def test_out_of_range_field_is_named(tmp_path, capsys, pipeline, section, field):
+    cfg = write_config(
+        tmp_path, {"pipeline": pipeline, "model": {"k": 3}, pipeline: section}
+    )
+    rc = main([pipeline, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +298,23 @@ def test_floer_trivial_solve_takes_zero_iterations(tmp_path, capsys):
     assert (out / "floer_slices.csv").exists()
 
 
+FLOER_STALLED = {
+    "pipeline": "floer",
+    "model": {"kind": "potential", "eps": 0.05, "k": 3},
+    "floer": {"T": 1.0, "S": 4.0, "N_s": 24, "N_t": 8,
+              "n_left": 0, "n_right": 0, "tol": 1e-12,
+              "max_iter": 1, "gamma_max": 1, "continuation_steps": 200},
+}
+FLOER_CONVERGING = {
+    "pipeline": "floer",
+    "model": {"kind": "potential", "eps": 0.05, "k": 3},
+    "floer": {"T": 1.0, "S": 4.0, "N_s": 24, "N_t": 8, "tol": 1e-8,
+              "gamma_max": 2, "continuation_steps": 30},
+}
+
+
 def test_floer_non_convergence_exits_3_with_artifacts(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        {
-            "pipeline": "floer",
-            "model": {"kind": "potential", "eps": 0.05, "k": 3},
-            "floer": {"T": 1.0, "S": 4.0, "N_s": 24, "N_t": 8,
-                      "n_left": 0, "n_right": 0, "tol": 1e-12,
-                      "max_iter": 1, "gamma_max": 1, "continuation_steps": 200},
-        },
-    )
+    cfg = write_config(tmp_path, FLOER_STALLED)
     out = tmp_path / "o"
     rc = main(["floer", "--config", cfg, "--out", str(out)])
     assert rc == 3
@@ -296,6 +325,81 @@ def test_floer_non_convergence_exits_3_with_artifacts(tmp_path, capsys):
     names = {e["path"] for e in manifest["artifacts"]}
     assert "floer_history.csv" in names
     assert "floer_state.json" in names
+
+
+def test_floer_pipeline_evaluates_each_state_once(tmp_path, monkeypatch, capsys):
+    # the slices read the solve's accepted evaluation: one grad F pass for
+    # the initial guess and one per trial step, none after the solve
+    calls = {"grad_F_many": 0, "lsmr": 0}
+    for name in calls:
+        inner = getattr(floer_module, name)
+
+        def wrapper(*args, _name=name, _inner=inner, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(floer_module, name, wrapper)
+    cfg = write_config(tmp_path, FLOER_CONVERGING)
+    assert main(["floer", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert calls["lsmr"] >= 1
+    assert calls["grad_F_many"] == 1 + calls["lsmr"]
+    assert "LSMR iteration cap" not in capsys.readouterr().out
+
+
+def slice_rows_from_scratch(payload, state_path):
+    """floer_slices.csv rows recomputed by one fresh evaluation of the state."""
+    resolved = resolve_config(payload, "floer")
+    p = resolved["floer"]
+    state = FloerState.from_json(state_path.read_text())
+    equation = _equation(build_model(resolved["model"]), state, build_cutoff(p["T"]))
+    rows = ["gamma,side,s,criterion,distance,count"]
+    for entry in extract_slices(equation, p["gamma_max"]).entries:
+        for side in ("left", "right"):
+            cand = getattr(entry, side)
+            if cand is None:
+                rows.append(f"{entry.gamma},{side},nan,nan,nan,0")
+            else:
+                count = getattr(entry, f"{side}_count")
+                rows.append(
+                    f"{entry.gamma},{side},{cand.s:.17e},{cand.criterion:.17e},"
+                    f"{cand.distance:.17e},{count}"
+                )
+    return rows
+
+
+@pytest.mark.parametrize(
+    "payload, code",
+    [(FLOER_CONVERGING, 0), (FLOER_STALLED, 3)],
+    ids=["converging", "stalled"],
+)
+def test_floer_slices_match_a_fresh_evaluation(tmp_path, payload, code):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main(["floer", "--config", cfg, "--out", str(out)]) == code
+    written = (out / "floer_slices.csv").read_text().strip().split("\n")
+    assert written == slice_rows_from_scratch(payload, out / "floer_state.json")
+
+
+def test_floer_reports_lsmr_solves_at_the_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(floer_module, "LSMR_ITERS", 1)
+    results = []
+
+    def solve(*args, **kwargs):
+        results.append(floer_module.solve_floer(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli_module, "solve_floer", solve)
+    floer = {**FLOER_CONVERGING["floer"], "max_iter": 3}
+    cfg = write_config(tmp_path, {**FLOER_CONVERGING, "floer": floer})
+    out = tmp_path / "o"
+    main(["floer", "--config", cfg, "--out", str(out)])
+    capped = sum(h["lsmr_istop"] == 7 for h in results[0].history)
+    assert capped >= 1
+    line = f"floer: {capped} Gauss-Newton steps hit the LSMR iteration cap"
+    assert line in capsys.readouterr().out.splitlines()
+    # printed only: the hashed artifacts do not carry it
+    for entry in read_manifest(str(out))["artifacts"]:
+        assert "LSMR iteration cap" not in (out / entry["path"]).read_text()
 
 
 def test_diagnose_missing_state_exits_4_with_manifest(tmp_path, capsys):

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import nlsfloer.diagnostics as diagnostics_module
+import nlsfloer.floer as floer_module
 from nlsfloer.diagnostics import (
     DELTA_SET,
     DecayProfile,
@@ -230,6 +232,25 @@ def test_monitor_density_integrates_to_energy():
     E = floer_energy(model, result.state, cut)
     assert abs(integrate_density(result.state, emap) - E) < 1e-8
     assert rep["sup_ds"] > 0.0
+
+
+def test_monitor_evaluates_the_state_once(monkeypatch):
+    # sup_ds, sup_dt and the density map all read one _equation pass, and
+    # that pass takes the state's t-derivative once
+    model, _, result = solved_potential()
+    calls = {"_dt_spectral": 0, "_equation": 0}
+    for module in (floer_module, diagnostics_module):
+        for name in calls:
+            inner = getattr(module, name)
+
+            def wrapper(*args, _name=name, _inner=inner, **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+    rep = gradient_monitor(result.state, model, build_cutoff(1.0))
+    assert calls == {"_dt_spectral": 1, "_equation": 1}
+    assert rep["sup_ds"] > 0.0 and rep["sup_dt"] > 0.0
 
 
 def test_monitor_rejects_bandwidth_mismatch():

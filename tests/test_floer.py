@@ -12,6 +12,7 @@ from nlsfloer.floer import (
     CylinderGrid,
     FloerState,
     _dt_spectral,
+    _equation,
     _GaussNewtonOperator,
     boundary_orbit,
     build_cutoff,
@@ -517,6 +518,40 @@ def test_solve_evaluates_each_state_once(monkeypatch):
     assert calls["grad_F_many"] == 1 + calls["lsmr"]
 
 
+def test_result_keeps_the_accepted_evaluation_when_damping_runs_out(monkeypatch):
+    # the first Gauss-Newton step is accepted; every later trial is a large
+    # random step and is rejected until the damping runs out, so the last
+    # evaluation made is a rejected trial's, not that of result.state
+    real_lsmr = floer_module.lsmr
+    rng = RNG(3)
+    calls = []
+
+    def lsmr(op, rhs, **kwargs):
+        calls.append(None)
+        sol = real_lsmr(op, rhs, **kwargs)
+        if len(calls) == 1:
+            return sol
+        return (10.0 * rng.standard_normal(rhs.size),) + tuple(sol[1:])
+
+    monkeypatch.setattr(floer_module, "lsmr", lsmr)
+    k, N_t = 3, 8
+    model = potential_model(k)
+    free = model.with_strength(0.0)
+    grid = CylinderGrid(S=4.0, N_s=24, N_t=N_t, k=k)
+    left = boundary_orbit(free, mode_point(0, k), N_t, side="left")
+    right = boundary_orbit(free, mode_point(0, k), N_t, side="right")
+    result = solve_floer(model, grid, 1.0, (left, right), tol=1e-12)
+    assert result.message.startswith("damping exhausted")
+    assert result.iterations == 2
+    assert len(calls) > 2
+    fresh = _equation(model, result.state, build_cutoff(1.0))
+    for name in ("ds_v", "dt_v", "Ds", "tpart"):
+        assert np.array_equal(getattr(result.equation, name), getattr(fresh, name))
+    assert result.residual_norm == fresh.residual().norm
+    assert result.residual_norm == result.history[1]["residual_norm"]
+    assert result.energy == fresh.energy()
+
+
 def test_solve_validates_setup():
     k = 2
     model = potential_model(k)
@@ -582,7 +617,7 @@ def test_slices_constant_orbit_all_qualify():
     grid = CylinderGrid(S=6.0, N_s=60, N_t=16, k=k)
     rows = boundary_orbit(model, mode_point(1, k), 16)
     state = frozen_state(grid, rows)
-    report = extract_slices(model, state, build_cutoff(0.0), gamma_max=3)
+    report = extract_slices(_equation(model, state, build_cutoff(0.0)), gamma_max=3)
     for entry in report.entries:
         assert entry.left is not None and entry.right is not None
         assert entry.left.criterion < 1e-20
@@ -596,16 +631,15 @@ def test_slices_thresholds_follow_pi_over_gamma():
     model = potential_model(k).with_strength(0.0)
     grid = CylinderGrid(S=6.0, N_s=60, N_t=16, k=k)
     state = frozen_state(grid, boundary_orbit(model, mode_point(0, k), 16))
-    report = extract_slices(model, state, build_cutoff(0.0), gamma_max=4)
+    report = extract_slices(_equation(model, state, build_cutoff(0.0)), gamma_max=4)
     for g, entry in enumerate(report.entries, start=1):
         assert entry.gamma == g
         assert entry.threshold == pytest.approx(math.pi / g)
 
 
 def test_slices_on_converged_state():
-    model, grid, result = solved_potential()
-    cut = build_cutoff(1.0)
-    report = extract_slices(model, result.state, cut, gamma_max=2)
+    _, _, result = solved_potential()
+    report = extract_slices(result.equation, gamma_max=2)
     e1 = report.entries[0]
     assert e1.left is not None and e1.right is not None
     assert e1.left.criterion < math.pi
@@ -623,8 +657,8 @@ def test_slices_on_converged_state():
 
 
 def test_slices_empty_window_reported_not_raised():
-    model, grid, result = solved_potential()
-    report = extract_slices(model, result.state, build_cutoff(1.0), gamma_max=4)
+    _, _, result = solved_potential()
+    report = extract_slices(result.equation, gamma_max=4)
     # gamma = 4 window [7, 11] lies beyond S = 4 on the right
     e4 = report.entries[3]
     assert e4.right is None
@@ -632,6 +666,6 @@ def test_slices_empty_window_reported_not_raised():
 
 
 def test_slices_validation():
-    model, _, result = solved_potential()
+    _, _, result = solved_potential()
     with pytest.raises(ValueError):
-        extract_slices(model, result.state, build_cutoff(1.0), gamma_max=0)
+        extract_slices(result.equation, gamma_max=0)

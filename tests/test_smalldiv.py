@@ -92,6 +92,30 @@ def test_divisor_large_argument_precision():
     assert abs(rec.value - expected) < 1e-10
 
 
+@pytest.mark.parametrize("n", [0, 3, -40])
+def test_divisor_agrees_with_every_scan_row(n):
+    # m past 10**4 puts |q| above _EXACT_Q, so rows on both sides of the
+    # switch to extended precision are compared
+    rep = divisor_scan(10_050, n)
+    for i, m in enumerate(rep.ms):
+        rec = divisor(int(m), n)
+        assert (rec.p_star, rec.value) == (int(rep.p_stars[i]), float(rep.values[i]))
+
+
+def test_divisor_beyond_int64():
+    from mpmath import mp
+
+    m = 10**12 + 39
+    q = m * m - 1
+    assert q > 2**63
+    with mp.workdps(60):
+        p = int(mp.nint(mp.mpf(q) / (2 * mp.pi)))
+        expected = float(abs(q - 2 * mp.pi * p))
+    rec = divisor(m, 1)
+    assert rec.p_star == p
+    assert abs(rec.value - expected) < 1e-10
+
+
 def test_scan_minimal():
     rep = divisor_scan(2, n=1)
     assert len(rep.records) == 1
