@@ -4,8 +4,9 @@ Each subcommand reads one JSON config, runs a single pipeline, and
 writes analysis-ready CSV/JSON artifacts plus a run manifest into the
 output directory.  Artifacts are deterministic: the same config and
 seed produce byte-identical files.  The manifest records the tool
-version, a timestamp, the fully resolved config, the seed, and a sha256
-digest per artifact; it is written even when the pipeline fails.
+version, a timestamp, the fully resolved config, the seed, a sha256
+digest per artifact and the library versions and CPU count of the
+environment; it is written even when the pipeline fails.
 
 Exit codes: 0 success, 2 config error, 3 numeric non-convergence,
 4 I/O error.
@@ -18,12 +19,15 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import tempfile
 from datetime import datetime, timezone
 from typing import Callable, Dict, List, Optional
 
+import mpmath
 import numpy as np
+import scipy
 
 from . import __version__
 from .diagnostics import (
@@ -675,8 +679,14 @@ def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
     ells = range(p["ell_min"], (p["ell_max"] or model.k) + 1)
     monitors = []
 
-    for i, path in enumerate(p["states"]):
-        state = FloerState.from_json(_read_text(path))
+    states = [FloerState.from_json(_read_text(path)) for path in p["states"]]
+    for i, state in enumerate(states):
+        if state.grid.k != model.k:
+            raise ConfigError(
+                f"diagnose.states[{i}]: state bandwidth {state.grid.k} "
+                f"does not match model.k = {model.k}"
+            )
+    for i, (path, state) in enumerate(zip(p["states"], states)):
         for alpha in p["deriv_orders"]:
             prof = normal_profile(state, ells, deriv_order=alpha)
             out.write(f"state{i}_decay_alpha{alpha}.csv", prof.to_csv())
@@ -753,6 +763,13 @@ def _write_manifest(
         "exit_code": exit_code,
         "message": message,
         "artifacts": writer.entries,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "mpmath": mpmath.__version__,
+            "cpu_count": os.cpu_count(),
+        },
     }
     _atomic_write(
         os.path.join(out_dir, "manifest.json"),

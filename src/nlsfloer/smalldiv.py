@@ -16,7 +16,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 from mpmath import mp
-from scipy.signal import lfilter
 
 from .floer import _smooth_step
 from .spectral import TWO_PI
@@ -41,7 +40,8 @@ class DivisorRecord:
 
 
 def _divisor_exact(q: int) -> tuple[int, float]:
-    with mp.workdps(_EXACT_DPS):
+    # q - 2*pi*p cancels the digits of q; keep 20 beyond them
+    with mp.workdps(max(_EXACT_DPS, len(str(abs(q))) + 20)):
         two_pi = 2 * mp.pi
         p = int(mp.nint(mp.mpf(q) / two_pi))
         return p, float(abs(q - two_pi * p))
@@ -394,9 +394,10 @@ def _decaying_solution(lam: float, forcing: Forcing, nodes: int):
     f_mid = forcing.values(0.5 * (s[:-1] + s[1:]))
     alpha = math.exp(-lam * d)
     gain = d * math.exp(-lam * d / 2.0)
-    drive = -gain * f_mid[::-1]
-    y = lfilter([1.0], [1.0, -alpha], drive)
-    return s, np.concatenate([y[::-1], [0.0]])
+    w = [0.0]
+    for x in (-gain * f_mid[::-1]).tolist():
+        w.append(x + alpha * w[-1])
+    return s, np.array(w[::-1])
 
 
 def ode_bound_check(

@@ -109,23 +109,6 @@ class SpectralField:
         return SpectralField(int(payload["k"]), coeffs)
 
 
-@dataclass
-class GridField:
-    """Samples of a function at the uniform grid x_j = 2pi j / N."""
-
-    N: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.N < 1 or self.values.shape != (self.N,):
-            raise ValueError("values must have shape (N,) with N >= 1")
-
-
-def grid_nodes(N: int) -> np.ndarray:
-    return TWO_PI * np.arange(N) / N
-
-
 def basis_point(n: int, k: int) -> SpectralField:
     """Unit-norm single-mode field: coefficients delta_{m,n}.
 
@@ -136,29 +119,6 @@ def basis_point(n: int, k: int) -> SpectralField:
     c = np.zeros(2 * k + 1, dtype=np.complex128)
     c[n + k] = 1.0
     return SpectralField(k, c)
-
-
-def synthesize(u: SpectralField, N: int) -> GridField:
-    """Evaluate u on the N-point uniform grid.
-
-    Requires N >= 2k+1 so that all stored modes are representable.
-    """
-    if N < 2 * u.k + 1:
-        raise ValueError(f"grid size {N} cannot represent bandwidth {u.k}")
-    values = synthesize_many(u.coeffs[np.newaxis, :], u.k, N)[0]
-    return GridField(N, values)
-
-
-def analyze(g: GridField, k: int) -> SpectralField:
-    """Project grid samples onto the first 2k+1 Fourier modes.
-
-    Exact for band-limited input when N >= 2k+1; smaller grids are
-    rejected since the mode set would alias.
-    """
-    if g.N < 2 * k + 1:
-        raise ValueError(f"grid size {g.N} aliases bandwidth {k}")
-    coeffs = analyze_many(g.values[np.newaxis, :], k)[0]
-    return SpectralField(k, coeffs)
 
 
 def synthesize_many(coeffs: np.ndarray, k: int, N: int) -> np.ndarray:
@@ -219,7 +179,7 @@ def norm(u: SpectralField, kind: str = "l2", delta: float = 0.0) -> float:
         w = (1.0 + u.modes.astype(float) ** 2) ** delta
         return float(np.sqrt(np.sum(w * np.abs(u.coeffs) ** 2)))
     if kind == "sup":
-        vals = synthesize(u, 4 * (2 * u.k + 1)).values
+        vals = synthesize_many(u.coeffs, u.k, 4 * (2 * u.k + 1))
         return float(np.max(np.abs(vals)))
     raise ValueError(f"unknown norm kind {kind!r}")
 

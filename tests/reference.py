@@ -1,6 +1,7 @@
 """Independent reference assemblies the tests compare the package against."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,6 +14,34 @@ from nlsfloer.floer import (
     _project_out,
 )
 from nlsfloer.model import ModelSpec, mode_squares
+from nlsfloer.spectral import TWO_PI, SpectralField, analyze_many, synthesize_many
+
+
+@dataclass
+class GridField:
+    """Samples of a function at the uniform grid x_j = 2pi j / N."""
+
+    N: int
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=np.complex128)
+        if self.N < 1 or self.values.shape != (self.N,):
+            raise ValueError("values must have shape (N,) with N >= 1")
+
+
+def grid_nodes(N: int) -> np.ndarray:
+    return TWO_PI * np.arange(N) / N
+
+
+def synthesize(u: SpectralField, N: int) -> GridField:
+    """Evaluate u on the N-point uniform grid; N >= 2k+1 (synthesize_many)."""
+    return GridField(N, synthesize_many(u.coeffs, u.k, N))
+
+
+def analyze(g: GridField, k: int) -> SpectralField:
+    """Project grid samples onto 2k+1 Fourier modes; N >= 2k+1 (analyze_many)."""
+    return SpectralField(k, analyze_many(g.values, k))
 
 
 def floer_residual_twisted(

@@ -52,7 +52,8 @@ from nlsfloer.smalldiv import (
     ode_bound_check,
     random_forcing,
 )
-from nlsfloer.spectral import SpectralField, analyze, inner_real, synthesize
+from nlsfloer.spectral import SpectralField, inner_real
+from reference import analyze, synthesize
 
 RNG = np.random.default_rng
 TWO_PI = 2.0 * math.pi

@@ -3,8 +3,14 @@
 import hashlib
 import json
 import os
+import platform
+import subprocess
+import sys
 
+import mpmath
+import numpy as np
 import pytest
+import scipy
 
 import nlsfloer.cli as cli_module
 import nlsfloer.floer as floer_module
@@ -157,6 +163,30 @@ def test_manifest_records_digests_and_config(tmp_path):
         assert digest == entry["sha256"]
     leftovers = [f for f in os.listdir(out) if f.startswith(".tmp-artifact-")]
     assert leftovers == []
+
+
+def test_manifest_records_environment(tmp_path):
+    cfg = write_config(tmp_path, {"pipeline": "divisors", "divisors": {"m_max": 20}})
+    out = tmp_path / "out"
+    assert main(["divisors", "--config", cfg, "--out", str(out)]) == 0
+    assert read_manifest(str(out))["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "mpmath": mpmath.__version__,
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    src = os.path.dirname(os.path.dirname(cli_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, nlsfloer.cli; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -416,6 +446,33 @@ def test_diagnose_missing_state_exits_4_with_manifest(tmp_path, capsys):
     assert rc == 4
     assert "i/o error" in capsys.readouterr().err
     assert read_manifest(str(out))["status"] == "io-error"
+
+
+def test_diagnose_rejects_a_state_at_another_bandwidth(tmp_path, capsys):
+    fl_cfg = write_config(
+        tmp_path,
+        {"pipeline": "floer", "model": {"kind": "potential", "eps": 0.0, "k": 3},
+         "floer": {"T": 0.0, "S": 2.0, "N_s": 24, "N_t": 8, "gamma_max": 1}},
+        name="fl.json",
+    )
+    fl_out = tmp_path / "fl"
+    assert main(["floer", "--config", fl_cfg, "--out", str(fl_out)]) == 0
+    capsys.readouterr()
+
+    dg_cfg = write_config(
+        tmp_path,
+        {"pipeline": "diagnose", "model": {"kind": "potential", "eps": 0.0, "k": 4},
+         "diagnose": {"states": [str(fl_out / "floer_state.json")], "T": 0.0}},
+        name="dg.json",
+    )
+    dg_out = tmp_path / "dg"
+    rc = main(["diagnose", "--config", dg_cfg, "--out", str(dg_out)])
+    assert rc == 2
+    assert "diagnose.states[0]" in capsys.readouterr().err
+    manifest = read_manifest(str(dg_out))
+    assert manifest["status"] == "config-error"
+    assert manifest["artifacts"] == []
+    assert os.listdir(dg_out) == ["manifest.json"]
 
 
 def test_diagnose_runs_on_stored_artifacts(tmp_path):

@@ -116,6 +116,22 @@ def test_divisor_beyond_int64():
     assert abs(rec.value - expected) < 1e-10
 
 
+@pytest.mark.parametrize("m", [10**15, 10**16, 10**20, 10**50])
+def test_divisor_keeps_digits_past_the_cancellation(m):
+    # q - 2*pi*p cancels the digits of q, so a fixed working precision
+    # loses the value once q is long enough
+    from mpmath import mp
+
+    q = m * m - 1
+    with mp.workdps(len(str(q)) + 30):
+        p = int(mp.nint(mp.mpf(q) / (2 * mp.pi)))
+        expected = float(abs(q - 2 * mp.pi * p))
+    rec = divisor(m, 1)
+    assert rec.p_star == p
+    assert 0.0 <= rec.value <= math.pi
+    assert abs(rec.value - expected) <= 1e-15 * expected
+
+
 def test_scan_minimal():
     rep = divisor_scan(2, n=1)
     assert len(rep.records) == 1
@@ -262,6 +278,34 @@ def test_random_forcings_never_violate():
             assert chk.passed, (lam, seed)
             # the sqrt(2) factor is slack in practice
             assert chk.sup_w <= chk.tight_bound + 1e-8
+
+
+def lfilter_solution(lam, forcing, nodes):
+    """The decaying solution by scipy's first-order recursive filter."""
+    from scipy.signal import lfilter
+
+    a, b = forcing.support
+    s = np.linspace(a, b, nodes + 1)
+    d = (b - a) / nodes
+    f_mid = forcing.values(0.5 * (s[:-1] + s[1:]))
+    alpha = math.exp(-lam * d)
+    drive = -d * math.exp(-lam * d / 2.0) * f_mid[::-1]
+    y = lfilter([1.0], [1.0, -alpha], drive)
+    return np.concatenate([y[::-1], [0.0]])
+
+
+@pytest.mark.parametrize("lam", [0.7, -0.7, 3.0, -3.0])
+def test_solution_matches_lfilter_bit_for_bit(lam):
+    forcing = random_forcing(1.0, seed=5)
+    a, b = forcing.support
+    mirrored = Forcing(support=(-b, -a), profile=lambda r: -forcing.values(-r))
+    for nodes in (10, 999, 5000, 20_000):
+        chk = ode_bound_check(lam, 1.0, forcing, nodes=nodes)
+        if lam > 0:
+            expected = lfilter_solution(lam, forcing, nodes)
+        else:
+            expected = lfilter_solution(-lam, mirrored, nodes)[::-1]
+        assert np.array_equal(chk.w, expected), nodes
 
 
 def test_ode_check_validation():
