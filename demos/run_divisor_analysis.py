@@ -2,7 +2,8 @@
 
 The distance of m^2 - n^2 to the nearest multiple of 2 pi controls how
 strongly mode m couples across the cylinder; record minima of the scan
-track the best rational approximations of 1/(2 pi).  The companion ODE
+track the best rational approximations of 1/(2 pi), and single pairs
+beyond the scan are certified one at a time.  The companion ODE
 check certifies sup|w| <= sqrt(2) c / |lambda| for the decaying solution
 of w' = lambda w + f with any compactly supported |f| <= c.
 """
@@ -12,6 +13,7 @@ import numpy as np
 from nlsfloer.smalldiv import (
     convergents,
     cosine_forcing,
+    divisor,
     divisor_scan,
     inv_two_pi,
     ode_bound_check,
@@ -28,6 +30,10 @@ def main():
         f"envelope: value >= {report.fitted_c:.3e} * m^-14 over the scan, "
         f"worst record exponent {report.worst_exponent:.2f}"
     )
+    print("single m beyond the scan (q = m^2 > 10^8 is certified in extended precision):")
+    for m in (10**6, 10**12):
+        rec = divisor(m, 0)
+        print(f"  m=10^{len(str(m)) - 1:<2d}  p*={rec.p_star}  value {rec.value:.6e}")
 
     center, eta = inv_two_pi()
     conv = convergents(center, 8, uncertainty=eta)

@@ -672,6 +672,20 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _load_artifacts(paths: List[str], field: str, parse: Callable) -> list:
+    """Parse every stored artifact; a malformed one is a config error naming it."""
+    loaded = []
+    for i, path in enumerate(paths):
+        text = _read_text(path)
+        try:
+            loaded.append(parse(text))
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"diagnose.{field}[{i}]: malformed artifact {path}: {exc!r}"
+            ) from exc
+    return loaded
+
+
 def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
     p = cfg["diagnose"]
     model = build_model(cfg["model"])
@@ -679,7 +693,12 @@ def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
     ells = range(p["ell_min"], (p["ell_max"] or model.k) + 1)
     monitors = []
 
-    states = [FloerState.from_json(_read_text(path)) for path in p["states"]]
+    states = _load_artifacts(p["states"], "states", FloerState.from_json)
+    points = _load_artifacts(
+        p["points"],
+        "points",
+        lambda text: ContinuationResult.from_json(text).final.point,
+    )
     for i, state in enumerate(states):
         if state.grid.k != model.k:
             raise ConfigError(
@@ -700,11 +719,7 @@ def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
             }
         )
 
-    points = []
-    for i, path in enumerate(p["points"]):
-        result = ContinuationResult.from_json(_read_text(path))
-        point = result.final.point
-        points.append(point)
+    for i, point in enumerate(points):
         for alpha in p["deriv_orders"]:
             prof = normal_profile(point.field, ells, deriv_order=alpha)
             out.write(f"point{i}_decay_alpha{alpha}.csv", prof.to_csv())

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import ProjectivePoint, fs_distance
 from .floer import CutoffProfile, FloerState, _dt_spectral, _equation
-from .model import ModelSpec
+from .model import ModelSpec, mode_squares
 from .spectral import SpectralField
 
 # Weight exponents delta used for the norm * ell^delta columns.  The
@@ -78,7 +78,7 @@ def _tail_norms(coeffs: np.ndarray, k: int, ells: np.ndarray, alpha: int) -> np.
     (sum_{|n|>ell} |c(n)|^2 (1+n^2)^alpha)^{1/2}.
     """
     modes = np.arange(-k, k + 1)
-    weight = (1.0 + modes.astype(np.float64) ** 2) ** alpha
+    weight = (1.0 + mode_squares(k)) ** alpha
     mass = np.abs(coeffs.reshape(-1, 2 * k + 1)) ** 2 * weight[None, :]
     out = np.empty(ells.size)
     for i, ell in enumerate(ells):

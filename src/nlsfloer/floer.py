@@ -31,7 +31,7 @@ from scipy.sparse.linalg import LinearOperator, lsmr
 
 from .dynamics import ProjectivePoint, fs_distance
 from .model import ModelSpec, grad_F_many, grad_F_tangent, mode_squares
-from .spectral import SpectralField
+from .spectral import TWO_PI, SpectralField
 
 # ---------------------------------------------------------------------------
 # cutoff family
@@ -227,14 +227,11 @@ def boundary_orbit(
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     k = model.k
-    modes = np.arange(-k, k + 1)
-    rates = (float(point.gauge_index**2) - modes.astype(np.float64) ** 2) / (
-        2.0 * np.pi
-    )
+    rates = (float(point.gauge_index**2) - mode_squares(k)) / TWO_PI
     p_star = np.ceil(rates) if side == "right" else np.floor(rates)
     t = np.arange(N_t, dtype=np.float64)[:, None] / N_t
     c = point.coeffs / np.linalg.norm(point.coeffs)
-    return c[None, :] * np.exp(2j * np.pi * p_star[None, :] * t)
+    return c[None, :] * np.exp(1j * TWO_PI * p_star[None, :] * t)
 
 
 def build_initial_guess(
@@ -268,7 +265,7 @@ def _dt_spectral(C: np.ndarray) -> np.ndarray:
     """Spectral t-derivative along axis 1 of (..., N_t, dim) data."""
     N_t = C.shape[1]
     p = np.fft.fftfreq(N_t) * N_t
-    sym = (2j * math.pi * p)[None, :, None]
+    sym = (1j * TWO_PI * p)[None, :, None]
     return np.fft.ifft(np.fft.fft(C, axis=1) * sym, axis=1)
 
 
@@ -427,7 +424,7 @@ class _FreeInverse:
     def __init__(self, grid: CylinderGrid, shift: float):
         self.h = 1.0 / (2.0 * grid.ds)
         p = np.fft.fftfreq(grid.N_t) * grid.N_t
-        c = -(2.0 * math.pi * p[:, None] + mode_squares(grid.k)[None, :])
+        c = -(TWO_PI * p[:, None] + mode_squares(grid.k)[None, :])
         c[0, grid.k] = shift
         inv = np.empty((grid.N_s - 2,) + c.shape)
         inv[0] = 1.0 / c

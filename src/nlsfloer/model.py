@@ -39,7 +39,6 @@ from .spectral import (
     TWO_PI,
     SpectralField,
     analyze_many,
-    inner_real,
     synthesize_many,
 )
 
@@ -256,16 +255,6 @@ class ModelSpec:
     def with_kernel(self, kernel: KernelSpec) -> "ModelSpec":
         return ModelSpec(kernel, self.nonlinearity, self.k)
 
-    def with_bandwidth(self, k: int) -> "ModelSpec":
-        return ModelSpec(self.kernel, self.nonlinearity, k)
-
-
-def _check_band(model: ModelSpec, u: SpectralField):
-    if u.k > model.k:
-        raise ValueError(
-            f"field bandwidth {u.k} exceeds model bandwidth {model.k}"
-        )
-
 
 def _smoothed(model: ModelSpec, coeffs: np.ndarray, t) -> tuple:
     """z = u * psi on the quadrature grid, w = |z|^2, and t as a column."""
@@ -309,19 +298,6 @@ def grad_F_tangent(model: ModelSpec, coeffs: np.ndarray, t):
     return apply
 
 
-def eval_F(model: ModelSpec, u: SpectralField, t: float) -> float:
-    _check_band(model, u)
-    c = u.with_bandwidth(model.k).coeffs
-    return float(eval_F_many(model, c[np.newaxis, :], np.array([t]))[0])
-
-
-def grad_F(model: ModelSpec, u: SpectralField, t: float) -> SpectralField:
-    _check_band(model, u)
-    c = u.with_bandwidth(model.k).coeffs
-    g = grad_F_many(model, c[np.newaxis, :], np.array([t]))[0]
-    return SpectralField(model.k, g)
-
-
 def mode_squares(k: int) -> np.ndarray:
     """n^2 for n = -k..k, the free frequencies."""
     return np.arange(-k, k + 1).astype(np.float64) ** 2
@@ -330,22 +306,6 @@ def mode_squares(k: int) -> np.ndarray:
 def free_phases(k: int, t: float) -> np.ndarray:
     """Diagonal of the free propagator: exp(-i n^2 t) for n = -k..k."""
     return np.exp(-1j * mode_squares(k) * t)
-
-
-def eval_G(model: ModelSpec, u: SpectralField, t: float) -> float:
-    """G_t = F_t composed with the free flow."""
-    _check_band(model, u)
-    c = u.with_bandwidth(model.k).coeffs * free_phases(model.k, t)
-    return float(eval_F_many(model, c[np.newaxis, :], np.array([t]))[0])
-
-
-def grad_G(model: ModelSpec, u: SpectralField, t: float) -> SpectralField:
-    """Gradient of G_t, pulled back through the (unitary) free flow."""
-    _check_band(model, u)
-    ph = free_phases(model.k, t)
-    c = u.with_bandwidth(model.k).coeffs * ph
-    g = grad_F_many(model, c[np.newaxis, :], np.array([t]))[0]
-    return SpectralField(model.k, g * np.conj(ph))
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +467,3 @@ def hofer_norm(
         nodes=nodes,
         all_converged=converged,
     )
-
-
-def orthogonality_defect(model: ModelSpec, u: SpectralField, t: float) -> float:
-    """Re<u, i grad F_t(u)>, zero in exact arithmetic for any real even kernel."""
-    g = grad_F(model, u, t)
-    return inner_real(u, SpectralField(g.k, 1j * g.coeffs))

@@ -278,7 +278,6 @@ class Forcing:
 
     support: tuple
     profile: Callable
-    label: str = "forcing"
 
     def values(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=np.float64)
@@ -294,14 +293,6 @@ class Forcing:
         return float(np.max(np.abs(self.values(grid))))
 
 
-def zero_forcing(width: float = 2.0) -> Forcing:
-    return Forcing(
-        support=(-width / 2, width / 2),
-        profile=lambda s: np.zeros_like(s),
-        label="zero",
-    )
-
-
 def cosine_forcing(plateau_periods: int = 10, ramp: float = TWO_PI) -> Forcing:
     """cos(s) under a smooth window with plateau [0, plateau_periods * 2pi]."""
     if plateau_periods < 1:
@@ -310,15 +301,6 @@ def cosine_forcing(plateau_periods: int = 10, ramp: float = TWO_PI) -> Forcing:
     return Forcing(
         support=(-ramp, b + ramp),
         profile=lambda s: np.cos(s) * _window(s, -ramp, b + ramp, ramp),
-        label="windowed cosine",
-    )
-
-
-def bump_forcing(height: float, plateau: float = 4.0, ramp: float = 1.0) -> Forcing:
-    return Forcing(
-        support=(-ramp, plateau + ramp),
-        profile=lambda s: height * _window(s, -ramp, plateau + ramp, ramp),
-        label=f"bump h={height:g}",
     )
 
 
@@ -344,7 +326,6 @@ def random_forcing(
     return Forcing(
         support=(a, b),
         profile=lambda s: scale * trig(s) * _window(s, a, b, ramp),
-        label=f"random seed={seed}",
     )
 
 
@@ -369,11 +350,6 @@ class OdeCheck:
     passed: bool
     s: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
-
-    @property
-    def tight_bound(self) -> float:
-        # empirically the sqrt(2) factor is slack
-        return self.c / abs(self.lam)
 
     def sup_on(self, lo: float, hi: float) -> float:
         mask = (self.s >= lo) & (self.s <= hi)
@@ -418,11 +394,7 @@ def ode_bound_check(
         s, w = _decaying_solution(lam, forcing, nodes)
     else:
         a, b = forcing.support
-        mirrored = Forcing(
-            support=(-b, -a),
-            profile=lambda r: -forcing.values(-r),
-            label=forcing.label,
-        )
+        mirrored = Forcing(support=(-b, -a), profile=lambda r: -forcing.values(-r))
         r, v = _decaying_solution(-lam, mirrored, nodes)
         s, w = -r[::-1], v[::-1]
 

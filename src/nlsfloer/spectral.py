@@ -15,7 +15,6 @@ with no extra 2pi factor.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -44,16 +43,6 @@ class SpectralField:
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("coefficients must be finite")
 
-    @property
-    def modes(self) -> np.ndarray:
-        return np.arange(-self.k, self.k + 1)
-
-    def coeff(self, n: int) -> complex:
-        """Coefficient of exp(i n x); zero outside the stored band."""
-        if abs(n) > self.k:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[n + self.k])
-
     def with_bandwidth(self, k_new: int) -> "SpectralField":
         """Embed (zero-pad) or restrict to bandwidth k_new.
 
@@ -68,45 +57,6 @@ class SpectralField:
 
     def l2(self) -> float:
         return float(np.linalg.norm(self.coeffs))
-
-    def normalized(self) -> "SpectralField":
-        s = self.l2()
-        if s == 0.0:
-            raise ValueError("cannot normalize the zero field")
-        return SpectralField(self.k, self.coeffs / s)
-
-    # The arithmetic below embeds both operands into the larger band.
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        k = max(self.k, other.k)
-        return SpectralField(
-            k, self.with_bandwidth(k).coeffs + other.with_bandwidth(k).coeffs
-        )
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        k = max(self.k, other.k)
-        return SpectralField(
-            k, self.with_bandwidth(k).coeffs - other.with_bandwidth(k).coeffs
-        )
-
-    def __mul__(self, scalar) -> "SpectralField":
-        return SpectralField(self.k, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def to_json(self) -> str:
-        payload = {
-            "k": self.k,
-            "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
-        }
-        return json.dumps(payload)
-
-    @staticmethod
-    def from_json(text: str) -> "SpectralField":
-        payload = json.loads(text)
-        coeffs = np.array(
-            [complex(re, im) for re, im in payload["coeffs"]], dtype=np.complex128
-        )
-        return SpectralField(int(payload["k"]), coeffs)
 
 
 def basis_point(n: int, k: int) -> SpectralField:
@@ -144,54 +94,3 @@ def analyze_many(values: np.ndarray, k: int) -> np.ndarray:
     if k > 0:
         out[..., :k] = spec[..., N - k :]
     return out
-
-
-def convolve(u: SpectralField, psi: SpectralField) -> SpectralField:
-    """Convolution on the circle, diagonal on coefficients.
-
-    The result lives on the common band of the two inputs.
-    """
-    k = min(u.k, psi.k)
-    return SpectralField(
-        k, u.with_bandwidth(k).coeffs * psi.with_bandwidth(k).coeffs
-    )
-
-
-def project(u: SpectralField, ell: int) -> SpectralField:
-    """Zero all coefficients with |n| > ell, keeping the declared band."""
-    if ell < 0:
-        raise ValueError("projection order must be nonnegative")
-    out = u.coeffs.copy()
-    mask = np.abs(u.modes) > ell
-    out[mask] = 0.0
-    return SpectralField(u.k, out)
-
-
-def norm(u: SpectralField, kind: str = "l2", delta: float = 0.0) -> float:
-    """L2, Sobolev (weight (1+n^2)^delta) or grid sup norm.
-
-    The sup norm is sampled on the 4(2k+1)-point grid, which is the same
-    oversampled grid used by the nonlinear quadratures.
-    """
-    if kind == "l2":
-        return u.l2()
-    if kind == "sobolev":
-        w = (1.0 + u.modes.astype(float) ** 2) ** delta
-        return float(np.sqrt(np.sum(w * np.abs(u.coeffs) ** 2)))
-    if kind == "sup":
-        vals = synthesize_many(u.coeffs, u.k, 4 * (2 * u.k + 1))
-        return float(np.max(np.abs(vals)))
-    raise ValueError(f"unknown norm kind {kind!r}")
-
-
-def inner(u: SpectralField, v: SpectralField) -> complex:
-    """Hermitian L2 pairing <u, v> = sum u^(n) conj(v^(n))."""
-    k = max(u.k, v.k)
-    return complex(
-        np.vdot(v.with_bandwidth(k).coeffs, u.with_bandwidth(k).coeffs)
-    )
-
-
-def inner_real(u: SpectralField, v: SpectralField) -> float:
-    """Real inner product Re<u, v>, the one gradients pair against."""
-    return inner(u, v).real

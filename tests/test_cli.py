@@ -15,7 +15,13 @@ import scipy
 import nlsfloer.cli as cli_module
 import nlsfloer.floer as floer_module
 from nlsfloer.cli import build_model, main, resolve_config
-from nlsfloer.floer import FloerState, _equation, build_cutoff, extract_slices
+from nlsfloer.floer import (
+    CylinderGrid,
+    FloerState,
+    _equation,
+    build_cutoff,
+    extract_slices,
+)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -473,6 +479,32 @@ def test_diagnose_rejects_a_state_at_another_bandwidth(tmp_path, capsys):
     assert manifest["status"] == "config-error"
     assert manifest["artifacts"] == []
     assert os.listdir(dg_out) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("field", ["states", "points"])
+def test_diagnose_rejects_a_malformed_artifact(tmp_path, capsys, field):
+    # a well-formed state next to a malformed point: every file is read
+    # before the first state artifact is written
+    state = tmp_path / "state.json"
+    grid = CylinderGrid(S=2.0, N_s=16, N_t=8, k=3)
+    state.write_text(FloerState(grid, np.ones((16, 8, 7))).to_json())
+    bad = tmp_path / "bad.json"
+    bad.write_text("{}" if field == "states" else '{"entries": [{}]}')
+    paths = {"states": [str(state)], "points": []}
+    paths[field] = [str(bad)]
+    cfg = write_config(
+        tmp_path,
+        {"pipeline": "diagnose", "model": {"kind": "potential", "eps": 0.0, "k": 3},
+         "diagnose": {**paths, "T": 0.0}},
+    )
+    out = tmp_path / "o"
+    rc = main(["diagnose", "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert f"diagnose.{field}[0]" in capsys.readouterr().err
+    manifest = read_manifest(str(out))
+    assert manifest["status"] == "config-error"
+    assert manifest["artifacts"] == []
+    assert os.listdir(out) == ["manifest.json"]
 
 
 def test_diagnose_runs_on_stored_artifacts(tmp_path):

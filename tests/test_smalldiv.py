@@ -10,7 +10,6 @@ from nlsfloer.smalldiv import (
     ConvergentReport,
     DivisorRecord,
     Forcing,
-    bump_forcing,
     convergents,
     cosine_forcing,
     divisor,
@@ -18,7 +17,6 @@ from nlsfloer.smalldiv import (
     inv_two_pi,
     ode_bound_check,
     random_forcing,
-    zero_forcing,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -231,7 +229,7 @@ def test_convergents_input_validation():
 
 
 def test_zero_forcing_zero_solution():
-    chk = ode_bound_check(1.5, 1.0, zero_forcing())
+    chk = ode_bound_check(1.5, 1.0, Forcing(support=(-1.0, 1.0), profile=np.zeros_like))
     assert chk.sup_w == 0.0
     assert chk.passed
 
@@ -253,15 +251,17 @@ def test_cosine_closed_form_negative_lambda():
 
 
 def test_bump_bound():
-    chk = ode_bound_check(-1.0, 1.0, bump_forcing(0.9))
-    assert chk.sup_w <= 0.9 + 1e-6
+    # a plateau of height 0.9 and length 6: w climbs to within e^-6 of 0.9 / |lambda|
+    bump = Forcing(support=(-1.0, 5.0), profile=lambda s: np.full_like(s, 0.9))
+    chk = ode_bound_check(-1.0, 1.0, bump)
+    assert 0.89 <= chk.sup_w <= 0.9 + 1e-6
     assert chk.passed
 
 
 def test_solution_solves_ode():
     # central difference of w against lambda w + f on interior nodes
     lam = 0.7
-    forcing = bump_forcing(0.8, plateau=3.0, ramp=1.5)
+    forcing = random_forcing(0.8, seed=3, plateau=3.0, ramp=1.5)
     chk = ode_bound_check(lam, 1.0, forcing, nodes=50_000)
     s, w = chk.s, chk.w
     ds = s[1] - s[0]
@@ -277,7 +277,7 @@ def test_random_forcings_never_violate():
             chk = ode_bound_check(lam, 1.0, f, nodes=2000)
             assert chk.passed, (lam, seed)
             # the sqrt(2) factor is slack in practice
-            assert chk.sup_w <= chk.tight_bound + 1e-8
+            assert chk.sup_w <= chk.c / abs(chk.lam) + 1e-8
 
 
 def lfilter_solution(lam, forcing, nodes):
@@ -309,12 +309,13 @@ def test_solution_matches_lfilter_bit_for_bit(lam):
 
 
 def test_ode_check_validation():
+    zero = Forcing(support=(-1.0, 1.0), profile=np.zeros_like)
     with pytest.raises(ValueError):
-        ode_bound_check(0.0, 1.0, zero_forcing())
+        ode_bound_check(0.0, 1.0, zero)
     with pytest.raises(ValueError):
-        ode_bound_check(1.0, -1.0, zero_forcing())
+        ode_bound_check(1.0, -1.0, zero)
     with pytest.raises(ValueError):
-        ode_bound_check(1.0, 0.5, bump_forcing(0.9))
+        ode_bound_check(1.0, 0.5, random_forcing(0.9, seed=0))
 
 
 def test_forcing_vanishes_outside_support():
