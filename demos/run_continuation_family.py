@@ -35,7 +35,7 @@ def main():
         print("  " + "  ".join(f"{d:6.3f}" for d in row))
     print(f"closest pair: {rep.min_offdiag:.3f} (flags: {list(rep.flagged)})")
 
-    prof = normal_profile(points[0].field, range(1, k))
+    prof = normal_profile(points[0], range(1, k))
     print("\nmode-0 point, mass beyond cutoff ell (weighted by ell^3):")
     for ell, norm, w in zip(prof.ell_values, prof.norms, prof.weighted[:, 2]):
         print(f"  ell={ell}: tail {norm:.2e}, tail*ell^3 {w:.2e}")

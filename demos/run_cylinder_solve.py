@@ -20,7 +20,6 @@ from nlsfloer.floer import (
     solve_floer,
 )
 from nlsfloer.model import ModelSpec, Potential, cosine_field, exponential_kernel, hofer_norm
-from nlsfloer.spectral import SpectralField
 
 
 def main():
@@ -46,7 +45,7 @@ def main():
     hofer = hofer_norm(model, t_nodes=4)
     print(f"\nenergy {result.energy:.4e} vs bound 2*|||G||| = {2*hofer.estimate:.4e}")
 
-    endpoint = fs_distance(SpectralField(k, result.state.coeffs[-1, 0].copy()), target)
+    endpoint = fs_distance(result.state.coeffs[-1, 0], target.coeffs)
     print(f"right endpoint distance to the fixed point: {endpoint:.2e}")
 
     cutoff = build_cutoff(T)

@@ -66,7 +66,6 @@ from .model import (
     mode_squares,
 )
 from .smalldiv import convergents, divisor_scan, inv_two_pi
-from .spectral import SpectralField
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -244,6 +243,11 @@ def _validate_params(section: str, p: dict, model: dict):
             bound = "positive" if strict else "nonnegative"
             raise ConfigError(f"{section}.{name}: must be {bound}")
 
+    def distinct(name):
+        for i, value in enumerate(p[name]):
+            if value in p[name][:i]:
+                raise ConfigError(f"{section}.{name}[{i}]: repeats an earlier entry")
+
     if section == "simulate":
         positive("steps", p["steps"])
         positive("samples", p["samples"])
@@ -260,6 +264,7 @@ def _validate_params(section: str, p: dict, model: dict):
                 raise ConfigError(
                     f"fixed_points.modes[{i}]: mode outside the model bandwidth"
                 )
+        distinct("modes")
         positive("tol", p["tol"])
         positive("steps", p["steps"])
     elif section == "floer":
@@ -309,8 +314,9 @@ def _validate_params(section: str, p: dict, model: dict):
         positive("threshold", p["threshold"])
         positive("T", p["T"], strict=False)
         for i, a in enumerate(p["deriv_orders"]):
-            if a not in (0, 1, 2):
+            if isinstance(a, bool) or not isinstance(a, int) or a not in (0, 1, 2):
                 raise ConfigError(f"diagnose.deriv_orders[{i}]: expected 0, 1 or 2")
+        distinct("deriv_orders")
 
 
 def build_model(cfg: dict) -> ModelSpec:
@@ -396,7 +402,7 @@ def _csv(header: List[str], rows: List[List[str]]) -> str:
 def _pipe_simulate(cfg: dict, out: ArtifactWriter) -> dict:
     p = cfg["simulate"]
     model = build_model(cfg["model"])
-    u0 = mode_point(p["n0"], model.k).field
+    u0 = mode_point(p["n0"], model.k)
     is_hartree = model.nonlinearity.diagonal
 
     times = np.linspace(0.0, p["t_final"], p["samples"] + 1)
@@ -426,7 +432,7 @@ def _pipe_simulate(cfg: dict, out: ArtifactWriter) -> dict:
     summary = {
         "kind": model.nonlinearity.label(),
         "n0": p["n0"],
-        "steps": p["steps"],
+        "steps": seg_steps * p["samples"],
         "max_drift": max_drift,
         "max_closed_form_error": max_cf_err if is_hartree else None,
     }
@@ -517,10 +523,7 @@ def _pipe_floer(cfg: dict, out: ArtifactWriter) -> dict:
     )
     out.write("floer_state.json", result.state.to_json() + "\n")
 
-    endpoint = fs_distance(
-        SpectralField(model.k, result.state.coeffs[-1, 0].copy()),
-        right_point,
-    )
+    endpoint = fs_distance(result.state.coeffs[-1, 0], right_point.coeffs)
     slices = extract_slices(result.equation, p["gamma_max"])
     srows = []
     for entry in slices.entries:
@@ -699,12 +702,17 @@ def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
         "points",
         lambda text: ContinuationResult.from_json(text).final.point,
     )
-    for i, state in enumerate(states):
-        if state.grid.k != model.k:
-            raise ConfigError(
-                f"diagnose.states[{i}]: state bandwidth {state.grid.k} "
-                f"does not match model.k = {model.k}"
-            )
+    bandwidths = {
+        "states": [state.grid.k for state in states],
+        "points": [point.k for point in points],
+    }
+    for field, ks in bandwidths.items():
+        for i, k in enumerate(ks):
+            if k != model.k:
+                raise ConfigError(
+                    f"diagnose.{field}[{i}]: {field[:-1]} bandwidth {k} "
+                    f"does not match model.k = {model.k}"
+                )
     for i, (path, state) in enumerate(zip(p["states"], states)):
         for alpha in p["deriv_orders"]:
             prof = normal_profile(state, ells, deriv_order=alpha)
@@ -721,7 +729,7 @@ def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
 
     for i, point in enumerate(points):
         for alpha in p["deriv_orders"]:
-            prof = normal_profile(point.field, ells, deriv_order=alpha)
+            prof = normal_profile(point, ells, deriv_order=alpha)
             out.write(f"point{i}_decay_alpha{alpha}.csv", prof.to_csv())
 
     if monitors:

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dynamics import ProjectivePoint, fs_distance
+from .dynamics import fs_distance
 from .floer import CutoffProfile, FloerState, _dt_spectral, _equation
 from .model import ModelSpec, mode_squares
 from .spectral import SpectralField
@@ -185,7 +185,7 @@ class DistinctnessReport:
 
 
 def distinctness_report(
-    points: Sequence[Union[SpectralField, ProjectivePoint]],
+    points: Sequence[SpectralField],
     threshold: float = 1e-3,
 ) -> DistinctnessReport:
     """Full fs_distance matrix of a family, flagging pairs under threshold.
@@ -203,7 +203,7 @@ def distinctness_report(
     flagged: List[Tuple[int, int]] = []
     for i in range(P):
         for j in range(i + 1, P):
-            d = fs_distance(points[i], points[j])
+            d = fs_distance(points[i].coeffs, points[j].coeffs)
             D[i, j] = D[j, i] = d
             if d < threshold:
                 flagged.append((i, j))

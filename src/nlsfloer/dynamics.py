@@ -22,12 +22,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .model import ModelSpec, free_phases, grad_F_many
-from .spectral import TWO_PI, SpectralField, basis_point
+from .spectral import TWO_PI, SpectralField
 
 
 def free_flow(u: SpectralField, t: float) -> SpectralField:
@@ -90,11 +90,9 @@ def evolve_many(
 def evolve(
     model: ModelSpec, u: SpectralField, t0: float, t1: float, steps: int = 400
 ) -> SpectralField:
-    """Strang split-step propagation of a single field."""
-    if u.k > model.k:
-        raise ValueError("field bandwidth exceeds model bandwidth")
-    c = u.with_bandwidth(model.k).coeffs[np.newaxis, :]
-    return SpectralField(model.k, evolve_many(model, c, t0, t1, steps)[0])
+    """Strang split-step propagation of a single field at the model bandwidth."""
+    out = evolve_many(model, u.coeffs[np.newaxis], t0, t1, steps)
+    return SpectralField(model.k, out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -102,24 +100,15 @@ def evolve(
 
 
 @dataclass
-class ProjectivePoint:
-    """Unit-norm representative with a pinned gauge.
+class ProjectivePoint(SpectralField):
+    """Unit-norm field with a pinned gauge.
 
     The coefficient at gauge_index (a mode number) is real and positive;
     among the largest-modulus coefficients the gauge prefers the lowest
     |n| and then the nonnegative one.
     """
 
-    field: SpectralField
     gauge_index: int
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self.field.coeffs
-
-    @property
-    def k(self) -> int:
-        return self.field.k
 
 
 def _gauge_mode(coeffs: np.ndarray, k: int) -> int:
@@ -133,10 +122,8 @@ def _gauge_mode(coeffs: np.ndarray, k: int) -> int:
     return int(tied[0])
 
 
-def gauge_fix(u: Union[SpectralField, ProjectivePoint]) -> ProjectivePoint:
+def gauge_fix(u: SpectralField) -> ProjectivePoint:
     """Normalize and rotate so the gauge coefficient is real positive."""
-    if isinstance(u, ProjectivePoint):
-        u = u.field
     s = u.l2()
     if s == 0.0:
         raise ValueError("cannot gauge the zero field")
@@ -146,35 +133,37 @@ def gauge_fix(u: Union[SpectralField, ProjectivePoint]) -> ProjectivePoint:
     c = c * np.exp(-1j * np.angle(pivot))
     # kill the residual imaginary part left by rounding
     c[n_star + u.k] = abs(c[n_star + u.k])
-    return ProjectivePoint(SpectralField(u.k, c), n_star)
+    return ProjectivePoint(u.k, c, n_star)
 
 
 def mode_point(n: int, k: int) -> ProjectivePoint:
-    """The free single-mode state: unit coefficient at mode n."""
-    return ProjectivePoint(basis_point(n, k), n)
+    """The free single-mode state: unit coefficient at mode n.
+
+    On the grid this is (2pi)^(-1/2) exp(i n x).
+    """
+    if abs(n) > k:
+        raise ValueError("mode outside bandwidth")
+    c = np.zeros(2 * k + 1, dtype=np.complex128)
+    c[n + k] = 1.0
+    return ProjectivePoint(k, c, n)
 
 
-def _as_unit_coeffs(p, k: int) -> np.ndarray:
-    f = p.field if isinstance(p, ProjectivePoint) else p
-    c = f.with_bandwidth(k).coeffs
-    s = np.linalg.norm(c)
-    if s == 0.0:
-        raise ValueError("zero field has no projective class")
-    return c / s
+def fs_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Fubini-Study angle arccos |<a, b>| between projective classes.
 
-
-def fs_distance(
-    p: Union[SpectralField, ProjectivePoint], q: Union[SpectralField, ProjectivePoint]
-) -> float:
-    """Fubini-Study angle arccos |<p, q>| between projective classes.
-
+    a and b are coefficient vectors of one bandwidth, normalized here.
     Evaluated through the chordal identity 2 arcsin(|a - e^{i theta} b|/2)
     with theta the aligning phase; arccos of the overlap loses half the
     digits near coincident classes, the chord keeps full precision there.
     """
-    k = max(p.k, q.k)
-    a = _as_unit_coeffs(p, k)
-    b = _as_unit_coeffs(q, k)
+    if a.shape != b.shape:
+        raise ValueError(
+            f"cannot compare coefficient vectors of shapes {a.shape} and {b.shape}"
+        )
+    sa, sb = np.linalg.norm(a), np.linalg.norm(b)
+    if sa == 0.0 or sb == 0.0:
+        raise ValueError("zero field has no projective class")
+    a, b = a / sa, b / sb
     z = np.vdot(b, a)
     if abs(z) == 0.0:
         return float(np.pi / 2.0)
@@ -182,13 +171,9 @@ def fs_distance(
     return float(2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0)))
 
 
-def fixed_point_residual(
-    model: ModelSpec, p: Union[SpectralField, ProjectivePoint], steps: int = 400
-) -> float:
+def fixed_point_residual(model: ModelSpec, p: SpectralField, steps: int = 400) -> float:
     """Fubini-Study distance between p and its image under the time-one map."""
-    f = p.field if isinstance(p, ProjectivePoint) else p
-    out = evolve(model, f, 0.0, 1.0, steps)
-    return fs_distance(out, p)
+    return fs_distance(evolve(model, p, 0.0, 1.0, steps).coeffs, p.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +212,7 @@ def _fd_batch(c: np.ndarray) -> np.ndarray:
 
 def newton_fixed_point(
     model: ModelSpec,
-    guess: Union[SpectralField, ProjectivePoint],
+    guess: SpectralField,
     phase_guess: Optional[float] = None,
     tol: float = 1e-10,
     max_iter: int = 150,
@@ -382,11 +367,10 @@ class ContinuationResult:
             coeffs = np.array(
                 [complex(re, im) for re, im in e["coeffs"]], dtype=np.complex128
             )
-            fieldv = SpectralField(d["k"], coeffs)
             entries.append(
                 PathEntry(
                     eps=e["eps"],
-                    point=ProjectivePoint(fieldv, e["gauge_index"]),
+                    point=ProjectivePoint(d["k"], coeffs, e["gauge_index"]),
                     phase=e["phase"],
                     residual=e["residual"],
                     iterations=e["iterations"],

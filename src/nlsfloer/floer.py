@@ -31,7 +31,7 @@ from scipy.sparse.linalg import LinearOperator, lsmr
 
 from .dynamics import ProjectivePoint, fs_distance
 from .model import ModelSpec, grad_F_many, grad_F_tangent, mode_squares
-from .spectral import TWO_PI, SpectralField
+from .spectral import TWO_PI
 
 # ---------------------------------------------------------------------------
 # cutoff family
@@ -47,19 +47,6 @@ def _smooth_step(y) -> np.ndarray:
     e1 = np.exp(-1.0 / (1.0 - yi))
     out[inside] = e0 / (e0 + e1)
     out[y >= 1.0] = 1.0
-    return out
-
-
-def _smooth_step_slope(y) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    out = np.zeros_like(y)
-    inside = (y > 0.0) & (y < 1.0)
-    yi = y[inside]
-    e0 = np.exp(-1.0 / yi)
-    e1 = np.exp(-1.0 / (1.0 - yi))
-    out[inside] = (
-        e0 * e1 * (yi**-2 + (1.0 - yi) ** -2) / (e0 + e1) ** 2
-    )
     return out
 
 
@@ -79,17 +66,6 @@ class CutoffProfile:
         if self.T == 0.0:
             return np.zeros_like(s)
         return _smooth_step(s + 1.0) * _smooth_step(2.0 * self.T + 1.0 - s)
-
-    def slope(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=np.float64)
-        if self.T == 0.0:
-            return np.zeros_like(s)
-        up = _smooth_step(s + 1.0)
-        down = _smooth_step(2.0 * self.T + 1.0 - s)
-        return (
-            _smooth_step_slope(s + 1.0) * down
-            - up * _smooth_step_slope(2.0 * self.T + 1.0 - s)
-        )
 
     @property
     def support(self) -> tuple:
@@ -653,17 +629,13 @@ def extract_slices(equation: FloerEquation, gamma_max: int) -> SliceReport:
     grid = state.grid
     t_density = grid.dt * np.sum(equation.t_map(), axis=1)
     s = grid.s_nodes
-    k = grid.k
 
     def best_in(mask, boundary_node):
         idx = np.nonzero(mask)[0]
         if idx.size == 0:
             return None, 0
         i_best = idx[np.argmin(t_density[idx])]
-        dist = fs_distance(
-            SpectralField(k, state.coeffs[i_best, 0].copy()),
-            SpectralField(k, boundary_node.copy()),
-        )
+        dist = fs_distance(state.coeffs[i_best, 0], boundary_node)
         return (
             SliceCandidate(
                 s=float(s[i_best]),

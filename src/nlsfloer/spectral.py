@@ -43,32 +43,8 @@ class SpectralField:
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("coefficients must be finite")
 
-    def with_bandwidth(self, k_new: int) -> "SpectralField":
-        """Embed (zero-pad) or restrict to bandwidth k_new.
-
-        Restriction drops the modes |n| > k_new.
-        """
-        if k_new == self.k:
-            return SpectralField(self.k, self.coeffs.copy())
-        out = np.zeros(2 * k_new + 1, dtype=np.complex128)
-        m = min(self.k, k_new)
-        out[k_new - m : k_new + m + 1] = self.coeffs[self.k - m : self.k + m + 1]
-        return SpectralField(k_new, out)
-
     def l2(self) -> float:
         return float(np.linalg.norm(self.coeffs))
-
-
-def basis_point(n: int, k: int) -> SpectralField:
-    """Unit-norm single-mode field: coefficients delta_{m,n}.
-
-    On the grid this is (2pi)^(-1/2) exp(i n x).
-    """
-    if abs(n) > k:
-        raise ValueError("mode outside bandwidth")
-    c = np.zeros(2 * k + 1, dtype=np.complex128)
-    c[n + k] = 1.0
-    return SpectralField(k, c)
 
 
 def synthesize_many(coeffs: np.ndarray, k: int, N: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from nlsfloer.floer import (
     _dt_spectral,
     _grad_rows,
     _project_out,
+    _smooth_step,
 )
 from nlsfloer.model import ModelSpec, mode_squares
 from nlsfloer.spectral import TWO_PI, SpectralField, analyze_many, synthesize_many
@@ -42,6 +43,32 @@ def synthesize(u: SpectralField, N: int) -> GridField:
 def analyze(g: GridField, k: int) -> SpectralField:
     """Project grid samples onto 2k+1 Fourier modes; N >= 2k+1 (analyze_many)."""
     return SpectralField(k, analyze_many(g.values, k))
+
+
+def _smooth_step_slope(y) -> np.ndarray:
+    y = np.asarray(y, dtype=np.float64)
+    out = np.zeros_like(y)
+    inside = (y > 0.0) & (y < 1.0)
+    yi = y[inside]
+    e0 = np.exp(-1.0 / yi)
+    e1 = np.exp(-1.0 / (1.0 - yi))
+    out[inside] = (
+        e0 * e1 * (yi**-2 + (1.0 - yi) ** -2) / (e0 + e1) ** 2
+    )
+    return out
+
+
+def cutoff_slope(cutoff: CutoffProfile, s) -> np.ndarray:
+    """d phi / ds of the cutoff profile, from the exact smoothstep derivative."""
+    s = np.asarray(s, dtype=np.float64)
+    if cutoff.T == 0.0:
+        return np.zeros_like(s)
+    up = _smooth_step(s + 1.0)
+    down = _smooth_step(2.0 * cutoff.T + 1.0 - s)
+    return (
+        _smooth_step_slope(s + 1.0) * down
+        - up * _smooth_step_slope(2.0 * cutoff.T + 1.0 - s)
+    )
 
 
 def floer_residual_twisted(

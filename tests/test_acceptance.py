@@ -129,7 +129,7 @@ def test_criterion_01_free_flow_exactness():
     out = evolve_many(free, rows, 0.0, 1.0, 400)
     worst_fp = 0.0
     for i, m in enumerate(n):
-        d = fs_distance(SpectralField(k, out[i].copy()), mode_point(int(m), k))
+        d = fs_distance(out[i], mode_point(int(m), k).coeffs)
         worst_fp = max(worst_fp, d)
     assert worst_fp < 1e-12
     elapsed = time.monotonic() - start
@@ -333,7 +333,7 @@ def test_criterion_10_band_limited_confinement():
     result = continue_fixed_point(model, 0)
     assert result.converged
     point = result.final.point
-    point_tail = normal_profile(point.field, [ell]).norms[0]
+    point_tail = normal_profile(point, [ell]).norms[0]
     assert point_tail < 1e-10
 
     free = model.with_strength(0.0)
@@ -359,9 +359,7 @@ def test_criterion_11_cylinder_boundary_value_problem():
     bound = 2.0 * hofer.estimate + 1e-3
     assert 0.0 < result.energy <= bound
 
-    endpoint = fs_distance(
-        SpectralField(4, result.state.coeffs[-1, 0].copy()), continued(4)
-    )
+    endpoint = fs_distance(result.state.coeffs[-1, 0], continued(4).coeffs)
     assert endpoint < 1e-4
 
     _, doubled = big_solve(400)
@@ -378,7 +376,7 @@ def test_criterion_11_cylinder_boundary_value_problem():
 
 def test_criterion_12_decay_and_uniformity():
     point = continued(8)
-    prof = normal_profile(point.field, range(1, 6))
+    prof = normal_profile(point, range(1, 6))
     for j in range(prof.weighted.shape[1]):
         assert np.all(np.diff(prof.weighted[:, j]) < 0.0)
 

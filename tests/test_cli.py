@@ -110,11 +110,17 @@ def test_invalid_mode_rejected_before_running(tmp_path, capsys):
         ("diagnose", {"states": ["s.json"], "ell_min": 3, "ell_max": 2},
          "diagnose.ell_min"),
         ("floer", {"N_t": 4}, "floer.N_t"),
+        ("fixed-points", {"modes": [0, 0]}, "fixed_points.modes[1]"),
+        ("diagnose", {"states": ["s.json"], "deriv_orders": [1, 1]},
+         "diagnose.deriv_orders[1]"),
+        ("diagnose", {"states": ["s.json"], "deriv_orders": [1.0]},
+         "diagnose.deriv_orders[0]"),
     ],
 )
 def test_out_of_range_field_is_named(tmp_path, capsys, pipeline, section, field):
     cfg = write_config(
-        tmp_path, {"pipeline": pipeline, "model": {"k": 3}, pipeline: section}
+        tmp_path,
+        {"pipeline": pipeline, "model": {"k": 3}, pipeline.replace("-", "_"): section},
     )
     rc = main([pipeline, "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -290,6 +296,19 @@ def test_simulate_hartree_matches_closed_form(tmp_path):
     assert len(rows) == 1 + 5
 
 
+def test_simulate_summary_reports_the_steps_taken(tmp_path):
+    # 10 steps over 4 samples round up to 3 steps per sample
+    cfg = write_config(
+        tmp_path,
+        {"pipeline": "simulate", "model": {"k": 2},
+         "simulate": {"steps": 10, "samples": 4}},
+    )
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "simulate_summary.json").read_text())
+    assert summary["steps"] == 12
+
+
 def test_fixed_points_pipeline_emits_points_and_distances(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -454,27 +473,37 @@ def test_diagnose_missing_state_exits_4_with_manifest(tmp_path, capsys):
     assert read_manifest(str(out))["status"] == "io-error"
 
 
-def test_diagnose_rejects_a_state_at_another_bandwidth(tmp_path, capsys):
-    fl_cfg = write_config(
+# the pipeline, its section and the artifact that stores a state or a point
+ARTIFACTS = {
+    "states": ("floer", {"T": 0.0, "S": 2.0, "N_s": 24, "N_t": 8, "gamma_max": 1},
+               "floer_state.json"),
+    "points": ("fixed-points", {"modes": [0], "steps": 10}, "fixed_point_n0.json"),
+}
+
+
+@pytest.mark.parametrize("field", ["states", "points"])
+def test_diagnose_rejects_a_state_at_another_bandwidth(tmp_path, capsys, field):
+    pipeline, section, name = ARTIFACTS[field]
+    src_cfg = write_config(
         tmp_path,
-        {"pipeline": "floer", "model": {"kind": "potential", "eps": 0.0, "k": 3},
-         "floer": {"T": 0.0, "S": 2.0, "N_s": 24, "N_t": 8, "gamma_max": 1}},
-        name="fl.json",
+        {"pipeline": pipeline, "model": {"kind": "potential", "eps": 0.0, "k": 3},
+         pipeline.replace("-", "_"): section},
+        name="src.json",
     )
-    fl_out = tmp_path / "fl"
-    assert main(["floer", "--config", fl_cfg, "--out", str(fl_out)]) == 0
+    src_out = tmp_path / "src"
+    assert main([pipeline, "--config", src_cfg, "--out", str(src_out)]) == 0
     capsys.readouterr()
 
     dg_cfg = write_config(
         tmp_path,
         {"pipeline": "diagnose", "model": {"kind": "potential", "eps": 0.0, "k": 4},
-         "diagnose": {"states": [str(fl_out / "floer_state.json")], "T": 0.0}},
+         "diagnose": {field: [str(src_out / name)], "T": 0.0}},
         name="dg.json",
     )
     dg_out = tmp_path / "dg"
     rc = main(["diagnose", "--config", dg_cfg, "--out", str(dg_out)])
     assert rc == 2
-    assert "diagnose.states[0]" in capsys.readouterr().err
+    assert f"diagnose.{field}[0]" in capsys.readouterr().err
     manifest = read_manifest(str(dg_out))
     assert manifest["status"] == "config-error"
     assert manifest["artifacts"] == []

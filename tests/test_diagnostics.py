@@ -73,7 +73,7 @@ def solved_potential(k=4, N_s=60, N_t=16, S=4.0, T=1.0):
 def test_pure_mode_tail_vanishes_at_and_beyond_n():
     k = 6
     for n in range(0, 4):
-        u = mode_point(n, k).field
+        u = mode_point(n, k)
         prof = normal_profile(u, range(n, k + 1))
         assert np.all(prof.norms == 0.0)
 
@@ -190,7 +190,7 @@ def test_state_profile_zero_beyond_constructed_support():
 def test_continued_point_weighted_tails_decrease():
     point = continued_point(6)
     for alpha in (0, 1, 2):
-        prof = normal_profile(point.field, range(1, 6), deriv_order=alpha)
+        prof = normal_profile(point, range(1, 6), deriv_order=alpha)
         for j in range(len(DELTA_SET)):
             assert np.all(np.diff(prof.weighted[:, j]) < 0.0)
 

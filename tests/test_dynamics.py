@@ -139,9 +139,9 @@ def test_gauge_fix_normalizes_and_rotates():
     c[k - 1] = 0.1
     p = gauge_fix(SpectralField(k, c))
     assert p.gauge_index == 1
-    assert abs(np.linalg.norm(p.field.coeffs) - 1.0) < 1e-15
-    assert p.field.coeffs[k + 1].imag == 0.0
-    assert p.field.coeffs[k + 1].real > 0
+    assert abs(np.linalg.norm(p.coeffs) - 1.0) < 1e-15
+    assert p.coeffs[k + 1].imag == 0.0
+    assert p.coeffs[k + 1].real > 0
 
 
 def test_gauge_tie_prefers_small_nonnegative_mode():
@@ -158,23 +158,22 @@ def test_fs_distance_bounds_and_phase_invariance():
     rng = RNG(9)
     u = random_unit(k, rng)
     v = random_unit(k, rng)
-    d = fs_distance(u, v)
+    d = fs_distance(u.coeffs, v.coeffs)
     assert 0.0 <= d <= math.pi / 2 + 1e-12
-    w = SpectralField(k, np.exp(0.7j) * u.coeffs)
-    assert fs_distance(u, w) < 1e-7
-    assert abs(fs_distance(u, v) - fs_distance(v, u)) < 1e-14
+    w = np.exp(0.7j) * u.coeffs
+    assert fs_distance(u.coeffs, w) < 1e-7
+    assert abs(d - fs_distance(v.coeffs, u.coeffs)) < 1e-14
 
 
 def test_fs_distance_orthogonal_points():
     k = 2
-    assert abs(fs_distance(mode_point(0, k).field, mode_point(1, k).field)
+    assert abs(fs_distance(mode_point(0, k).coeffs, mode_point(1, k).coeffs)
                - math.pi / 2) < 1e-12
 
 
 def test_fs_distance_mixed_bandwidths():
-    u = mode_point(1, 2).field
-    v = mode_point(1, 5).field
-    assert fs_distance(u, v) < 1e-12
+    with pytest.raises(ValueError, match="shapes"):
+        fs_distance(mode_point(1, 2).coeffs, mode_point(1, 5).coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +215,7 @@ def test_newton_quadratic_perturbs_mode():
     res = newton_fixed_point(model, mode_point(1, 5), steps=200)
     assert res.converged
     assert res.residual < 1e-10
-    assert fs_distance(res.point.field, mode_point(1, 5).field) < 0.2
+    assert fs_distance(res.point.coeffs, mode_point(1, 5).coeffs) < 0.2
 
 
 def test_newton_fails_fast_when_drifting_on_a_pair_circle():
@@ -259,7 +258,7 @@ def test_continuation_reaches_target_strength():
     assert out.final.residual < 1e-10
     # the path stays near the free mode it started from
     seed = mode_point(0, 5)
-    dists = [fs_distance(e.point.field, seed.field) for e in out.entries]
+    dists = [fs_distance(e.point.coeffs, seed.coeffs) for e in out.entries]
     assert dists[0] < 1e-12
     assert all(d < 0.5 for d in dists)
 
@@ -281,5 +280,4 @@ def test_continuation_roundtrip_json():
     assert back.n == out.n
     assert back.converged
     assert len(back.entries) == len(out.entries)
-    assert np.allclose(back.final.point.field.coeffs,
-                       out.final.point.field.coeffs)
+    assert np.allclose(back.final.point.coeffs, out.final.point.coeffs)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nlsfloer import model as model_module
+from nlsfloer.dynamics import mode_point
 from nlsfloer.model import (
     Constant,
     Hartree,
@@ -24,7 +25,7 @@ from nlsfloer.model import (
     hofer_norm,
     truncate_kernel,
 )
-from nlsfloer.spectral import ROOT_2PI, basis_point
+from nlsfloer.spectral import ROOT_2PI
 
 RNG = np.random.default_rng
 
@@ -99,7 +100,7 @@ def test_hartree_value_closed_form():
     k = 4
     eps = 0.1
     model = ModelSpec(exponential_kernel(1.0, k), Hartree(eps), k)
-    u = basis_point(0, k).coeffs
+    u = mode_point(0, k).coeffs
     assert abs(eval_F_many(model, u, 0.0) + 0.05) < 1e-14
     rng = RNG(1)
     v = random_unit(k, rng)

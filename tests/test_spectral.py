@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from nlsfloer.spectral import (
-    SpectralField,
-    analyze_many,
-    basis_point,
-    synthesize_many,
-)
+from nlsfloer.dynamics import mode_point
+from nlsfloer.spectral import SpectralField, analyze_many, synthesize_many
 from reference import analyze, grid_nodes, synthesize
 
 
@@ -19,7 +15,7 @@ def random_field(k, rng):
 
 def test_single_mode_synthesis_matches_exponential():
     k = 6
-    u = basis_point(2, k)
+    u = mode_point(2, k)
     N = 4 * (2 * k + 1)
     g = synthesize(u, N)
     x = grid_nodes(N)
@@ -39,7 +35,7 @@ def test_round_trip_is_exact(k):
 def test_analyze_rejects_undersampled_grid():
     with pytest.raises(ValueError):
         analyze_many(np.zeros(6, dtype=complex), 3)
-    u = basis_point(0, 3)
+    u = mode_point(0, 3)
     with pytest.raises(ValueError):
         synthesize_many(u.coeffs, 3, 6)
 
@@ -87,16 +83,6 @@ def test_inner_product_matches_integral():
     gv = synthesize(v, N).values
     quad = (2 * np.pi / N) * np.sum(gu * np.conj(gv))
     assert abs(np.vdot(v.coeffs, u.coeffs) - quad) < 1e-12
-
-
-def test_bandwidth_embedding_round_trip():
-    rng = np.random.default_rng(18)
-    u = random_field(3, rng)
-    big = u.with_bandwidth(7)
-    assert np.array_equal(big.coeffs[4:11], u.coeffs)
-    assert not np.any(big.coeffs[:4]) and not np.any(big.coeffs[11:])
-    back = big.with_bandwidth(3)
-    assert np.array_equal(back.coeffs, u.coeffs)
 
 
 def test_field_validation():
