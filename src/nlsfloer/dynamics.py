@@ -47,9 +47,9 @@ def evolve_many(
     coeffs has shape (M, 2k+1) at the model bandwidth.  The batch form
     exists because finite-difference Jacobians re-run the same flow for
     2(2k+1)+1 nearby states, and a backtracking line search tries several
-    step scales at once; one batched run costs a fraction of the
-    sequential loop.  Rows never mix, so each output row is the one-row
-    propagation of its input row.
+    step scales at once; above sqrt(tol) the Newton corrector's line
+    search also carries the difference batch of its full step.  Rows never
+    mix, so each output row is bit for bit the one-row flow of its input row.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -188,6 +188,8 @@ class FixedPointResult:
     converged: bool
     iterations: int
     message: str = ""
+    flows: int = 0  # evolve_many calls
+    flow_rows: int = 0  # rows they propagated
 
 
 FD_STEP = 1e-6
@@ -229,6 +231,11 @@ def newton_fixed_point(
     accepted, the same choice a sequential halving loop makes.  Stops when
     the residual l2 norm drops below tol.
 
+    Above sqrt(tol) the full step should not yet converge, so the trials'
+    flow also carries the rest of the difference batch around c + step;
+    when the full step is accepted the next iteration builds its Jacobian
+    from those rows and makes no flow of its own.  Rows never mix.
+
     Ends early, "not contracting", when an accepted step fails to halve a
     residual still above sqrt(tol): converging calls from above 1e-8
     contract by 270x or more per step, while a guess on a degenerate +-n
@@ -238,12 +245,17 @@ def newton_fixed_point(
     g_idx = p0.gauge_index + p0.k
     dim = 2 * p0.k + 1
     m2 = 2 * dim
+    rows = []  # the batch rows of each evolve_many call
+
+    def flow(batch):
+        rows.append(len(batch))
+        return evolve_many(model, batch, 0.0, 1.0, steps)
 
     c = p0.coeffs.copy()
-    flows = evolve_many(model, _fd_batch(c), 0.0, 1.0, steps)
+    jac_rows = flow(_fd_batch(c))
     a = phase_guess
     if a is None:
-        a = float(np.angle(np.vdot(c, flows[0])))
+        a = float(np.angle(np.vdot(c, jac_rows[0])))
 
     def residual_vec(cc, flow_cc, aa):
         r_eq = flow_cc - np.exp(1j * aa) * cc
@@ -257,17 +269,17 @@ def newton_fixed_point(
     # rows 2*alpha and 2*alpha + 1 of the difference batch move component alpha by 1, i
     units = np.kron(np.eye(dim), [[1.0], [1j]])
 
-    r = residual_vec(c, flows[0], a)
+    r = residual_vec(c, jac_rows[0], a)
     rnorm = float(np.linalg.norm(r))
     iters = 0
     message = ""
     while rnorm > tol and iters < max_iter:
-        if iters > 0:  # the first iteration reuses the initial batch
-            flows = evolve_many(model, _fd_batch(c), 0.0, 1.0, steps)
+        if jac_rows is None:  # no difference batch was carried in
+            jac_rows = flow(_fd_batch(c))
         iters += 1
         J = np.zeros((m2 + 2, m2 + 1))
         e_ia = np.exp(1j * a)
-        d_eq = (flows[1:] - flows[0]) / FD_STEP - e_ia * units
+        d_eq = (jac_rows[1:] - jac_rows[0]) / FD_STEP - e_ia * units
         J[:m2:2, :m2] = d_eq.real.T
         J[1:m2:2, :m2] = d_eq.imag.T
         J[m2, :m2:2] = 2.0 * c.real
@@ -280,7 +292,10 @@ def newton_fixed_point(
         delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
         step = delta[:m2:2] + 1j * delta[1:m2:2]
         trials = np.array([c + scale * step for scale in LINE_SEARCH_SCALES])
-        out = evolve_many(model, trials, 0.0, 1.0, steps)
+        carry = rnorm > math.sqrt(tol)  # carry the full step's difference batch
+        batch = np.concatenate([trials, _fd_batch(trials[0])[1:]]) if carry else trials
+        out = flow(batch)
+        jac_rows = None
         rnorm_before = rnorm
         for scale, c_new, flow_new in zip(LINE_SEARCH_SCALES, trials, out):
             a_new = a + scale * delta[m2]
@@ -288,6 +303,8 @@ def newton_fixed_point(
             rn = float(np.linalg.norm(r_new))
             if rn < rnorm:
                 c, a, r, rnorm = c_new, a_new, r_new, rn
+                if carry and scale == 1.0:  # out[0] and out[10:] flow _fd_batch(c)
+                    jac_rows = np.concatenate([out[:1], out[len(trials) :]])
                 break
         else:
             message = "stalled: no descent along the Gauss-Newton direction"
@@ -307,6 +324,8 @@ def newton_fixed_point(
         converged=converged,
         iterations=iters,
         message=message,
+        flows=len(rows),
+        flow_rows=sum(rows),
     )
 
 
@@ -330,8 +349,11 @@ class ContinuationResult:
     entries: list
     converged: bool
     message: str = ""
-    attempts: int = 0  # newton_fixed_point calls, failed ones too; not in to_json
-    corrector_iterations: int = 0  # their summed iterations; not in to_json
+    # not in to_json: corrector calls (failed ones too), their iterations and flows
+    attempts: int = 0
+    corrector_iterations: int = 0
+    flows: int = 0
+    flow_rows: int = 0
 
     @property
     def final(self) -> PathEntry:
@@ -442,25 +464,31 @@ def continue_fixed_point(
     phase = _wrap_phase(-float(n) ** 2)
     entries = []
 
-    # the free state is exact at strength 0; record it with its residual
+    # the free state is exact at strength 0; record it with its residual (one flow)
     res0 = fixed_point_residual(model.with_strength(0.0), point, steps)
     entries.append(PathEntry(0.0, point, phase, res0, 0))
 
     corrector = dict(tol=tol, max_iter=CORRECTOR_ITERS, steps=steps)
-    attempts = iterations = 0
-    prev_eps = 0.0
-    for eps in sched[1:]:
+    totals = dict(attempts=0, corrector_iterations=0, flows=1, flow_rows=1)
+
+    def correct(trial, start, start_phase):
+        res = newton_fixed_point(trial, start, start_phase, **corrector)
+        totals["attempts"] += 1
+        totals["corrector_iterations"] += res.iterations
+        totals["flows"] += res.flows
+        totals["flow_rows"] += res.flow_rows
+        return res
+
+    for prev_eps, eps in zip(sched, sched[1:]):
         lo, lo_point, lo_phase = prev_eps, point, phase
         hi = eps
         depth = 0
         while True:
             trial = model.with_strength(hi)
-            result = newton_fixed_point(trial, lo_point, lo_phase, **corrector)
-            attempts, iterations = attempts + 1, iterations + result.iterations
+            result = correct(trial, lo_point, lo_phase)
             if not result.converged and n != 0:
                 for seed in _pair_seeds(lo_point):
-                    retry = newton_fixed_point(trial, seed, lo_phase, **corrector)
-                    attempts, iterations = attempts + 1, iterations + retry.iterations
+                    retry = correct(trial, seed, lo_phase)
                     if retry.converged:
                         result = retry
                         break
@@ -477,22 +505,9 @@ def continue_fixed_point(
             else:
                 depth += 1
                 if depth > MAX_BISECT:
-                    return ContinuationResult(
-                        n=n,
-                        k=model.k,
-                        entries=entries,
-                        converged=False,
-                        message=(
-                            f"corrector failed at strength {hi:.6g} "
-                            f"after {MAX_BISECT} bisections: {result.message}"
-                        ),
-                        attempts=attempts,
-                        corrector_iterations=iterations,
-                    )
+                    msg = (f"corrector failed at strength {hi:.6g} after "
+                           f"{MAX_BISECT} bisections: {result.message}")
+                    return ContinuationResult(n, model.k, entries, False, msg, **totals)
                 hi = 0.5 * (lo + hi)
-        prev_eps = eps
 
-    return ContinuationResult(
-        n=n, k=model.k, entries=entries, converged=True,
-        attempts=attempts, corrector_iterations=iterations,
-    )
+    return ContinuationResult(n, model.k, entries, True, **totals)

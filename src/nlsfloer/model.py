@@ -144,7 +144,8 @@ class Density:
     def f(self, w, v, t, order: int = 0):
         """f, or its partial derivative of the given order in w.
 
-        At order == power it does not depend on w and is not broadcast to w.
+        At order == power it does not depend on w and is not broadcast to w;
+        from there on w may be None.  t is read only when modulated.
         """
         if order > self.power:
             return np.zeros(np.shape(w))
@@ -256,22 +257,25 @@ class ModelSpec:
         return ModelSpec(kernel, self.nonlinearity, self.k)
 
 
-def _smoothed(model: ModelSpec, coeffs: np.ndarray, t) -> tuple:
-    """z = u * psi on the quadrature grid, w = |z|^2, and t as a column."""
+def _smoothed(model: ModelSpec, coeffs: np.ndarray, t, need_w: bool) -> tuple:
+    """z = u * psi on the grid, w = |z|^2 if need_w, t as a column if modulated."""
     z = synthesize_many(coeffs * model.psi_band, model.k, model.quad_points)
-    return z, np.abs(z) ** 2, np.asarray(t, dtype=float)[..., np.newaxis]
+    w = np.abs(z) ** 2 if need_w else None
+    if not model.nonlinearity.modulated:
+        return z, w, None
+    return z, w, np.asarray(t, dtype=float)[..., np.newaxis]
 
 
 def eval_F_many(model: ModelSpec, coeffs: np.ndarray, t) -> np.ndarray:
     """Batched values of F_t; coeffs has shape (..., 2k+1)."""
-    _, w, t_col = _smoothed(model, coeffs, t)
+    _, w, t_col = _smoothed(model, coeffs, t, True)
     fvals = np.broadcast_to(model.nonlinearity.f(w, model._v, t_col), w.shape)
     return -0.5 * (TWO_PI / model.quad_points) * np.sum(fvals, axis=-1)
 
 
 def grad_F_many(model: ModelSpec, coeffs: np.ndarray, t) -> np.ndarray:
     """Batched L2 gradients of F_t; shapes mirror eval_F_many."""
-    z, w, t_col = _smoothed(model, coeffs, t)
+    z, w, t_col = _smoothed(model, coeffs, t, model.nonlinearity.power == 2)
     d1 = model.nonlinearity.f(w, model._v, t_col, 1)
     return analyze_many(-d1 * z, model.k) * model.psi_band
 
@@ -284,7 +288,7 @@ def grad_F_tangent(model: ModelSpec, coeffs: np.ndarray, t):
     symmetric under Re<.,.>.  Directions have the shape of coeffs.
     """
     nl = model.nonlinearity
-    z, w, t_col = _smoothed(model, coeffs, t)
+    z, w, t_col = _smoothed(model, coeffs, t, nl.power == 2)
     d1 = nl.f(w, model._v, t_col, 1)
     d2 = 2.0 * nl.f(w, model._v, t_col, 2) if nl.power == 2 else None
 

@@ -56,7 +56,9 @@ def synthesize_many(coeffs: np.ndarray, k: int, N: int) -> np.ndarray:
     buf[..., : k + 1] = coeffs[..., k:]
     if k > 0:
         buf[..., N - k :] = coeffs[..., :k]
-    return np.fft.ifft(buf, axis=-1) * (N / ROOT_2PI)
+    out = np.fft.ifft(buf, axis=-1)
+    out *= N / ROOT_2PI
+    return out
 
 
 def analyze_many(values: np.ndarray, k: int) -> np.ndarray:
@@ -64,9 +66,7 @@ def analyze_many(values: np.ndarray, k: int) -> np.ndarray:
     N = values.shape[-1]
     if N < 2 * k + 1:
         raise ValueError(f"grid size {N} aliases bandwidth {k}")
-    spec = np.fft.fft(values, axis=-1) * (ROOT_2PI / N)
-    out = np.empty(values.shape[:-1] + (2 * k + 1,), dtype=np.complex128)
-    out[..., k:] = spec[..., : k + 1]
-    if k > 0:
-        out[..., :k] = spec[..., N - k :]
+    spec = np.fft.fft(values, axis=-1)
+    out = np.concatenate([spec[..., N - k :], spec[..., : k + 1]], axis=-1)
+    out *= ROOT_2PI / N
     return out

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 
@@ -309,7 +310,7 @@ def test_simulate_summary_reports_the_steps_taken(tmp_path):
     assert summary["steps"] == 12
 
 
-def test_fixed_points_pipeline_emits_points_and_distances(tmp_path):
+def test_fixed_points_pipeline_emits_points_and_distances(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
         {
@@ -328,6 +329,10 @@ def test_fixed_points_pipeline_emits_points_and_distances(tmp_path):
     assert (out / "fixed_point_n0.json").exists()
     assert (out / "fixed_point_n1.json").exists()
     assert (out / "distances.csv").exists()
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("fixed-points: n=")]
+    assert len(lines) == 2
+    assert all(re.search(r" flows \d+$", ln) for ln in lines)
 
 
 def test_floer_trivial_solve_takes_zero_iterations(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import nlsfloer.dynamics as dynamics
 from nlsfloer.dynamics import (
     ContinuationResult,
     ProjectivePoint,
@@ -121,6 +122,22 @@ def test_evolve_many_matches_single():
             assert np.max(np.abs(row - v.coeffs)) < 1e-14
 
 
+@pytest.mark.parametrize("k, rows", [(4, 28), (12, 60)])
+def test_evolve_many_rows_are_bitwise_independent(k, rows):
+    # the corrector's line-search flow carries the next difference batch
+    # (2(2k+1)+1 rows) beside the 9 shorter trials; no row may feel the others
+    rng = RNG(k)
+    cos = cosine_field(k)
+    for nl in (Potential(0.05, cos), Quadratic(0.05), TimeModulated(Potential(0.05, cos))):
+        model = ModelSpec(exponential_kernel(1.0, k), nl, k)
+        batch = rng.standard_normal((rows, 2 * k + 1)) + 1j * rng.standard_normal(
+            (rows, 2 * k + 1)
+        )
+        out = evolve_many(model, batch, 0.0, 1.0, steps=30)
+        for row, c in zip(out, batch):
+            assert np.array_equal(row, evolve_many(model, c[np.newaxis], 0.0, 1.0, 30)[0])
+
+
 def test_evolve_flags_blowup():
     model = quadratic_model(k=4, eps=1e8)
     u = random_unit(4, RNG(8))
@@ -228,6 +245,56 @@ def test_newton_fails_fast_when_drifting_on_a_pair_circle():
     assert not res.converged
     assert res.iterations == 1
     assert res.message.startswith("not contracting")
+
+
+def _record_flow_rows(monkeypatch):
+    rows = []
+    evolve_many_ = dynamics.evolve_many
+
+    def recording(model, batch, *args):
+        rows.append(len(batch))
+        return evolve_many_(model, batch, *args)
+
+    monkeypatch.setattr(dynamics, "evolve_many", recording)
+    return rows
+
+
+def test_newton_line_search_carries_the_next_difference_batch(monkeypatch):
+    # the first strength step of the n = 0 continuation: the line search of
+    # iteration 1 propagates the 19-row batch around c + step with the 9
+    # shorter trials, and iteration 2 builds its Jacobian from those rows
+    rows = _record_flow_rows(monkeypatch)
+    res = newton_fixed_point(
+        potential_model(4, 0.005), mode_point(0, 4), 0.0, steps=30, max_iter=25
+    )
+    assert res.converged
+    assert res.iterations == 2
+    assert rows == [19, 28, 10]
+    assert (res.flows, res.flow_rows) == (3, 57)
+
+
+def test_newton_rejected_full_step_makes_its_own_difference_flow(monkeypatch):
+    # the first full step of this guess raises the residual, so iteration 2
+    # propagates its own 7-row difference batch; later full steps are taken
+    rows = _record_flow_rows(monkeypatch)
+    rng = RNG(47)
+    guess = SpectralField(1, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    model = ModelSpec(exponential_kernel(1.0, 1), Quadratic(1.0), 1)
+    res = newton_fixed_point(model, guess, steps=10, max_iter=25)
+    assert res.converged
+    assert res.iterations == 5
+    assert rows == [7, 16, 7, 16, 16, 16, 10]
+    assert (res.flows, res.flow_rows) == (7, sum(rows))
+
+
+def test_continuation_counts_flows(monkeypatch):
+    # 10 two-iteration correctors of 3 flows each, after the free state's flow
+    rows = _record_flow_rows(monkeypatch)
+    out = continue_fixed_point(potential_model(4), n=0, steps=30)
+    assert out.converged
+    assert out.flows == len(rows) == 31
+    assert out.flow_rows == sum(rows)
+    assert "flows" not in out.to_json()
 
 
 def test_continuation_counts_corrector_attempts():
