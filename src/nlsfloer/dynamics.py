@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import ModelSpec, free_phases, grad_F_many
+from .model import GradientStage, ModelSpec, free_phases
 from .spectral import TWO_PI, SpectralField
 
 
@@ -50,6 +50,10 @@ def evolve_many(
     step scales at once; above sqrt(tol) the Newton corrector's line
     search also carries the difference batch of its full step.  Rows never
     mix, so each output row is bit for bit the one-row flow of its input row.
+    A row that loses finiteness is returned as computed; the caller decides.
+
+    The gradient stage (GradientStage) is built once per call and applied
+    at all four RK4 stages of every step.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -59,18 +63,19 @@ def evolve_many(
     h = (t1 - t0) / steps
     half = free_phases(model.k, h / 2.0)
     nl = model.nonlinearity
-    hartree_diag = None
     if nl.diagonal:
         hartree_diag = np.exp(-1j * nl.strength * model.psi_band**2 * h)
+    else:
+        stage = GradientStage(model, c.shape[:1])
 
     def field(cc, tau):
-        return 1j * grad_F_many(model, cc, tau)
+        return 1j * stage(cc, tau)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(steps):
             t = t0 + j * h
             c *= half
-            if hartree_diag is not None:
+            if nl.diagonal:
                 c *= hartree_diag
             else:
                 k1 = field(c, t)
@@ -79,11 +84,6 @@ def evolve_many(
                 k4 = field(c + h * k3, t + h)
                 c += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             c *= half
-            if not np.all(np.isfinite(c)):
-                raise ArithmeticError(
-                    f"propagation lost finiteness at step {j + 1}/{steps} "
-                    f"(t = {t + h:.6g})"
-                )
     return c
 
 
@@ -91,8 +91,12 @@ def evolve(
     model: ModelSpec, u: SpectralField, t0: float, t1: float, steps: int = 400
 ) -> SpectralField:
     """Strang split-step propagation of a single field at the model bandwidth."""
-    out = evolve_many(model, u.coeffs[np.newaxis], t0, t1, steps)
-    return SpectralField(model.k, out[0])
+    out = evolve_many(model, u.coeffs[np.newaxis], t0, t1, steps)[0]
+    if not np.all(np.isfinite(out)):
+        raise ArithmeticError(
+            f"propagation from t = {t0:.6g} to {t1:.6g} lost finiteness"
+        )
+    return SpectralField(model.k, out)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +194,7 @@ class FixedPointResult:
     message: str = ""
     flows: int = 0  # evolve_many calls
     flow_rows: int = 0  # rows they propagated
+    backtracks: int = 0  # summed index in LINE_SEARCH_SCALES of the accepted trials
 
 
 FD_STEP = 1e-6
@@ -236,6 +241,11 @@ def newton_fixed_point(
     when the full step is accepted the next iteration builds its Jacobian
     from those rows and makes no flow of its own.  Rows never mix.
 
+    A trial whose flow loses finiteness is rejected like one that raises
+    the residual, and carried rows serve only when all are finite.  A
+    difference flow the corrector makes itself must be finite, or it
+    raises ArithmeticError.
+
     Ends early, "not contracting", when an accepted step fails to halve a
     residual still above sqrt(tol): converging calls from above 1e-8
     contract by 270x or more per step, while a guess on a degenerate +-n
@@ -251,8 +261,14 @@ def newton_fixed_point(
         rows.append(len(batch))
         return evolve_many(model, batch, 0.0, 1.0, steps)
 
+    def difference_flow(cc):
+        out = flow(_fd_batch(cc))
+        if not np.all(np.isfinite(out)):
+            raise ArithmeticError("the corrector's difference flow lost finiteness")
+        return out
+
     c = p0.coeffs.copy()
-    jac_rows = flow(_fd_batch(c))
+    jac_rows = difference_flow(c)
     a = phase_guess
     if a is None:
         a = float(np.angle(np.vdot(c, jac_rows[0])))
@@ -272,10 +288,11 @@ def newton_fixed_point(
     r = residual_vec(c, jac_rows[0], a)
     rnorm = float(np.linalg.norm(r))
     iters = 0
+    backtracks = 0
     message = ""
     while rnorm > tol and iters < max_iter:
-        if jac_rows is None:  # no difference batch was carried in
-            jac_rows = flow(_fd_batch(c))
+        if jac_rows is None:  # none carried in, or a carried row was not finite
+            jac_rows = difference_flow(c)
         iters += 1
         J = np.zeros((m2 + 2, m2 + 1))
         e_ia = np.exp(1j * a)
@@ -297,14 +314,19 @@ def newton_fixed_point(
         out = flow(batch)
         jac_rows = None
         rnorm_before = rnorm
-        for scale, c_new, flow_new in zip(LINE_SEARCH_SCALES, trials, out):
+        for i, scale in enumerate(LINE_SEARCH_SCALES):
+            if not np.all(np.isfinite(out[i])):
+                continue
             a_new = a + scale * delta[m2]
-            r_new = residual_vec(c_new, flow_new, a_new)
+            r_new = residual_vec(trials[i], out[i], a_new)
             rn = float(np.linalg.norm(r_new))
             if rn < rnorm:
-                c, a, r, rnorm = c_new, a_new, r_new, rn
-                if carry and scale == 1.0:  # out[0] and out[10:] flow _fd_batch(c)
-                    jac_rows = np.concatenate([out[:1], out[len(trials) :]])
+                c, a, r, rnorm = trials[i], a_new, r_new, rn
+                backtracks += i
+                if carry and i == 0:  # out[0] and out[10:] flow _fd_batch(c)
+                    fd_rows = np.concatenate([out[:1], out[len(trials) :]])
+                    if np.all(np.isfinite(fd_rows)):
+                        jac_rows = fd_rows
                 break
         else:
             message = "stalled: no descent along the Gauss-Newton direction"
@@ -326,6 +348,7 @@ def newton_fixed_point(
         message=message,
         flows=len(rows),
         flow_rows=sum(rows),
+        backtracks=backtracks,
     )
 
 
@@ -349,11 +372,13 @@ class ContinuationResult:
     entries: list
     converged: bool
     message: str = ""
-    # not in to_json: corrector calls (failed ones too), their iterations and flows
+    # not in to_json: corrector calls (failed ones too), their iterations,
+    # flows and line-search backtracks
     attempts: int = 0
     corrector_iterations: int = 0
     flows: int = 0
     flow_rows: int = 0
+    backtracks: int = 0
 
     @property
     def final(self) -> PathEntry:
@@ -469,7 +494,9 @@ def continue_fixed_point(
     entries.append(PathEntry(0.0, point, phase, res0, 0))
 
     corrector = dict(tol=tol, max_iter=CORRECTOR_ITERS, steps=steps)
-    totals = dict(attempts=0, corrector_iterations=0, flows=1, flow_rows=1)
+    totals = dict(
+        attempts=0, corrector_iterations=0, flows=1, flow_rows=1, backtracks=0
+    )
 
     def correct(trial, start, start_phase):
         res = newton_fixed_point(trial, start, start_phase, **corrector)
@@ -477,6 +504,7 @@ def continue_fixed_point(
         totals["corrector_iterations"] += res.iterations
         totals["flows"] += res.flows
         totals["flow_rows"] += res.flow_rows
+        totals["backtracks"] += res.backtracks
         return res
 
     for prev_eps, eps in zip(sched, sched[1:]):

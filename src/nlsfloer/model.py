@@ -273,11 +273,51 @@ def eval_F_many(model: ModelSpec, coeffs: np.ndarray, t) -> np.ndarray:
     return -0.5 * (TWO_PI / model.quad_points) * np.sum(fvals, axis=-1)
 
 
+class GradientStage:
+    """grad F_t on batches of one shape: built once, applied at every RK4 stage.
+
+    It keeps what does not depend on the state: -d1f when the density is
+    linear in w (power <= 1) and not modulated, and the psi-weighted
+    coefficient, zero-padded synthesis, grid and band buffers, so a call
+    allocates only its result.  Each call makes the floating-point
+    operations of a fresh stage in the same order, so a reused stage is
+    bit for bit grad_F_many.
+    """
+
+    def __init__(self, model: ModelSpec, shape: tuple):
+        nl = model.nonlinearity
+        dim = 2 * model.k + 1
+        N = model.quad_points
+        self.model = model
+        self._weighted = np.empty(shape + (dim,), dtype=np.complex128)
+        self._pad = np.zeros(shape + (N,), dtype=np.complex128)
+        self._grid = np.empty(shape + (N,), dtype=np.complex128)
+        self._band = np.empty(shape + (dim,), dtype=np.complex128)
+        self._neg_d1 = None
+        if nl.power < 2 and not nl.modulated:
+            self._neg_d1 = -nl.f(None, model._v, None, 1)
+
+    def __call__(self, coeffs: np.ndarray, t) -> np.ndarray:
+        model = self.model
+        nl = model.nonlinearity
+        np.multiply(coeffs, model.psi_band, out=self._weighted)
+        z = synthesize_many(
+            self._weighted, model.k, model.quad_points, out=self._grid, pad=self._pad
+        )
+        neg_d1 = self._neg_d1
+        if neg_d1 is None:
+            w = np.abs(z) ** 2 if nl.power == 2 else None
+            t_col = None
+            if nl.modulated:
+                t_col = np.asarray(t, dtype=float)[..., np.newaxis]
+            neg_d1 = -nl.f(w, model._v, t_col, 1)
+        np.multiply(neg_d1, z, out=z)
+        return analyze_many(z, model.k, out=self._band, spec=z) * model.psi_band
+
+
 def grad_F_many(model: ModelSpec, coeffs: np.ndarray, t) -> np.ndarray:
     """Batched L2 gradients of F_t; shapes mirror eval_F_many."""
-    z, w, t_col = _smoothed(model, coeffs, t, model.nonlinearity.power == 2)
-    d1 = model.nonlinearity.f(w, model._v, t_col, 1)
-    return analyze_many(-d1 * z, model.k) * model.psi_band
+    return GradientStage(model, np.shape(coeffs)[:-1])(coeffs, t)
 
 
 def grad_F_tangent(model: ModelSpec, coeffs: np.ndarray, t):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -47,26 +48,50 @@ class SpectralField:
         return float(np.linalg.norm(self.coeffs))
 
 
-def synthesize_many(coeffs: np.ndarray, k: int, N: int) -> np.ndarray:
-    """Batched synthesis: coeffs has shape (..., 2k+1), output (..., N)."""
+def synthesize_many(
+    coeffs: np.ndarray,
+    k: int,
+    N: int,
+    out: Optional[np.ndarray] = None,
+    pad: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Batched synthesis: coeffs has shape (..., 2k+1), output (..., N).
+
+    A caller that synthesizes many batches of one shape can pass the
+    buffers: pad is zero outside its band columns (they are overwritten),
+    and out receives the values.
+    """
     if N < 2 * k + 1:
         raise ValueError(f"grid size {N} cannot represent bandwidth {k}")
-    shape = coeffs.shape[:-1] + (N,)
-    buf = np.zeros(shape, dtype=np.complex128)
-    buf[..., : k + 1] = coeffs[..., k:]
+    if pad is None:
+        pad = np.zeros(coeffs.shape[:-1] + (N,), dtype=np.complex128)
+    pad[..., : k + 1] = coeffs[..., k:]
     if k > 0:
-        buf[..., N - k :] = coeffs[..., :k]
-    out = np.fft.ifft(buf, axis=-1)
+        pad[..., N - k :] = coeffs[..., :k]
+    out = np.fft.ifft(pad, axis=-1, out=out)
     out *= N / ROOT_2PI
     return out
 
 
-def analyze_many(values: np.ndarray, k: int) -> np.ndarray:
-    """Batched analysis: values has shape (..., N), output (..., 2k+1)."""
+def analyze_many(
+    values: np.ndarray,
+    k: int,
+    out: Optional[np.ndarray] = None,
+    spec: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Batched analysis: values has shape (..., N), output (..., 2k+1).
+
+    A caller can pass the buffers: spec receives the full N-point
+    spectrum (it may be values itself, which is then overwritten), and
+    out the band.
+    """
     N = values.shape[-1]
     if N < 2 * k + 1:
         raise ValueError(f"grid size {N} aliases bandwidth {k}")
-    spec = np.fft.fft(values, axis=-1)
-    out = np.concatenate([spec[..., N - k :], spec[..., : k + 1]], axis=-1)
-    out *= ROOT_2PI / N
+    spec = np.fft.fft(values, axis=-1, out=spec)
+    if out is None:
+        out = np.empty(values.shape[:-1] + (2 * k + 1,), dtype=np.complex128)
+    scale = ROOT_2PI / N
+    np.multiply(spec[..., N - k :], scale, out=out[..., :k])
+    np.multiply(spec[..., : k + 1], scale, out=out[..., k:])
     return out

@@ -15,7 +15,13 @@ from nlsfloer.floer import (
     _smooth_step,
 )
 from nlsfloer.model import ModelSpec, mode_squares
-from nlsfloer.spectral import TWO_PI, SpectralField, analyze_many, synthesize_many
+from nlsfloer.spectral import (
+    ROOT_2PI,
+    TWO_PI,
+    SpectralField,
+    analyze_many,
+    synthesize_many,
+)
 
 
 @dataclass
@@ -102,3 +108,64 @@ def floer_residual_twisted(
     back = R * phases[None]
     norm = math.sqrt(grid.ds * grid.dt * float(np.sum(np.abs(back) ** 2)))
     return FloerResidual(field=back, norm=norm)
+
+
+def reference_grad(model: ModelSpec, coeffs: np.ndarray, t) -> np.ndarray:
+    """grad F_t from np.fft primitives, in the order of operations of the flow.
+
+    Written out step by step so that a rewrite of the package's gradient
+    stage which changes any floating-point operation or its order shows
+    as a bitwise difference.
+    """
+    k, N, psi = model.k, model.quad_points, model.psi_band
+    nl = model.nonlinearity
+    # 1. psi-multiply, then pad
+    x = coeffs * psi
+    pad = np.zeros(x.shape[:-1] + (N,), dtype=np.complex128)
+    pad[..., : k + 1] = x[..., k:]
+    pad[..., N - k :] = x[..., :k]
+    # 2. ifft, then scale by N / sqrt(2pi)
+    z = np.fft.ifft(pad, axis=-1)
+    z *= N / ROOT_2PI
+    # 3. d1 = d f / d w, then multiply by -d1
+    if nl.power == 0:
+        d1 = np.zeros(())
+    else:
+        d1 = nl.power * nl.strength * model._v
+        if nl.power == 2:
+            d1 = d1 * np.abs(z) ** 2
+        if nl.modulated:
+            t_col = np.asarray(t, dtype=float)[..., np.newaxis]
+            d1 = (1.0 + np.cos(TWO_PI * t_col)) * d1
+    g = -d1 * z
+    # 4. fft, take the band, scale by sqrt(2pi) / N, multiply by psi
+    spec = np.fft.fft(g, axis=-1)
+    band = np.concatenate([spec[..., N - k :], spec[..., : k + 1]], axis=-1)
+    band *= ROOT_2PI / N
+    return band * psi
+
+
+def reference_evolve(
+    model: ModelSpec, coeffs: np.ndarray, t0: float, t1: float, steps: int
+) -> np.ndarray:
+    """The Strang-split RK4 flow of a non-diagonal density over reference_grad."""
+    assert not model.nonlinearity.diagonal
+    c = np.array(coeffs, dtype=np.complex128)
+    h = (t1 - t0) / steps
+    half = np.exp(-1j * mode_squares(model.k) * (h / 2.0))
+
+    def field(cc, tau):
+        # 5. multiply by 1j
+        return 1j * reference_grad(model, cc, tau)
+
+    # 6. the RK4 combination between the two half free steps
+    for j in range(steps):
+        t = t0 + j * h
+        c *= half
+        k1 = field(c, t)
+        k2 = field(c + 0.5 * h * k1, t + 0.5 * h)
+        k3 = field(c + 0.5 * h * k2, t + 0.5 * h)
+        k4 = field(c + h * k3, t + h)
+        c += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        c *= half
+    return c

@@ -20,6 +20,7 @@ from nlsfloer.dynamics import (
     newton_fixed_point,
 )
 from nlsfloer.model import (
+    Constant,
     Hartree,
     ModelSpec,
     Potential,
@@ -29,6 +30,7 @@ from nlsfloer.model import (
     exponential_kernel,
 )
 from nlsfloer.spectral import SpectralField
+from reference import reference_evolve
 
 RNG = np.random.default_rng
 
@@ -136,6 +138,29 @@ def test_evolve_many_rows_are_bitwise_independent(k, rows):
         out = evolve_many(model, batch, 0.0, 1.0, steps=30)
         for row, c in zip(out, batch):
             assert np.array_equal(row, evolve_many(model, c[np.newaxis], 0.0, 1.0, 30)[0])
+
+
+@pytest.mark.parametrize("k, rows", [(4, 1), (4, 28), (12, 60)])
+def test_evolve_many_is_bitwise_the_reference_rk4(k, rows):
+    # the flow builds its gradient stage once and reuses its buffers; every
+    # float must stay that of the one-shot stage, because the continued
+    # n = 2 and n = 3 points move under any change of rounding
+    rng = RNG(100 + k + rows)
+    cos = cosine_field(k)
+    kinds = (
+        Constant(0.3),
+        Quadratic(0.05),
+        Potential(0.05, cos),
+        TimeModulated(Potential(0.05, cos)),
+        TimeModulated(Quadratic(0.05)),
+    )
+    for nl in kinds:
+        model = ModelSpec(exponential_kernel(1.0, k), nl, k)
+        batch = rng.standard_normal((rows, 2 * k + 1)) + 1j * rng.standard_normal(
+            (rows, 2 * k + 1)
+        )
+        out = evolve_many(model, batch, 0.0, 1.0, 30)
+        assert np.array_equal(out, reference_evolve(model, batch, 0.0, 1.0, 30))
 
 
 def test_evolve_flags_blowup():
@@ -271,6 +296,7 @@ def test_newton_line_search_carries_the_next_difference_batch(monkeypatch):
     assert res.iterations == 2
     assert rows == [19, 28, 10]
     assert (res.flows, res.flow_rows) == (3, 57)
+    assert res.backtracks == 0
 
 
 def test_newton_rejected_full_step_makes_its_own_difference_flow(monkeypatch):
@@ -285,6 +311,40 @@ def test_newton_rejected_full_step_makes_its_own_difference_flow(monkeypatch):
     assert res.iterations == 5
     assert rows == [7, 16, 7, 16, 16, 16, 10]
     assert (res.flows, res.flow_rows) == (7, sum(rows))
+    assert res.backtracks >= 1
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_newton_backtracks_past_a_full_step_that_overflows(seed, monkeypatch):
+    # the first full-step trial of these guesses loses finiteness, the
+    # shorter trials do not: the line search must reject it and go on
+    flows = []
+    evolve_many_ = dynamics.evolve_many
+
+    def recording(model, batch, *args):
+        out = evolve_many_(model, batch, *args)
+        flows.append(out)
+        return out
+
+    monkeypatch.setattr(dynamics, "evolve_many", recording)
+    rng = RNG(seed)
+    guess = SpectralField(1, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    model = ModelSpec(exponential_kernel(1.0, 1), Quadratic(2.0), 1)
+    first = newton_fixed_point(model, guess, steps=10, max_iter=1)
+    assert not np.all(np.isfinite(flows[1][0]))
+    assert first.iterations == 1
+    assert first.backtracks >= 1
+    assert not first.message.startswith("stalled")
+    res = newton_fixed_point(model, guess, steps=10, max_iter=25)
+    assert res.iterations >= 1
+    assert res.backtracks >= 1
+    assert np.isfinite(res.residual)
+
+
+def test_newton_raises_when_its_difference_flow_blows_up():
+    model = quadratic_model(k=4, eps=1e8)
+    with pytest.raises(ArithmeticError):
+        newton_fixed_point(model, random_unit(4, RNG(8)), steps=4)
 
 
 def test_continuation_counts_flows(monkeypatch):
@@ -305,6 +365,21 @@ def test_continuation_counts_corrector_attempts():
     assert out.attempts == 11
     assert out.corrector_iterations <= 21
     assert "attempts" not in out.to_json()
+
+
+def test_continuation_sums_backtracks(monkeypatch):
+    # n = 1's failed first attempt backtracks; the sum stays out of to_json
+    results = []
+    newton = dynamics.newton_fixed_point
+
+    def recording(*args, **kwargs):
+        results.append(newton(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(dynamics, "newton_fixed_point", recording)
+    out = continue_fixed_point(potential_model(4), n=1, steps=30)
+    assert out.backtracks == sum(r.backtracks for r in results) > 0
+    assert "backtracks" not in out.to_json()
 
 
 def test_continuation_free_schedule_is_trivial():

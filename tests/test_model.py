@@ -26,6 +26,7 @@ from nlsfloer.model import (
     truncate_kernel,
 )
 from nlsfloer.spectral import ROOT_2PI
+from reference import reference_grad
 
 RNG = np.random.default_rng
 
@@ -128,6 +129,19 @@ def test_time_periodicity():
 
 # ---------------------------------------------------------------------------
 # gradients
+
+
+def test_grad_F_many_on_a_3d_batch_is_bitwise_the_reference():
+    # the floer solve evaluates the gradient on (N_s, N_t, 2k+1) node arrays
+    k = 4
+    rng = RNG(31)
+    coeffs = rng.standard_normal((3, 5, 2 * k + 1)) + 1j * rng.standard_normal(
+        (3, 5, 2 * k + 1)
+    )
+    t = rng.uniform(size=(3, 5))
+    modulated = TimeModulated(Potential(0.05, cosine_field(k)))
+    for m in catalog(k) + [ModelSpec(exponential_kernel(1.0, k), modulated, k)]:
+        assert np.array_equal(grad_F_many(m, coeffs, t), reference_grad(m, coeffs, t))
 
 
 def test_hartree_gradient_is_diagonal():
