@@ -47,9 +47,9 @@ def evolve_many(
     coeffs has shape (M, 2k+1) at the model bandwidth.  The batch form
     exists because finite-difference Jacobians re-run the same flow for
     2(2k+1)+1 nearby states, and a backtracking line search tries several
-    step scales at once; above sqrt(tol) the Newton corrector's line
-    search also carries the difference batch of its full step.  Rows never
-    mix, so each output row is bit for bit the one-row flow of its input row.
+    step scales at once; the Newton corrector's line search also carries a
+    difference batch, at a continuation's next strength if the model's is an
+    (M, 1) column.  Rows never mix: each row is bit for bit its one-row flow.
     A row that loses finiteness is returned as computed; the caller decides.
 
     The gradient stage (GradientStage) is built once per call and applied
@@ -195,6 +195,7 @@ class FixedPointResult:
     flows: int = 0  # evolve_many calls
     flow_rows: int = 0  # rows they propagated
     backtracks: int = 0  # summed index in LINE_SEARCH_SCALES of the accepted trials
+    next_rows: Optional[np.ndarray] = None  # see newton_fixed_point's next_strength
 
 
 FD_STEP = 1e-6
@@ -224,6 +225,8 @@ def newton_fixed_point(
     tol: float = 1e-10,
     max_iter: int = 150,
     steps: int = 400,
+    jac_rows: Optional[np.ndarray] = None,
+    next_strength: Optional[float] = None,
 ) -> FixedPointResult:
     """Solve flow_1(u) = exp(i a) u on the unit sphere with a pinned gauge.
 
@@ -241,6 +244,11 @@ def newton_fixed_point(
     when the full step is accepted the next iteration builds its Jacobian
     from those rows and makes no flow of its own.  Rows never mix.
 
+    Given next_strength, a line search below sqrt(tol) carries the batch at
+    that strength around gauge_fix(result.point), where the next attempt
+    starts; a converging full step returns its flow as next_rows, and
+    passed back as jac_rows it is that attempt's first Jacobian.
+
     A trial whose flow loses finiteness is rejected like one that raises
     the residual, and carried rows serve only when all are finite.  A
     difference flow the corrector makes itself must be finite, or it
@@ -257,9 +265,9 @@ def newton_fixed_point(
     m2 = 2 * dim
     rows = []  # the batch rows of each evolve_many call
 
-    def flow(batch):
+    def flow(batch, flow_model=model):
         rows.append(len(batch))
-        return evolve_many(model, batch, 0.0, 1.0, steps)
+        return evolve_many(flow_model, batch, 0.0, 1.0, steps)
 
     def difference_flow(cc):
         out = flow(_fd_batch(cc))
@@ -268,7 +276,8 @@ def newton_fixed_point(
         return out
 
     c = p0.coeffs.copy()
-    jac_rows = difference_flow(c)
+    if jac_rows is None:
+        jac_rows = difference_flow(c)
     a = phase_guess
     if a is None:
         a = float(np.angle(np.vdot(c, jac_rows[0])))
@@ -290,6 +299,7 @@ def newton_fixed_point(
     iters = 0
     backtracks = 0
     message = ""
+    next_rows = None
     while rnorm > tol and iters < max_iter:
         if jac_rows is None:  # none carried in, or a carried row was not finite
             jac_rows = difference_flow(c)
@@ -310,9 +320,18 @@ def newton_fixed_point(
         step = delta[:m2:2] + 1j * delta[1:m2:2]
         trials = np.array([c + scale * step for scale in LINE_SEARCH_SCALES])
         carry = rnorm > math.sqrt(tol)  # carry the full step's difference batch
-        batch = np.concatenate([trials, _fd_batch(trials[0])[1:]]) if carry else trials
-        out = flow(batch)
-        jac_rows = None
+        ahead = not carry and next_strength is not None
+        batch, batch_model = trials, model
+        if carry:
+            batch = np.concatenate([trials, _fd_batch(trials[0])[1:]])
+        elif ahead:  # one strength per row, the trials' then the next attempt's
+            start = gauge_fix(gauge_fix(SpectralField(p0.k, trials[0])))
+            batch = np.concatenate([trials, _fd_batch(start.coeffs)])
+            column = np.full((len(batch), 1), next_strength)
+            column[: len(trials)] = model.nonlinearity.strength
+            batch_model = model.with_strength(column)
+        out = flow(batch, batch_model)
+        jac_rows = next_rows = None
         rnorm_before = rnorm
         for i, scale in enumerate(LINE_SEARCH_SCALES):
             if not np.all(np.isfinite(out[i])):
@@ -327,6 +346,8 @@ def newton_fixed_point(
                     fd_rows = np.concatenate([out[:1], out[len(trials) :]])
                     if np.all(np.isfinite(fd_rows)):
                         jac_rows = fd_rows
+                if ahead and i == 0 and np.all(np.isfinite(out[len(trials) :])):
+                    next_rows = out[len(trials) :]
                 break
         else:
             message = "stalled: no descent along the Gauss-Newton direction"
@@ -349,6 +370,7 @@ def newton_fixed_point(
         flows=len(rows),
         flow_rows=sum(rows),
         backtracks=backtracks,
+        next_rows=next_rows if converged else None,
     )
 
 
@@ -461,10 +483,12 @@ def continue_fixed_point(
     """Continue the free single-mode state to the model's full strength.
 
     The schedule starts at 0; each step reuses the previous corrected
-    state (and phase) as predictor.  A corrector that stalls is retried
-    from the reflection-symmetrized combinations of the predictor before
-    the strength interval is bisected (up to MAX_BISECT times); partial
-    paths are returned with converged=False rather than discarded.
+    state (and phase) as predictor, and the flow of its first Jacobian,
+    which the previous attempt (or the free state's flow) carried.  A
+    corrector that stalls is retried from the reflection-symmetrized
+    combinations of the predictor before the strength interval is bisected
+    (up to MAX_BISECT times); partial paths are returned with
+    converged=False rather than discarded.
 
     CORRECTOR_ITERS is a per-attempt backstop.  What fails a predictor
     caught on a degenerate pair circle over to the seeded retries quickly
@@ -489,17 +513,24 @@ def continue_fixed_point(
     phase = _wrap_phase(-float(n) ** 2)
     entries = []
 
-    # the free state is exact at strength 0; record it with its residual (one flow)
-    res0 = fixed_point_residual(model.with_strength(0.0), point, steps)
-    entries.append(PathEntry(0.0, point, phase, res0, 0))
+    # the free state is exact at strength 0; record it with its residual.  Its
+    # flow also carries the first attempt's difference batch, at sched[1].
+    batch, column = point.coeffs[np.newaxis], np.zeros((1, 1))
+    if len(sched) > 1:
+        batch = np.concatenate([batch, _fd_batch(gauge_fix(point).coeffs)])
+        column = np.full((len(batch), 1), sched[1])
+        column[0] = 0.0
+    out = evolve_many(model.with_strength(column), batch, 0.0, 1.0, steps)
+    entries.append(PathEntry(0.0, point, phase, fs_distance(out[0], point.coeffs), 0))
+    carried = out[1:] if np.all(np.isfinite(out)) else None
 
     corrector = dict(tol=tol, max_iter=CORRECTOR_ITERS, steps=steps)
     totals = dict(
-        attempts=0, corrector_iterations=0, flows=1, flow_rows=1, backtracks=0
+        attempts=0, corrector_iterations=0, flows=1, flow_rows=len(batch), backtracks=0
     )
 
-    def correct(trial, start, start_phase):
-        res = newton_fixed_point(trial, start, start_phase, **corrector)
+    def correct(trial, start, start_phase, **carry):
+        res = newton_fixed_point(trial, start, start_phase, **corrector, **carry)
         totals["attempts"] += 1
         totals["corrector_iterations"] += res.iterations
         totals["flows"] += res.flows
@@ -507,19 +538,24 @@ def continue_fixed_point(
         totals["backtracks"] += res.backtracks
         return res
 
-    for prev_eps, eps in zip(sched, sched[1:]):
+    for i, (prev_eps, eps) in enumerate(zip(sched, sched[1:])):
+        after = sched[i + 2] if i + 2 < len(sched) else None
         lo, lo_point, lo_phase = prev_eps, point, phase
         hi = eps
         depth = 0
         while True:
             trial = model.with_strength(hi)
-            result = correct(trial, lo_point, lo_phase)
+            ahead = after if hi == eps else eps  # the next attempt's strength
+            result = correct(
+                trial, lo_point, lo_phase, jac_rows=carried, next_strength=ahead
+            )
             if not result.converged and n != 0:
                 for seed in _pair_seeds(lo_point):
-                    retry = correct(trial, seed, lo_phase)
+                    retry = correct(trial, seed, lo_phase, next_strength=ahead)
                     if retry.converged:
                         result = retry
                         break
+            carried = result.next_rows
             if result.converged:
                 if hi == eps:
                     point, phase = result.point, result.phase

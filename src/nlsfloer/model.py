@@ -114,7 +114,8 @@ class Density:
     w is the smoothed intensity |u * psi|^2 >= 0.  V is a real band-limited
     multiplier (None for V = 1) and a(t) = 1 + cos(2pi t) when modulated,
     1 otherwise, so every density is 1-periodic in t.  f takes the values v
-    of V on the model's quadrature grid (see ModelSpec), or 1.0.
+    of V on the model's quadrature grid (see ModelSpec), or 1.0.  strength
+    may be an (M, 1) column, one strength per row of a batch.
     """
 
     strength: float
@@ -276,12 +277,12 @@ def eval_F_many(model: ModelSpec, coeffs: np.ndarray, t) -> np.ndarray:
 class GradientStage:
     """grad F_t on batches of one shape: built once, applied at every RK4 stage.
 
-    It keeps what does not depend on the state: -d1f when the density is
-    linear in w (power <= 1) and not modulated, and the psi-weighted
-    coefficient, zero-padded synthesis, grid and band buffers, so a call
-    allocates only its result.  Each call makes the floating-point
-    operations of a fresh stage in the same order, so a reused stage is
-    bit for bit grad_F_many.
+    It keeps what does not depend on the state: psi and, for a density linear
+    in w and not modulated, -d1f, as complex arrays (numpy casts them so),
+    and the psi-weighted coefficient, zero-padded synthesis, grid and band
+    buffers, so a call allocates only its result.  Each call makes the
+    floating-point operations of a fresh stage in the same order, so a
+    reused stage is bit for bit grad_F_many.
     """
 
     def __init__(self, model: ModelSpec, shape: tuple):
@@ -289,18 +290,19 @@ class GradientStage:
         dim = 2 * model.k + 1
         N = model.quad_points
         self.model = model
+        self._psi = model.psi_band.astype(np.complex128)
         self._weighted = np.empty(shape + (dim,), dtype=np.complex128)
         self._pad = np.zeros(shape + (N,), dtype=np.complex128)
         self._grid = np.empty(shape + (N,), dtype=np.complex128)
         self._band = np.empty(shape + (dim,), dtype=np.complex128)
         self._neg_d1 = None
         if nl.power < 2 and not nl.modulated:
-            self._neg_d1 = -nl.f(None, model._v, None, 1)
+            self._neg_d1 = np.asarray(-nl.f(None, model._v, None, 1), np.complex128)
 
     def __call__(self, coeffs: np.ndarray, t) -> np.ndarray:
         model = self.model
         nl = model.nonlinearity
-        np.multiply(coeffs, model.psi_band, out=self._weighted)
+        np.multiply(coeffs, self._psi, out=self._weighted)
         z = synthesize_many(
             self._weighted, model.k, model.quad_points, out=self._grid, pad=self._pad
         )
@@ -312,7 +314,7 @@ class GradientStage:
                 t_col = np.asarray(t, dtype=float)[..., np.newaxis]
             neg_d1 = -nl.f(w, model._v, t_col, 1)
         np.multiply(neg_d1, z, out=z)
-        return analyze_many(z, model.k, out=self._band, spec=z) * model.psi_band
+        return analyze_many(z, model.k, out=self._band, spec=z) * self._psi
 
 
 def grad_F_many(model: ModelSpec, coeffs: np.ndarray, t) -> np.ndarray:

@@ -5,6 +5,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from nlsfloer.dynamics import (
+    CORRECTOR_ITERS,
+    ContinuationResult,
+    PathEntry,
+    _wrap_phase,
+    fixed_point_residual,
+    mode_point,
+    newton_fixed_point,
+)
 from nlsfloer.floer import (
     CutoffProfile,
     FloerResidual,
@@ -169,3 +178,28 @@ def reference_evolve(
         c += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         c *= half
     return c
+
+
+def reference_continuation(
+    model: ModelSpec, n: int, steps: int, tol: float = 1e-10
+) -> ContinuationResult:
+    """continue_fixed_point over the default schedule, one plain corrector per step.
+
+    Every attempt makes its own difference flows and the free state's
+    residual is a flow of its own; nothing is carried from one strength
+    to the next.  Only paths whose every step converges at the first
+    attempt (no pair seed, no bisection) are covered.
+    """
+    point = mode_point(n, model.k)
+    phase = _wrap_phase(-float(n) ** 2)
+    res0 = fixed_point_residual(model.with_strength(0.0), point, steps)
+    entries = [PathEntry(0.0, point, phase, res0, 0)]
+    for eps in np.linspace(0.0, model.nonlinearity.strength, 11)[1:]:
+        eps = float(eps)
+        res = newton_fixed_point(
+            model.with_strength(eps), point, phase, tol, CORRECTOR_ITERS, steps
+        )
+        assert res.converged, f"strength {eps}: {res.message}"
+        point, phase = res.point, res.phase
+        entries.append(PathEntry(eps, point, phase, res.residual, res.iterations))
+    return ContinuationResult(n, model.k, entries, True)

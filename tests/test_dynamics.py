@@ -9,6 +9,7 @@ import nlsfloer.dynamics as dynamics
 from nlsfloer.dynamics import (
     ContinuationResult,
     ProjectivePoint,
+    _fd_batch,
     continue_fixed_point,
     evolve,
     evolve_many,
@@ -30,7 +31,7 @@ from nlsfloer.model import (
     exponential_kernel,
 )
 from nlsfloer.spectral import SpectralField
-from reference import reference_evolve
+from reference import reference_continuation, reference_evolve
 
 RNG = np.random.default_rng
 
@@ -127,10 +128,19 @@ def test_evolve_many_matches_single():
 @pytest.mark.parametrize("k, rows", [(4, 28), (12, 60)])
 def test_evolve_many_rows_are_bitwise_independent(k, rows):
     # the corrector's line-search flow carries the next difference batch
-    # (2(2k+1)+1 rows) beside the 9 shorter trials; no row may feel the others
+    # (2(2k+1)+1 rows) beside the 9 shorter trials, at this strength or, in
+    # a continuation, at the next one; no row may feel the others
     rng = RNG(k)
     cos = cosine_field(k)
-    for nl in (Potential(0.05, cos), Quadratic(0.05), TimeModulated(Potential(0.05, cos))):
+    kinds = (
+        Constant(0.3),
+        Hartree(0.1),
+        Quadratic(0.05),
+        Potential(0.05, cos),
+        TimeModulated(Potential(0.05, cos)),
+    )
+    strengths = np.concatenate([[0.0, 0.05], rng.uniform(-0.1, 0.1, rows - 2)])
+    for nl in kinds:
         model = ModelSpec(exponential_kernel(1.0, k), nl, k)
         batch = rng.standard_normal((rows, 2 * k + 1)) + 1j * rng.standard_normal(
             (rows, 2 * k + 1)
@@ -138,6 +148,11 @@ def test_evolve_many_rows_are_bitwise_independent(k, rows):
         out = evolve_many(model, batch, 0.0, 1.0, steps=30)
         for row, c in zip(out, batch):
             assert np.array_equal(row, evolve_many(model, c[np.newaxis], 0.0, 1.0, 30)[0])
+        column = strengths[:, np.newaxis]
+        mixed = evolve_many(model.with_strength(column), batch, 0.0, 1.0, 30)
+        for row, c, eps in zip(mixed, batch, strengths):
+            one = evolve_many(model.with_strength(eps), c[np.newaxis], 0.0, 1.0, 30)
+            assert np.array_equal(row, one[0])
 
 
 @pytest.mark.parametrize("k, rows", [(4, 1), (4, 28), (12, 60)])
@@ -299,6 +314,35 @@ def test_newton_line_search_carries_the_next_difference_batch(monkeypatch):
     assert res.backtracks == 0
 
 
+def test_newton_carries_the_next_strengths_difference_batch(monkeypatch):
+    # told the next strength, the last line search also propagates the
+    # next attempt's 19-row difference batch there, around the point that
+    # attempt starts from: gauge_fix(result.point)
+    rows = _record_flow_rows(monkeypatch)
+    res = newton_fixed_point(
+        potential_model(4, 0.005), mode_point(0, 4), 0.0, steps=30, max_iter=25,
+        next_strength=0.01,
+    )
+    assert res.converged
+    assert rows == [19, 28, 29]
+    fresh = evolve_many(
+        potential_model(4, 0.01), _fd_batch(gauge_fix(res.point).coeffs), 0.0, 1.0, 30
+    )
+    assert np.array_equal(res.next_rows, fresh)
+    # handed on, they are the next attempt's first Jacobian: no flow of its own
+    nxt = newton_fixed_point(
+        potential_model(4, 0.01), res.point, res.phase, steps=30, max_iter=25,
+        jac_rows=res.next_rows,
+    )
+    plain = newton_fixed_point(
+        potential_model(4, 0.01), res.point, res.phase, steps=30, max_iter=25
+    )
+    assert rows[3:] == [28, 10] + [19, 28, 10]
+    assert np.array_equal(nxt.point.coeffs, plain.point.coeffs)
+    assert (nxt.phase, nxt.residual) == (plain.phase, plain.residual)
+    assert nxt.next_rows is None
+
+
 def test_newton_rejected_full_step_makes_its_own_difference_flow(monkeypatch):
     # the first full step of this guess raises the residual, so iteration 2
     # propagates its own 7-row difference batch; later full steps are taken
@@ -348,13 +392,48 @@ def test_newton_raises_when_its_difference_flow_blows_up():
 
 
 def test_continuation_counts_flows(monkeypatch):
-    # 10 two-iteration correctors of 3 flows each, after the free state's flow
-    rows = _record_flow_rows(monkeypatch)
-    out = continue_fixed_point(potential_model(4), n=0, steps=30)
-    assert out.converged
-    assert out.flows == len(rows) == 31
-    assert out.flow_rows == sum(rows)
-    assert "flows" not in out.to_json()
+    # the free state's flow carries the first step's difference batch, and
+    # each step's last line search the next step's: n = 0 makes 10
+    # two-iteration correctors of 2 flows each, n = 3 10 one-iteration
+    # correctors of 1 flow each, after the free state's flow
+    for n, flows, flow_rows in ((0, 21, 571), (3, 11, 291)):
+        rows = _record_flow_rows(monkeypatch)
+        out = continue_fixed_point(potential_model(4), n=n, steps=30)
+        assert out.converged
+        assert out.flows == len(rows) == flows
+        assert out.flow_rows == sum(rows) == flow_rows
+        assert "flows" not in out.to_json()
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_continuation_is_bitwise_the_per_step_loop(n):
+    # carried rows stand in for flows the next attempt would make itself;
+    # started from any other point they would move the path
+    model = potential_model(4)
+    out = continue_fixed_point(model, n, steps=30)
+    assert out.to_json() == reference_continuation(model, n, steps=30).to_json()
+
+
+@pytest.mark.parametrize(
+    "n, eps, schedule",
+    [(0, 2.0, [0.0, 2.0]), (1, 0.05, None)],
+    ids=["bisected", "pair-seeded"],
+)
+def test_continuation_carry_is_bitwise_through_failover(n, eps, schedule, monkeypatch):
+    # at strength 2 the full step fails and its half step hands the rows of
+    # the step's target on; at n = 1 a pair-seeded retry hands them on
+    model = potential_model(4, eps)
+    carried = continue_fixed_point(model, n, eps_schedule=schedule, steps=30)
+    newton = dynamics.newton_fixed_point
+
+    def plain(*args, jac_rows=None, next_strength=None, **kwargs):
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "newton_fixed_point", plain)
+    alone = continue_fixed_point(model, n, eps_schedule=schedule, steps=30)
+    assert carried.attempts == alone.attempts == (3 if n == 0 else 11)
+    assert carried.to_json() == alone.to_json()
+    assert carried.flows < alone.flows - 1
 
 
 def test_continuation_counts_corrector_attempts():
