@@ -25,7 +25,6 @@ import tempfile
 from datetime import datetime, timezone
 from typing import Callable, Dict, List, Optional
 
-import mpmath
 import numpy as np
 import scipy
 
@@ -791,7 +790,6 @@ def _write_manifest(
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "mpmath": mpmath.__version__,
             "cpu_count": os.cpu_count(),
         },
     }

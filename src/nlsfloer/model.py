@@ -28,6 +28,7 @@ compares that bound against 1/8.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -252,7 +253,9 @@ class ModelSpec:
         return self.sup_f_bound() < 0.125
 
     def with_strength(self, strength: float) -> "ModelSpec":
-        return ModelSpec(self.kernel, self.nonlinearity.with_strength(strength), self.k)
+        model = copy.copy(self)  # keeps the sampled V; the constructor samples it anew
+        model.nonlinearity = self.nonlinearity.with_strength(strength)
+        return model
 
     def with_kernel(self, kernel: KernelSpec) -> "ModelSpec":
         return ModelSpec(kernel, self.nonlinearity, self.k)

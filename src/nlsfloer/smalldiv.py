@@ -9,20 +9,20 @@ w' = lambda w + f with compactly supported forcing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
-from mpmath import mp
 
 from .floer import _smooth_step
 from .spectral import TWO_PI
 
 # double precision loses the divisor signal once q outgrows this
 _EXACT_Q = 10**8
-_EXACT_DPS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -39,12 +39,35 @@ class DivisorRecord:
     value: float
 
 
+@lru_cache(maxsize=8)  # a scan asks for the same digits at every large gap
+def _pi_floor(digits: int) -> int:
+    """floor(pi * 10^digits) by Machin: pi = 16 atan(1/5) - 4 atan(1/239).
+
+    Each atan(1/x) is summed in integers scaled by 10^(digits + guard) until
+    its power floors to 0, after n terms.  Each term is truncated twice, so
+    is under 2 units off, and the alternating tail is under 1 unit: the total
+    is within E = 16 (2 n5 + 1) + 4 (2 n239 + 1) units.  The floor is certified
+    when total - E and total + E share it; otherwise 10 guard digits are added.
+    """
+    for guard in itertools.count(10, 10):
+        total = bound = 0
+        for weight, x in ((16, 5), (-4, 239)):
+            power, n = 10 ** (digits + guard) // x, 0
+            while power:
+                total += weight * (-1) ** n * (power // (2 * n + 1))
+                power, n = power // (x * x), n + 1
+            bound += abs(weight) * (2 * n + 1)
+        lo, hi = (total - bound) // 10**guard, (total + bound) // 10**guard
+        if lo == hi:
+            return lo
+
+
 def _divisor_exact(q: int) -> tuple[int, float]:
     # q - 2*pi*p cancels the digits of q; keep 20 beyond them
-    with mp.workdps(max(_EXACT_DPS, len(str(abs(q))) + 20)):
-        two_pi = 2 * mp.pi
-        p = int(mp.nint(mp.mpf(q) / two_pi))
-        return p, float(abs(q - two_pi * p))
+    digits = max(40, len(str(abs(q))) + 20)
+    two_pi = Fraction(2 * _pi_floor(digits), 10**digits)
+    p = round(q / two_pi)
+    return p, float(abs(q - two_pi * p))
 
 
 def _nearest_multiples(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,11 +279,7 @@ def inv_two_pi(digits: int = 50) -> tuple[Fraction, Fraction]:
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    scale = 10**digits
-    with mp.workdps(digits + 15):
-        scaled = int(mp.floor(mp.pi * scale))
-    pi_lower = Fraction(scaled, scale)
-    return 1 / (2 * pi_lower), Fraction(1, scale)
+    return 1 / (2 * Fraction(_pi_floor(digits), 10**digits)), Fraction(1, 10**digits)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 
-import mpmath
 import numpy as np
 import pytest
 import scipy
@@ -186,7 +185,6 @@ def test_manifest_records_environment(tmp_path):
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "mpmath": mpmath.__version__,
         "cpu_count": os.cpu_count(),
     }
 
@@ -194,12 +192,15 @@ def test_manifest_records_environment(tmp_path):
 def test_cli_import_leaves_scipy_signal_unloaded():
     src = os.path.dirname(os.path.dirname(cli_module.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, nlsfloer.cli; print('scipy.signal' in sys.modules)"
+    code = (
+        "import sys, nlsfloer.cli; print('scipy.signal' in sys.modules, "
+        "any(m.split('.')[0] == 'mpmath' for m in sys.modules))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=120,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_seed_flag_overrides_config(tmp_path):

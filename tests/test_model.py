@@ -144,6 +144,29 @@ def test_grad_F_many_on_a_3d_batch_is_bitwise_the_reference():
         assert np.array_equal(grad_F_many(m, coeffs, t), reference_grad(m, coeffs, t))
 
 
+def test_with_strength_keeps_the_sampled_multiplier(monkeypatch):
+    k = 4
+    ker, V = exponential_kernel(1.0, k), cosine_field(k)
+    model = ModelSpec(ker, Potential(0.05, V), k)
+    calls = []
+    synthesize = model_module.synthesize_many
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "synthesize_many", counted)
+    stronger = model.with_strength(0.08)
+    assert calls == []
+    monkeypatch.undo()
+    coeffs = random_unit(k, RNG(5))[np.newaxis]
+    fresh = ModelSpec(ker, Potential(0.08, V), k)
+    assert np.array_equal(
+        grad_F_many(stronger, coeffs, 0.0), grad_F_many(fresh, coeffs, 0.0)
+    )
+    assert model.nonlinearity.strength == 0.05
+
+
 def test_hartree_gradient_is_diagonal():
     k = 5
     eps = 0.1

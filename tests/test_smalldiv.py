@@ -1,15 +1,19 @@
 """Divisor scans, continued fractions, decaying-solution bound."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from nlsfloer.smalldiv import (
     ConvergentReport,
     DivisorRecord,
     Forcing,
+    _divisor_exact,
+    _pi_floor,
     convergents,
     cosine_forcing,
     divisor,
@@ -81,8 +85,6 @@ def test_divisor_large_argument_precision():
     rec = divisor(m, 0)
     q = m * m
     with_extended = brute = None
-    from mpmath import mp
-
     with mp.workdps(50):
         p = int(mp.nint(mp.mpf(q) / (2 * mp.pi)))
         expected = float(abs(q - 2 * mp.pi * p))
@@ -101,8 +103,6 @@ def test_divisor_agrees_with_every_scan_row(n):
 
 
 def test_divisor_beyond_int64():
-    from mpmath import mp
-
     m = 10**12 + 39
     q = m * m - 1
     assert q > 2**63
@@ -118,8 +118,6 @@ def test_divisor_beyond_int64():
 def test_divisor_keeps_digits_past_the_cancellation(m):
     # q - 2*pi*p cancels the digits of q, so a fixed working precision
     # loses the value once q is long enough
-    from mpmath import mp
-
     q = m * m - 1
     with mp.workdps(len(str(q)) + 30):
         p = int(mp.nint(mp.mpf(q) / (2 * mp.pi)))
@@ -128,6 +126,33 @@ def test_divisor_keeps_digits_past_the_cancellation(m):
     assert rec.p_star == p
     assert 0.0 <= rec.value <= math.pi
     assert abs(rec.value - expected) <= 1e-15 * expected
+
+
+def _mp_divisor(q):
+    # the same working precision as _divisor_exact, with mpmath's pi
+    with mp.workdps(max(40, len(str(abs(q))) + 20)):
+        two_pi = 2 * mp.pi
+        p = int(mp.nint(mp.mpf(q) / two_pi))
+        return p, float(abs(q - two_pi * p))
+
+
+def test_pi_floor_matches_mpmath():
+    for d in range(301):
+        with mp.workdps(d + 15):
+            assert _pi_floor(d) == int(mp.floor(mp.pi * 10**d)), d
+    for d in (1, 20, 50, 200):
+        with mp.workdps(d + 15):
+            pi_lower = Fraction(int(mp.floor(mp.pi * 10**d)), 10**d)
+        assert inv_two_pi(d) == (1 / (2 * pi_lower), Fraction(1, 10**d))
+
+
+def test_divisor_exact_is_bitwise_the_mpmath_reference():
+    gaps = [m * m - n * n for m in range(0, 3000, 7) for n in range(0, 40, 3)]
+    gaps += [10**29 + 7, -(3 * 10**40 + 11), 10**49 - 1]
+    rng = random.Random(16)
+    gaps += [rng.randrange(-(10**60), 10**60) for _ in range(200)]
+    for q in gaps:
+        assert _divisor_exact(q) == _mp_divisor(q), q
 
 
 def test_scan_minimal():
