@@ -71,17 +71,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-PIPELINES = (
-    "simulate",
-    "fixed-points",
-    "floer",
-    "divisors",
-    "hofer",
-    "galerkin",
-    "diagnose",
-)
-
-
 class ConfigError(Exception):
     """Invalid configuration; the message starts with the field path."""
 
@@ -444,11 +433,11 @@ def _pipe_simulate(cfg: dict, out: ArtifactWriter) -> dict:
 
 def _continue_mode(model: ModelSpec, n: int, tol: float, steps: int):
     if model.nonlinearity.strength == 0.0:
-        return mode_point(n, model.k), None
+        return mode_point(n, model.k)
     result = continue_fixed_point(model, n, tol=tol, steps=steps)
     if not result.converged:
         raise NumericError(f"continuation for n={n} stalled: {result.message}")
-    return result.final.point, result
+    return result.final.point
 
 
 def _pipe_fixed_points(cfg: dict, out: ArtifactWriter) -> dict:
@@ -501,7 +490,7 @@ def _pipe_floer(cfg: dict, out: ArtifactWriter) -> dict:
     free = model.with_strength(0.0)
 
     left_point = mode_point(p["n_left"], model.k)
-    right_point, _ = _continue_mode(
+    right_point = _continue_mode(
         model, p["n_right"], tol=1e-10, steps=p["continuation_steps"]
     )
     left = boundary_orbit(free, left_point, grid.N_t, side="left")
@@ -762,6 +751,7 @@ PIPELINE_FUNCS: Dict[str, Callable[[dict, ArtifactWriter], dict]] = {
     "galerkin": _pipe_galerkin,
     "diagnose": _pipe_diagnose,
 }
+PIPELINES = tuple(PIPELINE_FUNCS)
 
 
 # ---------------------------------------------------------------------------

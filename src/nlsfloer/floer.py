@@ -31,23 +31,10 @@ from scipy.sparse.linalg import LinearOperator, lsmr
 
 from .dynamics import ProjectivePoint, fs_distance
 from .model import ModelSpec, grad_F_many, grad_F_tangent, mode_squares
-from .spectral import TWO_PI
+from .spectral import TWO_PI, smooth_step
 
 # ---------------------------------------------------------------------------
 # cutoff family
-
-
-def _smooth_step(y) -> np.ndarray:
-    """C-infinity step: 0 for y <= 0, 1 for y >= 1, symmetric about 1/2."""
-    y = np.asarray(y, dtype=np.float64)
-    out = np.zeros_like(y)
-    inside = (y > 0.0) & (y < 1.0)
-    yi = y[inside]
-    e0 = np.exp(-1.0 / yi)
-    e1 = np.exp(-1.0 / (1.0 - yi))
-    out[inside] = e0 / (e0 + e1)
-    out[y >= 1.0] = 1.0
-    return out
 
 
 @dataclass(frozen=True)
@@ -65,7 +52,7 @@ class CutoffProfile:
         s = np.asarray(s, dtype=np.float64)
         if self.T == 0.0:
             return np.zeros_like(s)
-        return _smooth_step(s + 1.0) * _smooth_step(2.0 * self.T + 1.0 - s)
+        return smooth_step(s + 1.0) * smooth_step(2.0 * self.T + 1.0 - s)
 
     @property
     def support(self) -> tuple:
@@ -222,7 +209,7 @@ def build_initial_guess(
     if left.shape != (grid.N_t, grid.dim) or right.shape != (grid.N_t, grid.dim):
         raise ValueError("boundary rows must have shape (N_t, 2k+1)")
     a, b = cutoff.support
-    sigma = _smooth_step((grid.s_nodes - a) / (b - a))
+    sigma = smooth_step((grid.s_nodes - a) / (b - a))
     mix = (1.0 - sigma)[:, None, None] * left[None] + sigma[:, None, None] * right[None]
     norms = np.linalg.norm(mix, axis=-1, keepdims=True)
     if np.any(norms < 1e-8):
@@ -255,14 +242,6 @@ def _tangent(delta: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Remove the radial (normalization) direction at each node."""
     radial = np.sum(delta.real * V.real + delta.imag * V.imag, axis=-1, keepdims=True)
     return delta - radial * V
-
-
-def _grad_rows(model: ModelSpec, C: np.ndarray, t_nodes: np.ndarray) -> np.ndarray:
-    """grad F_t at every node of C, shape (rows, N_t, dim)."""
-    rows, N_t, d = C.shape
-    flat = C.reshape(rows * N_t, d)
-    t_flat = np.tile(t_nodes, rows)
-    return grad_F_many(model, flat, t_flat).reshape(rows, N_t, d)
 
 
 @dataclass
@@ -328,7 +307,7 @@ def _equation(
     ds_v = np.zeros_like(C)
     ds_v[1:-1] = (C[2:] - C[:-2]) / (2.0 * grid.ds)
     dt_v = _dt_spectral(C)
-    G = _grad_rows(model, C, grid.t_nodes)
+    G = grad_F_many(model, C, grid.t_nodes)
     tpart = (
         dt_v
         + 1j * mode_squares(grid.k)[None, None, :] * C

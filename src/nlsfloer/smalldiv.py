@@ -18,8 +18,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .floer import _smooth_step
-from .spectral import TWO_PI
+from .spectral import TWO_PI, smooth_step
 
 # double precision loses the divisor signal once q outgrows this
 _EXACT_Q = 10**8
@@ -127,16 +126,12 @@ def divisor_scan(m_max: int, n: int = 0) -> ScanReport:
     qs = ms * ms - np.int64(n) * np.int64(n)
     p_stars, values = _nearest_multiples(qs)
 
-    is_record = np.zeros(len(ms), dtype=bool)
-    records = []
-    best = math.inf
-    for i in range(len(ms)):
-        if values[i] < best:
-            best = values[i]
-            is_record[i] = True
-            records.append(
-                DivisorRecord(int(ms[i]), n, int(p_stars[i]), float(values[i]))
-            )
+    running_min = np.minimum.accumulate(values)
+    is_record = values < np.concatenate([[math.inf], running_min[:-1]])
+    records = [
+        DivisorRecord(int(ms[i]), n, int(p_stars[i]), float(values[i]))
+        for i in np.nonzero(is_record)[0]
+    ]
 
     fitted_c = float(np.min(values * ms.astype(np.float64) ** 14))
     worst = 0.0
@@ -288,7 +283,7 @@ def inv_two_pi(digits: int = 50) -> tuple[Fraction, Fraction]:
 
 def _window(s: np.ndarray, a: float, b: float, ramp: float) -> np.ndarray:
     """Smooth plateau: ramps up over [a, a+ramp], down over [b-ramp, b]."""
-    return _smooth_step((s - a) / ramp) * _smooth_step((b - s) / ramp)
+    return smooth_step((s - a) / ramp) * smooth_step((b - s) / ramp)
 
 
 @dataclass(frozen=True)
@@ -306,17 +301,18 @@ class Forcing:
         out[inside] = self.profile(s[inside])
         return out
 
-    def sup_estimate(self, samples: int = 4096) -> float:
+    def sup_estimate(self) -> float:
         a, b = self.support
-        grid = np.linspace(a, b, samples)
+        grid = np.linspace(a, b, 4096)
         return float(np.max(np.abs(self.values(grid))))
 
 
-def cosine_forcing(plateau_periods: int = 10, ramp: float = TWO_PI) -> Forcing:
-    """cos(s) under a smooth window with plateau [0, plateau_periods * 2pi]."""
+def cosine_forcing(plateau_periods: int = 10) -> Forcing:
+    """cos(s) under a smooth window: plateau [0, plateau_periods * 2pi], ramps 2pi."""
     if plateau_periods < 1:
         raise ValueError("need at least one plateau period")
     b = plateau_periods * TWO_PI
+    ramp = TWO_PI
     return Forcing(
         support=(-ramp, b + ramp),
         profile=lambda s: np.cos(s) * _window(s, -ramp, b + ramp, ramp),
@@ -324,9 +320,10 @@ def cosine_forcing(plateau_periods: int = 10, ramp: float = TWO_PI) -> Forcing:
 
 
 def random_forcing(
-    c: float, seed: int, plateau: float = 6.0, ramp: float = 1.0, terms: int = 6
+    c: float, seed: int, plateau: float = 6.0, ramp: float = 1.0
 ) -> Forcing:
-    """Windowed random trigonometric profile with sup strictly below c."""
+    """Windowed sum of six random cosines with sup strictly below c."""
+    terms = 6
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(terms)
     freqs = rng.uniform(0.5, 4.0, size=terms)

@@ -10,7 +10,8 @@ order n = -k, ..., k.  Collocation grids are uniform, x_j = 2pi j / N, and
 analysis/synthesis are exact inverses of each other whenever N >= 2k+1.
 
 Convolution acts diagonally on coefficients: (u * psi)^(n) = u^(n) psi^(n),
-with no extra 2pi factor.
+with no extra 2pi factor.  smooth_step is the C-infinity step that both the
+cylinder cutoff and the small-divisor forcing windows are built from.
 """
 
 from __future__ import annotations
@@ -94,4 +95,17 @@ def analyze_many(
     scale = ROOT_2PI / N
     np.multiply(spec[..., N - k :], scale, out=out[..., :k])
     np.multiply(spec[..., : k + 1], scale, out=out[..., k:])
+    return out
+
+
+def smooth_step(y) -> np.ndarray:
+    """C-infinity step: 0 for y <= 0, 1 for y >= 1, symmetric about 1/2."""
+    y = np.asarray(y, dtype=np.float64)
+    out = np.zeros_like(y)
+    inside = (y > 0.0) & (y < 1.0)
+    yi = y[inside]
+    e0 = np.exp(-1.0 / yi)
+    e1 = np.exp(-1.0 / (1.0 - yi))
+    out[inside] = e0 / (e0 + e1)
+    out[y >= 1.0] = 1.0
     return out

@@ -19,16 +19,15 @@ from nlsfloer.floer import (
     FloerResidual,
     FloerState,
     _dt_spectral,
-    _grad_rows,
     _project_out,
-    _smooth_step,
 )
-from nlsfloer.model import ModelSpec, mode_squares
+from nlsfloer.model import ModelSpec, grad_F_many, mode_squares
 from nlsfloer.spectral import (
     ROOT_2PI,
     TWO_PI,
     SpectralField,
     analyze_many,
+    smooth_step,
     synthesize_many,
 )
 
@@ -78,12 +77,24 @@ def cutoff_slope(cutoff: CutoffProfile, s) -> np.ndarray:
     s = np.asarray(s, dtype=np.float64)
     if cutoff.T == 0.0:
         return np.zeros_like(s)
-    up = _smooth_step(s + 1.0)
-    down = _smooth_step(2.0 * cutoff.T + 1.0 - s)
+    up = smooth_step(s + 1.0)
+    down = smooth_step(2.0 * cutoff.T + 1.0 - s)
     return (
         _smooth_step_slope(s + 1.0) * down
         - up * _smooth_step_slope(2.0 * cutoff.T + 1.0 - s)
     )
+
+
+def grad_rows(model: ModelSpec, C: np.ndarray, t_nodes: np.ndarray) -> np.ndarray:
+    """grad F_t at every node of an (rows, N_t, dim) array, as one flat batch.
+
+    The nodes are flattened to (rows * N_t, dim) rows with the t nodes
+    tiled alongside, so no broadcast of t against the node array is used.
+    """
+    rows, N_t, d = C.shape
+    flat = C.reshape(rows * N_t, d)
+    t_flat = np.tile(t_nodes, rows)
+    return grad_F_many(model, flat, t_flat).reshape(rows, N_t, d)
 
 
 def floer_residual_twisted(
@@ -111,7 +122,7 @@ def floer_residual_twisted(
     DtU = DtW * np.conj(phases)[None] - (1j * (-n2))[None, None, :] * U
     UI = U[1:-1]
     # grad G_t via conjugation by the free flow
-    G = _grad_rows(model, UI * phases[None], grid.t_nodes) * np.conj(phases)[None]
+    G = grad_rows(model, UI * phases[None], grid.t_nodes) * np.conj(phases)[None]
     lin = Ds + 1j * DtU[1:-1]
     R = _project_out(lin + phi[1:-1, None, None] * G, UI)
     back = R * phases[None]

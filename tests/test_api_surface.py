@@ -7,6 +7,11 @@ constants there count too.  A public method or property of a class
 counts as used only when those modules reach it as an attribute,
 ``obj.name``; a bare name of the same spelling, such as a local
 variable, does not.  Code that only the tests call belongs in the tests.
+
+A defaulted parameter of a package function or non-dunder method must be
+set, by keyword, by position or by a * or ** spread, in some call in
+src/, demos/, perfbench/ or tests/ to a callee of its name; a default
+that no call overrides is a constant.
 """
 
 import ast
@@ -69,3 +74,70 @@ def test_every_public_method_has_an_attribute_caller_outside_the_tests():
         and node.name not in attributes
     ]
     assert unused == []
+
+
+def _functions():
+    """(qualified name, def, bound) per module function and non-dunder method.
+
+    bound is 1 for a method that a call through an attribute passes self
+    or cls to implicitly, else 0.
+    """
+    for module, body in _package_modules():
+        for node in body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{module}.{node.name}", node, 0
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if not isinstance(fn, ast.FunctionDef) or (
+                        fn.name.startswith("__") and fn.name.endswith("__")
+                    ):
+                        continue
+                    static = any(
+                        getattr(d, "id", None) == "staticmethod"
+                        for d in fn.decorator_list
+                    )
+                    yield f"{module}.{node.name}.{fn.name}", fn, 0 if static else 1
+
+
+def _defaulted_parameters():
+    """(qualified name, callee name, parameter, call position or None)."""
+    for qualname, fn, bound in _functions():
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        for i in range(len(positional) - len(args.defaults), len(positional)):
+            yield qualname, fn.name, positional[i].arg, i - bound
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield qualname, fn.name, arg.arg, None
+
+
+def _calls_by_callee():
+    calls = {}
+    for directory in ("src", "demos", "perfbench", "tests"):
+        for path in (ROOT / directory).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call, parameter, position):
+    """Whether a call passes the parameter by keyword, position or spread."""
+    if any(kw.arg in (None, parameter) for kw in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position
+        or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    calls = _calls_by_callee()
+    never_set = [
+        f"{qualname}({parameter})"
+        for qualname, name, parameter, position in _defaulted_parameters()
+        if not any(_sets(call, parameter, position) for call in calls.get(name, []))
+    ]
+    assert never_set == []

@@ -37,7 +37,7 @@ from nlsfloer.model import (
     hofer_norm,
 )
 from nlsfloer.spectral import SpectralField
-from reference import cutoff_slope, floer_residual_twisted
+from reference import cutoff_slope, floer_residual_twisted, grad_rows
 
 RNG = np.random.default_rng
 
@@ -288,6 +288,33 @@ def test_residual_twisted_picture_agreement():
     b = floer_residual_twisted(model, state, cut)
     assert abs(a.norm - b.norm) < 1e-12
     assert np.max(np.abs(a.field - b.field)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["potential", "modulated", "quadratic"])
+def test_equation_on_the_node_array_is_bitwise_the_flattened_gradient(
+    kind, monkeypatch
+):
+    # _equation hands grad_F_many the (N_s, N_t, dim) nodes with t as a
+    # column broadcast (modulated); the flat batch must give the same bits
+    k = 3
+    ker = exponential_kernel(1.0, k)
+    density = {
+        "potential": Potential(0.08, cosine_field(k)),
+        "modulated": TimeModulated(Potential(0.08, cosine_field(k))),
+        "quadratic": Quadratic(0.08),
+    }[kind]
+    model = ModelSpec(ker, density, k)
+    grid = CylinderGrid(S=3.0, N_s=24, N_t=8, k=k)
+    rng = RNG(17)
+    state = FloerState(
+        grid, rng.standard_normal((24, 8, 7)) + 1j * rng.standard_normal((24, 8, 7))
+    )
+    cut = build_cutoff(0.5)
+    eq = _equation(model, state, cut)
+    monkeypatch.setattr(floer_module, "grad_F_many", grad_rows)
+    flat = _equation(model, state, cut)
+    assert np.array_equal(eq.tpart, flat.tpart)
+    assert np.array_equal(eq.Ds, flat.Ds)
 
 
 def test_residual_bandwidth_mismatch():

@@ -181,6 +181,21 @@ def test_scan_certificate():
     assert np.count_nonzero(rep.is_record) == len(rep.records)
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_scan_records_are_the_running_minimum_loop(n):
+    rep = divisor_scan(10_000, n=n)
+    is_record = np.zeros(len(rep.ms), dtype=bool)
+    records = []
+    best = math.inf
+    for i, (m, p, value) in enumerate(zip(rep.ms, rep.p_stars, rep.values)):
+        if value < best:
+            best = value
+            is_record[i] = True
+            records.append(DivisorRecord(int(m), n, int(p), float(value)))
+    assert np.array_equal(rep.is_record, is_record)
+    assert rep.records == records
+
+
 def test_scan_rejects_bad_range():
     with pytest.raises(ValueError):
         divisor_scan(3, n=5)
