@@ -12,7 +12,8 @@ the two parts' squares is the energy density (see _equation).  The
 projection removes the radial and global-phase directions, which is what
 makes the residual a statement about the projective curve: the gauge-fixed
 constant free orbit solves it exactly, and the reported norm, energy, and
-distances are all phase-invariant.
+distances are all phase-invariant.  For power <= 1 grad F_t and its Hessian
+are v -> a(t) (v @ G0) (model.gradient_matrix): no spectral transforms.
 
 Boundary rows at s = -S and s = +S carry prescribed orbits (Dirichlet data
 standing in for the asymptotics on the line); the window always contains
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,7 +32,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lsmr
 
 from .dynamics import ProjectivePoint, fs_distance
-from .model import ModelSpec, grad_F_many, grad_F_tangent, mode_squares
+from .model import ModelSpec, grad_F_many, grad_F_tangent, gradient_matrix, mode_squares
 from .spectral import TWO_PI, smooth_step
 
 # ---------------------------------------------------------------------------
@@ -307,7 +309,9 @@ def _equation(
     ds_v = np.zeros_like(C)
     ds_v[1:-1] = (C[2:] - C[:-2]) / (2.0 * grid.ds)
     dt_v = _dt_spectral(C)
-    G = grad_F_many(model, C, grid.t_nodes)
+    G0 = gradient_matrix(model)
+    a = model.nonlinearity.factor(grid.t_nodes)[:, None]
+    G = grad_F_many(model, C, grid.t_nodes) if G0 is None else a * (C @ G0)
     tpart = (
         dt_v
         + 1j * mode_squares(grid.k)[None, None, :] * C
@@ -404,8 +408,9 @@ class _GaussNewtonOperator:
     """Right-preconditioned linearization J M of the projected residual.
 
     J: delta on interior nodes -> P_V [ A delta + phi H delta ] with
-    A = D_s + i D_t - n^2 and H the exact Hessian of F_t at the nodes
-    (grad_F_tangent), both matrix-free; the tangent projector T removes
+    A = D_s + i D_t - n^2 matrix-free and H the exact Hessian of F_t at the
+    nodes (grad_F_tangent): a(t) G0 as a matmul for power <= 1, matrix-free
+    through the transforms for power 2.  The tangent projector T removes
     radial directions on input, the complex projector removes the node
     line on output.  M = T A^-1 (the exact free inverse, its sawtooth
     block shifted by the LSMR damping), so J M is the identity plus the
@@ -479,10 +484,13 @@ def solve_floer(
     steps and shrinks on accepted ones; exhausting it returns the best
     state found with converged = False.  result.equation is the evaluation
     of result.state, never of a rejected trial.  History rows after the
-    first carry lsmr_itn (LSMR iterations over the step's damping retries)
-    and lsmr_istop (the stop code of the accepted solve, or of the last one
-    tried; 7 means it hit LSMR_ITERS).
+    first carry lsmr_itn (LSMR iterations over the step's damping retries),
+    lsmr_istop (the stop code of the accepted solve, or of the last one
+    tried; 7 means it hit LSMR_ITERS), retries (the step's damping
+    increases) and wall_s (the step's seconds by time.perf_counter).  Row 0
+    carries 0, None, 0 and the seconds of the set-up and first evaluation.
     """
+    start = time.perf_counter()
     if model.k != grid.k:
         raise ValueError("model bandwidth must match the grid")
     cutoff = build_cutoff(T)
@@ -502,6 +510,8 @@ def solve_floer(
             "damping": damping,
             "lsmr_itn": 0,
             "lsmr_istop": None,
+            "retries": 0,
+            "wall_s": time.perf_counter() - start,
         }
     ]
     if res.norm < tol:
@@ -510,11 +520,12 @@ def solve_floer(
     iterations = 0
     message = "iteration budget exhausted"
     for attempt in range(1, max_iter + 1):
+        start = time.perf_counter()
         V = eq.state.coeffs[1:-1]
         hessian = grad_F_tangent(model, V, grid.t_nodes)
         rhs = -_real_view(np.ascontiguousarray(res.field))
         accepted = False
-        itn, istop = 0, None
+        itn, istop, retries = 0, None, 0
         while damping <= 1e8:
             op = _GaussNewtonOperator(grid, V, hessian, phi, damping)
             sol = lsmr(
@@ -539,6 +550,7 @@ def solve_floer(
                 accepted = True
                 break
             damping *= 10.0
+            retries += 1
         iterations = attempt
         history.append(
             {
@@ -548,6 +560,8 @@ def solve_floer(
                 "damping": damping,
                 "lsmr_itn": itn,
                 "lsmr_istop": istop,
+                "retries": retries,
+                "wall_s": time.perf_counter() - start,
             }
         )
         if not accepted:

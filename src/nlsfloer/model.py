@@ -139,9 +139,10 @@ class Density:
         """f = strength * w: the gradient is diagonal on Fourier modes."""
         return self.power == 1 and self.V is None and not self.modulated
 
-    @staticmethod
-    def factor(t):
-        return 1.0 + np.cos(TWO_PI * np.asarray(t, dtype=float))
+    def factor(self, t) -> np.ndarray:
+        """a(t), shaped like t: 1 + cos(2pi t) when modulated, else ones."""
+        t = np.asarray(t, dtype=float)
+        return 1.0 + np.cos(TWO_PI * t) if self.modulated else np.ones(t.shape)
 
     def f(self, w, v, t, order: int = 0):
         """f, or its partial derivative of the given order in w.
@@ -261,10 +262,10 @@ class ModelSpec:
         return ModelSpec(kernel, self.nonlinearity, self.k)
 
 
-def _smoothed(model: ModelSpec, coeffs: np.ndarray, t, need_w: bool) -> tuple:
-    """z = u * psi on the grid, w = |z|^2 if need_w, t as a column if modulated."""
+def _smoothed(model: ModelSpec, coeffs: np.ndarray, t) -> tuple:
+    """z = u * psi on the grid, w = |z|^2, and t as a column if modulated."""
     z = synthesize_many(coeffs * model.psi_band, model.k, model.quad_points)
-    w = np.abs(z) ** 2 if need_w else None
+    w = np.abs(z) ** 2
     if not model.nonlinearity.modulated:
         return z, w, None
     return z, w, np.asarray(t, dtype=float)[..., np.newaxis]
@@ -272,7 +273,7 @@ def _smoothed(model: ModelSpec, coeffs: np.ndarray, t, need_w: bool) -> tuple:
 
 def eval_F_many(model: ModelSpec, coeffs: np.ndarray, t) -> np.ndarray:
     """Batched values of F_t; coeffs has shape (..., 2k+1)."""
-    _, w, t_col = _smoothed(model, coeffs, t, True)
+    _, w, t_col = _smoothed(model, coeffs, t)
     fvals = np.broadcast_to(model.nonlinearity.f(w, model._v, t_col), w.shape)
     return -0.5 * (TWO_PI / model.quad_points) * np.sum(fvals, axis=-1)
 
@@ -325,23 +326,38 @@ def grad_F_many(model: ModelSpec, coeffs: np.ndarray, t) -> np.ndarray:
     return GradientStage(model, np.shape(coeffs)[:-1])(coeffs, t)
 
 
+def gradient_matrix(model: ModelSpec) -> Optional[np.ndarray]:
+    """G0 with grad F_t(u) = a(t) * (u @ G0) for power <= 1; None for power 2.
+
+    Row j is grad F_0 of basis field j (unmodulated); G0 is F_0's Hessian.
+    """
+    nl = model.nonlinearity
+    if nl.power == 2:
+        return None
+    base = ModelSpec(model.kernel, replace(nl, modulated=False), model.k)
+    return grad_F_many(base, np.eye(2 * model.k + 1, dtype=np.complex128), 0.0)
+
+
 def grad_F_tangent(model: ModelSpec, coeffs: np.ndarray, t):
     """The exact derivative of grad_F_many at coeffs, as a map on directions.
 
+    delta -> a(t) (delta @ G0) for power <= 1 (see gradient_matrix), else
     delta -> -psi A[d1f(w) dz + 2 d2f(w) Re(conj(z) dz) z], dz = S(psi delta),
     with S/A synthesis/analysis.  It is the Hessian of F_t, so it is
     symmetric under Re<.,.>.  Directions have the shape of coeffs.
     """
     nl = model.nonlinearity
-    z, w, t_col = _smoothed(model, coeffs, t, nl.power == 2)
+    G0 = gradient_matrix(model)
+    if G0 is not None:
+        a = nl.factor(t)[..., np.newaxis]
+        return lambda delta: a * (delta @ G0)
+    z, w, t_col = _smoothed(model, coeffs, t)
     d1 = nl.f(w, model._v, t_col, 1)
-    d2 = 2.0 * nl.f(w, model._v, t_col, 2) if nl.power == 2 else None
+    d2 = 2.0 * nl.f(w, model._v, t_col, 2)
 
     def apply(delta: np.ndarray) -> np.ndarray:
         dz = synthesize_many(delta * model.psi_band, model.k, model.quad_points)
-        dg = d1 * dz
-        if d2 is not None:  # d2f vanishes identically for power <= 1
-            dg = dg + (d2 * (z.real * dz.real + z.imag * dz.imag)) * z
+        dg = d1 * dz + (d2 * (z.real * dz.real + z.imag * dz.imag)) * z
         return analyze_many(-dg, model.k) * model.psi_band
 
     return apply
@@ -506,7 +522,7 @@ def hofer_norm(
     fmin_neg, c2 = _extremize_on_sphere(base, -1.0, starts, rng)
     fmin, converged = -fmin_neg, c1 and c2
     ts = [j / t_nodes for j in range(t_nodes)]
-    a = nl.factor(ts) if nl.modulated else np.ones(t_nodes)
+    a = nl.factor(ts)
     nodes = [HoferNode(t, float(aj * fmax), float(aj * fmin), converged)
              for t, aj in zip(ts, a)]
     return HoferReport(

@@ -389,9 +389,9 @@ def test_floer_non_convergence_exits_3_with_artifacts(tmp_path, capsys):
 
 
 def test_floer_pipeline_evaluates_each_state_once(tmp_path, monkeypatch, capsys):
-    # the slices read the solve's accepted evaluation: one grad F pass for
+    # the slices read the solve's accepted evaluation: one evaluation for
     # the initial guess and one per trial step, none after the solve
-    calls = {"grad_F_many": 0, "lsmr": 0}
+    calls = {"_equation": 0, "lsmr": 0}
     for name in calls:
         inner = getattr(floer_module, name)
 
@@ -403,7 +403,7 @@ def test_floer_pipeline_evaluates_each_state_once(tmp_path, monkeypatch, capsys)
     cfg = write_config(tmp_path, FLOER_CONVERGING)
     assert main(["floer", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert calls["lsmr"] >= 1
-    assert calls["grad_F_many"] == 1 + calls["lsmr"]
+    assert calls["_equation"] == 1 + calls["lsmr"]
     assert "LSMR iteration cap" not in capsys.readouterr().out
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nlsfloer.floer as floer_module
+import nlsfloer.model as model_module
 from nlsfloer.dynamics import continue_fixed_point, fs_distance, gauge_fix, mode_point
 from nlsfloer.floer import (
     CylinderGrid,
@@ -294,13 +295,17 @@ def test_residual_twisted_picture_agreement():
 def test_equation_on_the_node_array_is_bitwise_the_flattened_gradient(
     kind, monkeypatch
 ):
-    # _equation hands grad_F_many the (N_s, N_t, dim) nodes with t as a
-    # column broadcast (modulated); the flat batch must give the same bits
+    # the reference hands grad_F_many the nodes as one flat batch with t
+    # tiled alongside.  For quadratic, _equation hands it the (N_s, N_t, dim)
+    # array and must give the same bits; for a linear density it applies
+    # a(t) G0 per node instead and must agree to 1e-14 of the gradient's
+    # scale.  The strength of 40 makes the gradient the largest term of
+    # tpart, so rounding in the sum with D_t v stays below that bound.
     k = 3
     ker = exponential_kernel(1.0, k)
     density = {
-        "potential": Potential(0.08, cosine_field(k)),
-        "modulated": TimeModulated(Potential(0.08, cosine_field(k))),
+        "potential": Potential(40.0, cosine_field(k)),
+        "modulated": TimeModulated(Potential(40.0, cosine_field(k))),
         "quadratic": Quadratic(0.08),
     }[kind]
     model = ModelSpec(ker, density, k)
@@ -311,10 +316,15 @@ def test_equation_on_the_node_array_is_bitwise_the_flattened_gradient(
     )
     cut = build_cutoff(0.5)
     eq = _equation(model, state, cut)
+    monkeypatch.setattr(floer_module, "gradient_matrix", lambda model: None)
     monkeypatch.setattr(floer_module, "grad_F_many", grad_rows)
     flat = _equation(model, state, cut)
-    assert np.array_equal(eq.tpart, flat.tpart)
     assert np.array_equal(eq.Ds, flat.Ds)
+    if kind == "quadratic":
+        assert np.array_equal(eq.tpart, flat.tpart)
+    else:
+        scale = np.max(np.abs(grad_rows(model, state.normalized(), grid.t_nodes)))
+        assert np.max(np.abs(eq.tpart - flat.tpart)) <= 1e-14 * scale
 
 
 def test_residual_bandwidth_mismatch():
@@ -440,13 +450,17 @@ def test_solve_history_schema():
     assert result.history[0]["iteration"] == 0
     assert result.history[0]["lsmr_itn"] == 0
     assert result.history[0]["lsmr_istop"] is None
+    assert result.history[0]["retries"] == 0
     for row in result.history:
         assert set(row) == {
-            "iteration", "residual_norm", "energy", "damping", "lsmr_itn", "lsmr_istop"
+            "iteration", "residual_norm", "energy", "damping", "lsmr_itn", "lsmr_istop",
+            "retries", "wall_s",
         }
+        assert row["wall_s"] > 0.0
     for row in result.history[1:]:
         assert row["lsmr_itn"] > 0
         assert row["lsmr_istop"] in range(8)
+        assert row["retries"] >= 0
     drops = [h["residual_norm"] for h in result.history]
     assert drops[-1] < drops[0]
 
@@ -498,6 +512,32 @@ def test_free_inverse_sweep_and_adjoint(N_s):
     assert abs(y @ Jx - x @ op.rmatvec(y)) < 1e-12 * scale
 
 
+def test_operator_applies_a_linear_density_without_transforms(monkeypatch):
+    # for power <= 1 the Hessian is the matmul a(t) (delta @ G0), built once
+    # per step, so matvec and rmatvec synthesize and analyze nothing
+    k, N_s, N_t = 4, 16, 8
+    grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k)
+    rng = RNG(5)
+    V = rng.normal(size=(N_s - 2, N_t, grid.dim)) + 1j * rng.normal(
+        size=(N_s - 2, N_t, grid.dim)
+    )
+    V /= np.linalg.norm(V, axis=-1, keepdims=True)
+    hessian = grad_F_tangent(potential_model(k), V, grid.t_nodes)
+    phi = build_cutoff(1.0).phi(grid.s_nodes)
+    op = _GaussNewtonOperator(grid, V, hessian, phi, 1e-3)
+    calls = []
+    for name in ("synthesize_many", "analyze_many"):
+        inner = getattr(model_module, name)
+
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, name, counted)
+    op.rmatvec(op.matvec(rng.normal(size=op.shape[1])))
+    assert calls == []
+
+
 def test_solve_partial_result_when_budget_exhausted():
     # boundary data whose neutral-pair mismatch no boundary layer can
     # absorb: the solver must hand back the partial state with diagnostics
@@ -517,9 +557,9 @@ def test_solve_partial_result_when_budget_exhausted():
 
 
 def test_solve_evaluates_each_state_once(monkeypatch):
-    # the initial guess and every trial step cost one grad F pass each:
+    # the initial guess and every trial step cost one evaluation each:
     # residual, energy and history all read that one evaluation
-    calls = {"grad_F_many": 0, "lsmr": 0}
+    calls = {"_equation": 0, "lsmr": 0}
 
     def counted(name):
         inner = getattr(floer_module, name)
@@ -530,7 +570,7 @@ def test_solve_evaluates_each_state_once(monkeypatch):
 
         monkeypatch.setattr(floer_module, name, wrapper)
 
-    counted("grad_F_many")
+    counted("_equation")
     counted("lsmr")
     k, N_t = 4, 32
     model = potential_model(k)
@@ -541,7 +581,7 @@ def test_solve_evaluates_each_state_once(monkeypatch):
     result = solve_floer(model, grid, 1.0, (left, right), tol=1e-8)
     assert result.converged
     assert calls["lsmr"] >= 1
-    assert calls["grad_F_many"] == 1 + calls["lsmr"]
+    assert calls["_equation"] == 1 + calls["lsmr"]
 
 
 def test_result_keeps_the_accepted_evaluation_when_damping_runs_out(monkeypatch):
@@ -576,6 +616,8 @@ def test_result_keeps_the_accepted_evaluation_when_damping_runs_out(monkeypatch)
     assert result.residual_norm == fresh.residual().norm
     assert result.residual_norm == result.history[1]["residual_norm"]
     assert result.energy == fresh.energy()
+    # each rejected trial of the last step raised the damping once
+    assert [h["retries"] for h in result.history] == [0, 0, len(calls) - 1]
 
 
 def test_solve_validates_setup():

@@ -22,6 +22,7 @@ from nlsfloer.model import (
     galerkin_gap,
     grad_F_many,
     grad_F_tangent,
+    gradient_matrix,
     hofer_norm,
     truncate_kernel,
 )
@@ -46,6 +47,16 @@ def catalog(k=6):
         ModelSpec(ker, Quadratic(0.1), k),
         ModelSpec(ker, Potential(0.05, cosine_field()), k),
         ModelSpec(ker, TimeModulated(Quadratic(0.05)), k),
+    ]
+
+
+def kinds(k=6):
+    """Every density kind: the catalog, then the modulated forms it lacks."""
+    ker = exponential_kernel(1.0, k)
+    return catalog(k) + [
+        ModelSpec(ker, TimeModulated(Constant(0.1)), k),
+        ModelSpec(ker, TimeModulated(Hartree(0.1)), k),
+        ModelSpec(ker, TimeModulated(Potential(0.05, cosine_field())), k),
     ]
 
 
@@ -205,9 +216,9 @@ def test_gradient_matches_directional_difference(member):
         assert abs(fd - pairing) / scale < 1e-6
 
 
-@pytest.mark.parametrize("member", range(5))
+@pytest.mark.parametrize("member", range(8))
 def test_gradient_tangent_matches_central_difference(member):
-    model = catalog()[member]
+    model = kinds()[member]
     dim = 2 * model.k + 1
     rng = RNG(60 + member)
 
@@ -227,6 +238,25 @@ def test_gradient_tangent_matches_central_difference(member):
     lhs = np.sum((np.conj(h2) * tangent(h1)).real, axis=-1)
     rhs = np.sum((np.conj(tangent(h2)) * h1).real, axis=-1)
     assert np.max(np.abs(lhs - rhs)) < 1e-14
+
+
+@pytest.mark.parametrize("k", [1, 4, 12])
+def test_gradient_matrix_is_the_hermitian_gradient(k):
+    # for power <= 1 the gradient is linear: grad F_t(u) = a(t) (u @ G0)
+    dim = 2 * k + 1
+    rng = RNG(70 + k)
+    u = rng.standard_normal((6, 5, dim)) + 1j * rng.standard_normal((6, 5, dim))
+    t = rng.uniform(size=(6, 5))
+    for model in kinds(k):
+        nl = model.nonlinearity
+        G0 = gradient_matrix(model)
+        if nl.power == 2:
+            assert G0 is None
+            continue
+        assert np.max(np.abs(G0 - G0.conj().T)) <= 1e-15
+        ref = grad_F_many(model, u, t)
+        got = nl.factor(t)[..., np.newaxis] * (u @ G0)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_rotated_gradient_matches_rotated_functional():
@@ -336,13 +366,12 @@ def test_hofer_extremizes_once_each_way(t_nodes, monkeypatch):
 
 
 def test_hofer_matches_hermitian_eigenvalues():
-    # for power 1 the functional is F(u) = 1/2 Re<u, Qu> with Q the gradient's
-    # matrix, so its extremes on the sphere are half Q's extreme eigenvalues
+    # for power 1 the functional is F(u) = 1/2 Re<u, u @ G0> with G0 the
+    # gradient's matrix, so its extremes on the sphere are half G0's extreme
+    # eigenvalues
     k = 4
     model = ModelSpec(exponential_kernel(1.0, k), Potential(0.05, cosine_field(k)), k)
-    dim = 2 * k + 1
-    Q = grad_F_many(model, np.eye(dim, dtype=np.complex128), np.zeros(dim)).T
-    lam = np.linalg.eigvalsh(Q)
+    lam = np.linalg.eigvalsh(gradient_matrix(model))
     expected = 0.5 * (lam[-1] - lam[0])
     rep = hofer_norm(model)
     assert rep.all_converged
