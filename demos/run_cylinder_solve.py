@@ -25,12 +25,11 @@ from nlsfloer.model import ModelSpec, Potential, cosine_field, exponential_kerne
 def main():
     k, T = 4, 1.0
     model = ModelSpec(exponential_kernel(1.0, k), Potential(0.05, cosine_field(k)), k)
-    free = model.with_strength(0.0)
     grid = CylinderGrid(S=4.0, N_s=80, N_t=16, k=k)
 
     target = continue_fixed_point(model, 0).final.point
-    left = boundary_orbit(free, mode_point(0, k), grid.N_t, side="left")
-    right = boundary_orbit(free, target, grid.N_t, side="right")
+    left = boundary_orbit(mode_point(0, k), grid.N_t, side="left")
+    right = boundary_orbit(target, grid.N_t, side="right")
 
     result = solve_floer(model, grid, T, (left, right), tol=1e-8)
     print("iter  residual    energy      damping  lsmr_itn  lsmr_istop")

@@ -487,14 +487,13 @@ def _pipe_floer(cfg: dict, out: ArtifactWriter) -> dict:
     p = cfg["floer"]
     model = build_model(cfg["model"])
     grid = CylinderGrid(S=p["S"], N_s=p["N_s"], N_t=p["N_t"], k=model.k)
-    free = model.with_strength(0.0)
 
     left_point = mode_point(p["n_left"], model.k)
     right_point = _continue_mode(
         model, p["n_right"], tol=1e-10, steps=p["continuation_steps"]
     )
-    left = boundary_orbit(free, left_point, grid.N_t, side="left")
-    right = boundary_orbit(free, right_point, grid.N_t, side="right")
+    left = boundary_orbit(left_point, grid.N_t, side="left")
+    right = boundary_orbit(right_point, grid.N_t, side="right")
 
     result = solve_floer(
         model, grid, p["T"], (left, right), tol=p["tol"], max_iter=p["max_iter"]

@@ -164,9 +164,7 @@ class FloerState:
 # boundary orbits and guesses
 
 
-def boundary_orbit(
-    model: ModelSpec, point: ProjectivePoint, N_t: int, side: str = "right"
-) -> np.ndarray:
+def boundary_orbit(point: ProjectivePoint, N_t: int, side: str = "right") -> np.ndarray:
     """Transformed-picture orbit rows of a fixed point at the t nodes.
 
     Gauge aligned at the point's pivot mode n, the transformed free orbit
@@ -187,12 +185,9 @@ def boundary_orbit(
     concentrates in a single cell and keeps the energy from converging
     under s refinement.
     """
-    if point.k != model.k:
-        raise ValueError("point bandwidth must match the model")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    k = model.k
-    rates = (float(point.gauge_index**2) - mode_squares(k)) / TWO_PI
+    rates = (float(point.gauge_index**2) - mode_squares(point.k)) / TWO_PI
     p_star = np.ceil(rates) if side == "right" else np.floor(rates)
     t = np.arange(N_t, dtype=np.float64)[:, None] / N_t
     c = point.coeffs / np.linalg.norm(point.coeffs)
@@ -431,7 +426,6 @@ class _GaussNewtonOperator:
         self.free = _FreeInverse(grid, damping)
         m = V.size * 2
         self.shape = (m, m)
-        self.dtype = np.float64
 
     def _ds(self, X: np.ndarray) -> np.ndarray:
         out = np.zeros_like(X)
@@ -462,11 +456,6 @@ class _GaussNewtonOperator:
         out = self.free(_tangent(out, self.V), adjoint=True)
         return _real_view(np.ascontiguousarray(out)).copy()
 
-    def as_linear_operator(self) -> LinearOperator:
-        return LinearOperator(
-            self.shape, matvec=self.matvec, rmatvec=self.rmatvec, dtype=self.dtype
-        )
-
 
 def solve_floer(
     model: ModelSpec,
@@ -481,14 +470,18 @@ def solve_floer(
     boundary is (left_rows, right_rows) of shape (N_t, 2k+1) each.  Each
     step is a right-preconditioned LSMR solve (see _GaussNewtonOperator).
     The damping starts at INITIAL_DAMPING, grows tenfold on rejected
-    steps and shrinks on accepted ones; exhausting it returns the best
-    state found with converged = False.  result.equation is the evaluation
-    of result.state, never of a rejected trial.  History rows after the
-    first carry lsmr_itn (LSMR iterations over the step's damping retries),
-    lsmr_istop (the stop code of the accepted solve, or of the last one
-    tried; 7 means it hit LSMR_ITERS), retries (the step's damping
-    increases) and wall_s (the step's seconds by time.perf_counter).  Row 0
-    carries 0, None, 0 and the seconds of the set-up and first evaluation.
+    steps and shrinks on accepted ones.  The loop records a history row
+    per state and stops when the residual is below tol, when a step is
+    rejected through damping 1e8, or after max_iter steps; result.message
+    names the exit, and the last two return the best state found with
+    converged = False.  result.equation is the evaluation of result.state,
+    never of a rejected trial; result.iterations is len(history) - 1.
+    History rows after the first carry lsmr_itn (LSMR iterations over the
+    step's damping retries), lsmr_istop (the stop code of the accepted
+    solve, or of the last one tried; 7 means it hit LSMR_ITERS), retries
+    (the step's damping increases) and wall_s (the step's seconds by
+    time.perf_counter).  Row 0 carries 0, None, 0 and the seconds of the
+    set-up and first evaluation.
     """
     start = time.perf_counter()
     if model.k != grid.k:
@@ -502,34 +495,41 @@ def solve_floer(
     eq = _equation(model, FloerState(grid, guess.normalized()), cutoff)
     res, energy = eq.residual(), eq.energy()
     damping = INITIAL_DAMPING
-    history = [
-        {
-            "iteration": 0,
-            "residual_norm": res.norm,
-            "energy": energy,
-            "damping": damping,
-            "lsmr_itn": 0,
-            "lsmr_istop": None,
-            "retries": 0,
-            "wall_s": time.perf_counter() - start,
-        }
-    ]
-    if res.norm < tol:
-        return FloerResult(eq, True, 0, res.norm, energy, history, "converged")
-
-    iterations = 0
-    message = "iteration budget exhausted"
-    for attempt in range(1, max_iter + 1):
+    itn, istop, retries = 0, None, 0
+    history = []
+    while True:
+        history.append(
+            {
+                "iteration": len(history),
+                "residual_norm": res.norm,
+                "energy": energy,
+                "damping": damping,
+                "lsmr_itn": itn,
+                "lsmr_istop": istop,
+                "retries": retries,
+                "wall_s": time.perf_counter() - start,
+            }
+        )
+        if res.norm < tol:
+            message = "converged"
+            break
+        if damping > 1e8:
+            message = "damping exhausted before reaching tolerance"
+            break
+        if len(history) > max_iter:
+            message = "iteration budget exhausted"
+            break
         start = time.perf_counter()
         V = eq.state.coeffs[1:-1]
         hessian = grad_F_tangent(model, V, grid.t_nodes)
         rhs = -_real_view(np.ascontiguousarray(res.field))
-        accepted = False
         itn, istop, retries = 0, None, 0
         while damping <= 1e8:
             op = _GaussNewtonOperator(grid, V, hessian, phi, damping)
             sol = lsmr(
-                op.as_linear_operator(),
+                LinearOperator(
+                    op.shape, matvec=op.matvec, rmatvec=op.rmatvec, dtype=np.float64
+                ),
                 rhs,
                 damp=damping,
                 atol=1e-10,
@@ -547,31 +547,12 @@ def solve_floer(
             if res_try.norm < res.norm:
                 eq, res, energy = trial, res_try, trial.energy()
                 damping = max(damping / 3.0, 1e-12)
-                accepted = True
                 break
             damping *= 10.0
             retries += 1
-        iterations = attempt
-        history.append(
-            {
-                "iteration": attempt,
-                "residual_norm": res.norm,
-                "energy": energy,
-                "damping": damping,
-                "lsmr_itn": itn,
-                "lsmr_istop": istop,
-                "retries": retries,
-                "wall_s": time.perf_counter() - start,
-            }
-        )
-        if not accepted:
-            message = "damping exhausted before reaching tolerance"
-            break
-        if res.norm < tol:
-            return FloerResult(
-                eq, True, iterations, res.norm, energy, history, "converged"
-            )
-    return FloerResult(eq, False, iterations, res.norm, energy, history, message)
+    return FloerResult(
+        eq, res.norm < tol, len(history) - 1, res.norm, energy, history, message
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -258,9 +258,6 @@ class ModelSpec:
         model.nonlinearity = self.nonlinearity.with_strength(strength)
         return model
 
-    def with_kernel(self, kernel: KernelSpec) -> "ModelSpec":
-        return ModelSpec(kernel, self.nonlinearity, self.k)
-
 
 def _smoothed(model: ModelSpec, coeffs: np.ndarray, t) -> tuple:
     """z = u * psi on the grid, w = |z|^2, and t as a column if modulated."""
@@ -401,7 +398,7 @@ def galerkin_gap(
     if k < 0 or R <= 0:
         raise ValueError("need k >= 0 and R > 0")
     rng = np.random.default_rng(seed)
-    trunc = model.with_kernel(truncate_kernel(model.kernel, k))
+    trunc = ModelSpec(truncate_kernel(model.kernel, k), model.nonlinearity, model.k)
     dim = 2 * model.k + 1
     f_gap = 0.0
     grad_gap = 0.0

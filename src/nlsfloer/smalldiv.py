@@ -193,17 +193,10 @@ class ConvergentReport:
 
 
 def _as_interval(x, uncertainty) -> tuple[Fraction, Fraction]:
-    if isinstance(x, Fraction):
-        center, eta = x, Fraction(0)
-    elif isinstance(x, int):
-        center, eta = Fraction(x), Fraction(0)
-    elif isinstance(x, str):
-        center, eta = Fraction(x), Fraction(0)
-    elif isinstance(x, float):
-        center = Fraction(x)
-        eta = Fraction(math.ulp(x)) / 2
-    else:
+    if not isinstance(x, (Fraction, int, str, float)):
         raise TypeError("x must be Fraction, int, str, or float")
+    center = Fraction(x)
+    eta = Fraction(math.ulp(x)) / 2 if isinstance(x, float) else Fraction(0)
     if uncertainty is not None:
         eta = Fraction(uncertainty)
         if eta < 0:

@@ -67,8 +67,7 @@ def synthesize_many(
     if pad is None:
         pad = np.zeros(coeffs.shape[:-1] + (N,), dtype=np.complex128)
     pad[..., : k + 1] = coeffs[..., k:]
-    if k > 0:
-        pad[..., N - k :] = coeffs[..., :k]
+    pad[..., N - k :] = coeffs[..., :k]
     out = np.fft.ifft(pad, axis=-1, out=out)
     out *= N / ROOT_2PI
     return out

@@ -90,10 +90,9 @@ def continued(k, n=0, steps=400):
 def ladder_solve(k, N_s=60, N_t=16):
     """Converged cylinder solve of the potential model at bandwidth k."""
     model = potential_model(k)
-    free = model.with_strength(0.0)
     grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k)
-    left = boundary_orbit(free, mode_point(0, k), N_t, side="left")
-    right = boundary_orbit(free, continued(k), N_t, side="right")
+    left = boundary_orbit(mode_point(0, k), N_t, side="left")
+    right = boundary_orbit(continued(k), N_t, side="right")
     result = solve_floer(model, grid, 1.0, (left, right), tol=1e-8)
     assert result.converged, result.message
     return model, result
@@ -103,10 +102,9 @@ def ladder_solve(k, N_s=60, N_t=16):
 def big_solve(N_s):
     """Criterion-scale solve: T = 1, S = 4, N_t = 32 at bandwidth 4."""
     model = potential_model(4)
-    free = model.with_strength(0.0)
     grid = CylinderGrid(S=4.0, N_s=N_s, N_t=32, k=4)
-    left = boundary_orbit(free, mode_point(0, 4), 32, side="left")
-    right = boundary_orbit(free, continued(4), 32, side="right")
+    left = boundary_orbit(mode_point(0, 4), 32, side="left")
+    right = boundary_orbit(continued(4), 32, side="right")
     result = solve_floer(model, grid, 1.0, (left, right), tol=1e-8)
     assert result.converged, result.message
     return model, result
@@ -336,10 +334,9 @@ def test_criterion_10_band_limited_confinement():
     point_tail = normal_profile(point, [ell]).norms[0]
     assert point_tail < 1e-10
 
-    free = model.with_strength(0.0)
     grid = CylinderGrid(S=4.0, N_s=60, N_t=16, k=k)
-    left = boundary_orbit(free, mode_point(0, k), 16, side="left")
-    right = boundary_orbit(free, point, 16, side="right")
+    left = boundary_orbit(mode_point(0, k), 16, side="left")
+    right = boundary_orbit(point, 16, side="right")
     solve = solve_floer(model, grid, 1.0, (left, right), tol=1e-8)
     assert solve.converged
     state_tail = normal_profile(solve.state, [ell]).norms[0]

@@ -57,10 +57,9 @@ def continued_point(k, eps=0.05, n=0):
 @functools.lru_cache(maxsize=None)
 def solved_potential(k=4, N_s=60, N_t=16, S=4.0, T=1.0):
     model = potential_model(k)
-    free = model.with_strength(0.0)
     grid = CylinderGrid(S=S, N_s=N_s, N_t=N_t, k=k)
-    left = boundary_orbit(free, mode_point(0, k), N_t, side="left")
-    right = boundary_orbit(free, continued_point(k), N_t, side="right")
+    left = boundary_orbit(mode_point(0, k), N_t, side="left")
+    right = boundary_orbit(continued_point(k), N_t, side="right")
     result = solve_floer(model, grid, T, (left, right), tol=1e-8)
     assert result.converged
     return model, grid, result

@@ -76,22 +76,20 @@ def continued_point(k, eps=0.05, n=0):
 @functools.lru_cache(maxsize=None)
 def solved_potential(k=4, N_s=60, N_t=16, S=4.0, T=1.0):
     model = potential_model(k)
-    free = model.with_strength(0.0)
     grid = CylinderGrid(S=S, N_s=N_s, N_t=N_t, k=k)
-    left = boundary_orbit(free, mode_point(0, k), N_t, side="left")
-    right = boundary_orbit(free, continued_point(k), N_t, side="right")
+    left = boundary_orbit(mode_point(0, k), N_t, side="left")
+    right = boundary_orbit(continued_point(k), N_t, side="right")
     return model, grid, solve_floer(model, grid, T, (left, right), tol=1e-8)
 
 
 @functools.lru_cache(maxsize=None)
 def solved_quadratic(k=4, N_s=32, N_t=16, S=4.0, T=1.0):
     model = quadratic_model(k)
-    free = model.with_strength(0.0)
     grid = CylinderGrid(S=S, N_s=N_s, N_t=N_t, k=k)
     mix = np.zeros(2 * k + 1, dtype=np.complex128)
     mix[k], mix[k + 1] = 0.8, 0.6
-    left = boundary_orbit(free, mode_point(0, k), N_t, side="left")
-    right = boundary_orbit(free, gauge_fix(SpectralField(k, mix)), N_t, side="right")
+    left = boundary_orbit(mode_point(0, k), N_t, side="left")
+    right = boundary_orbit(gauge_fix(SpectralField(k, mix)), N_t, side="right")
     return model, grid, solve_floer(model, grid, T, (left, right), tol=1e-8)
 
 
@@ -196,9 +194,8 @@ def test_state_json_round_trip():
 
 
 def test_boundary_orbit_pure_mode_is_constant():
-    model = potential_model(3).with_strength(0.0)
     for n in (-2, 0, 1):
-        rows = boundary_orbit(model, mode_point(n, 3), 16)
+        rows = boundary_orbit(mode_point(n, 3), 16)
         assert np.allclose(rows, rows[0][None], atol=1e-15)
         assert np.allclose(rows[0], mode_point(n, 3).coeffs, atol=1e-15)
 
@@ -206,14 +203,14 @@ def test_boundary_orbit_pure_mode_is_constant():
 def test_boundary_orbit_t0_row_is_the_point():
     k = 4
     point = continued_point(k)
-    rows = boundary_orbit(potential_model(k), point, 32, side="right")
+    rows = boundary_orbit(point, 32, side="right")
     assert np.allclose(rows[0], point.coeffs, atol=1e-14)
     assert np.allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-14)
 
 
 def test_boundary_orbit_rows_band_limited_in_t():
     k = 4
-    rows = boundary_orbit(potential_model(k), continued_point(k), 32, side="right")
+    rows = boundary_orbit(continued_point(k), 32, side="right")
     bins = np.fft.fft(rows, axis=0) / 32
     # each space mode occupies a single t-frequency bin
     for m in range(2 * k + 1):
@@ -222,11 +219,14 @@ def test_boundary_orbit_rows_band_limited_in_t():
 
 
 def test_boundary_orbit_rejects_bad_inputs():
-    model = potential_model(3)
     with pytest.raises(ValueError):
-        boundary_orbit(model, mode_point(0, 2), 16)
-    with pytest.raises(ValueError):
-        boundary_orbit(model, mode_point(0, 3), 16, side="middle")
+        boundary_orbit(mode_point(0, 3), 16, side="middle")
+    # rows of another bandwidth are caught by the solve's row-shape check
+    grid = CylinderGrid(S=4.0, N_s=20, N_t=16, k=3)
+    rows = boundary_orbit(mode_point(0, 3), 16)
+    narrow = boundary_orbit(mode_point(0, 2), 16)
+    with pytest.raises(ValueError, match="boundary rows"):
+        solve_floer(potential_model(3), grid, 1.0, (narrow, rows))
 
 
 def test_initial_guess_interpolates_boundaries():
@@ -248,7 +248,7 @@ def test_residual_zero_on_free_orbit_at_T0():
     k = 3
     model = potential_model(k).with_strength(0.0)
     grid = CylinderGrid(S=4.0, N_s=40, N_t=32, k=k)
-    rows = boundary_orbit(model, mode_point(1, k), 32)
+    rows = boundary_orbit(mode_point(1, k), 32)
     res = floer_residual(model, frozen_state(grid, rows), build_cutoff(0.0))
     assert res.norm < 1e-10
 
@@ -257,7 +257,7 @@ def test_residual_zero_for_constant_nonlinearity_any_T():
     k = 3
     model = ModelSpec(exponential_kernel(1.0, k), Constant(0.3), k)
     grid = CylinderGrid(S=6.0, N_s=40, N_t=16, k=k)
-    rows = boundary_orbit(model.with_strength(0.0), mode_point(1, k), 16)
+    rows = boundary_orbit(mode_point(1, k), 16)
     state = frozen_state(grid, rows)
     for T in (0.0, 0.5, 1.0, 2.0):
         assert floer_residual(model, state, build_cutoff(T)).norm < 1e-12
@@ -267,7 +267,7 @@ def test_residual_frozen_orbit_positive_and_localized():
     k = 4
     model = potential_model(k)
     grid = CylinderGrid(S=4.0, N_s=80, N_t=16, k=k)
-    rows = boundary_orbit(model.with_strength(0.0), mode_point(1, k), 16)
+    rows = boundary_orbit(mode_point(1, k), 16)
     res = floer_residual(model, frozen_state(grid, rows), build_cutoff(1.0))
     assert res.norm > 1e-3
     profile = np.sum(np.abs(res.field) ** 2, axis=(1, 2))
@@ -342,7 +342,7 @@ def test_energy_zero_on_free_orbit():
     k = 3
     model = potential_model(k).with_strength(0.0)
     grid = CylinderGrid(S=4.0, N_s=40, N_t=32, k=k)
-    rows = boundary_orbit(model, mode_point(2, k), 32)
+    rows = boundary_orbit(mode_point(2, k), 32)
     E = floer_energy(model, frozen_state(grid, rows), build_cutoff(0.0))
     assert E < 1e-10
 
@@ -351,7 +351,7 @@ def test_energy_positive_on_frozen_orbit():
     k = 4
     model = potential_model(k)
     grid = CylinderGrid(S=4.0, N_s=60, N_t=16, k=k)
-    rows = boundary_orbit(model.with_strength(0.0), mode_point(1, k), 16)
+    rows = boundary_orbit(mode_point(1, k), 16)
     E = floer_energy(model, frozen_state(grid, rows), build_cutoff(1.0))
     assert E > 1e-6
 
@@ -364,7 +364,7 @@ def test_solve_free_model_zero_iterations():
     k = 3
     model = potential_model(k).with_strength(0.0)
     grid = CylinderGrid(S=4.0, N_s=40, N_t=8, k=k)
-    rows = boundary_orbit(model, mode_point(1, k), 8)
+    rows = boundary_orbit(mode_point(1, k), 8)
     result = solve_floer(model, grid, 0.0, (rows, rows), tol=1e-8)
     assert result.converged
     assert result.iterations == 0
@@ -375,7 +375,7 @@ def test_solve_free_model_zero_iterations():
 def test_solve_hartree_matching_boundaries_is_stationary():
     model = hartree_model()
     grid = CylinderGrid(S=4.0, N_s=40, N_t=8, k=3)
-    rows = boundary_orbit(model.with_strength(0.0), mode_point(1, 3), 8)
+    rows = boundary_orbit(mode_point(1, 3), 8)
     result = solve_floer(model, grid, 1.0, (rows, rows), tol=1e-8)
     assert result.converged
     assert result.iterations == 0
@@ -429,6 +429,10 @@ def test_solve_hartree_matches_per_mode_ode_oracle():
 def test_solve_potential_end_to_end():
     model, grid, result = solved_potential()
     assert result.converged
+    assert result.message == "converged"
+    assert result.iterations == len(result.history) - 1
+    assert result.residual_norm == result.history[-1]["residual_norm"]
+    assert result.energy == result.history[-1]["energy"]
     assert result.residual_norm < 1e-6
     bound = 2.0 * hofer_norm(model).estimate + 1e-3
     assert 0.0 < result.energy <= bound
@@ -437,10 +441,9 @@ def test_solve_potential_end_to_end():
 
 
 def test_solve_pins_boundary_rows():
-    model, grid, result = solved_potential()
-    free = model.with_strength(0.0)
-    left = boundary_orbit(free, mode_point(0, 4), grid.N_t, side="left")
-    right = boundary_orbit(free, continued_point(4), grid.N_t, side="right")
+    _, grid, result = solved_potential()
+    left = boundary_orbit(mode_point(0, 4), grid.N_t, side="left")
+    right = boundary_orbit(continued_point(4), grid.N_t, side="right")
     assert np.allclose(result.state.coeffs[0], left, atol=1e-13)
     assert np.allclose(result.state.coeffs[-1], right, atol=1e-13)
 
@@ -543,16 +546,18 @@ def test_solve_partial_result_when_budget_exhausted():
     # absorb: the solver must hand back the partial state with diagnostics
     k = 4
     model = potential_model(k)
-    free = model.with_strength(0.0)
     grid = CylinderGrid(S=4.0, N_s=30, N_t=8, k=k)
-    left = boundary_orbit(free, mode_point(1, k), 8, side="left")
+    left = boundary_orbit(mode_point(1, k), 8, side="left")
     pair = np.zeros(2 * k + 1, dtype=np.complex128)
     pair[k + 1] = pair[k - 1] = 1.0 / math.sqrt(2.0)
-    right = boundary_orbit(free, gauge_fix(SpectralField(k, pair)), 8, side="right")
+    right = boundary_orbit(gauge_fix(SpectralField(k, pair)), 8, side="right")
     result = solve_floer(model, grid, 1.0, (left, right), tol=1e-10, max_iter=2)
     assert not result.converged
-    assert result.message
+    assert result.message == "iteration budget exhausted"
     assert len(result.history) == 3
+    assert result.iterations == len(result.history) - 1
+    assert result.residual_norm == result.history[-1]["residual_norm"]
+    assert result.energy == result.history[-1]["energy"]
     assert result.state.coeffs.shape == (30, 8, 9)
 
 
@@ -574,10 +579,9 @@ def test_solve_evaluates_each_state_once(monkeypatch):
     counted("lsmr")
     k, N_t = 4, 32
     model = potential_model(k)
-    free = model.with_strength(0.0)
     grid = CylinderGrid(S=4.0, N_s=32, N_t=N_t, k=k)
-    left = boundary_orbit(free, mode_point(0, k), N_t, side="left")
-    right = boundary_orbit(free, mode_point(0, k), N_t, side="right")
+    left = boundary_orbit(mode_point(0, k), N_t, side="left")
+    right = boundary_orbit(mode_point(0, k), N_t, side="right")
     result = solve_floer(model, grid, 1.0, (left, right), tol=1e-8)
     assert result.converged
     assert calls["lsmr"] >= 1
@@ -602,13 +606,15 @@ def test_result_keeps_the_accepted_evaluation_when_damping_runs_out(monkeypatch)
     monkeypatch.setattr(floer_module, "lsmr", lsmr)
     k, N_t = 3, 8
     model = potential_model(k)
-    free = model.with_strength(0.0)
     grid = CylinderGrid(S=4.0, N_s=24, N_t=N_t, k=k)
-    left = boundary_orbit(free, mode_point(0, k), N_t, side="left")
-    right = boundary_orbit(free, mode_point(0, k), N_t, side="right")
+    left = boundary_orbit(mode_point(0, k), N_t, side="left")
+    right = boundary_orbit(mode_point(0, k), N_t, side="right")
     result = solve_floer(model, grid, 1.0, (left, right), tol=1e-12)
     assert result.message.startswith("damping exhausted")
     assert result.iterations == 2
+    assert result.iterations == len(result.history) - 1
+    assert result.residual_norm == result.history[-1]["residual_norm"]
+    assert result.energy == result.history[-1]["energy"]
     assert len(calls) > 2
     fresh = _equation(model, result.state, build_cutoff(1.0))
     for name in ("ds_v", "dt_v", "Ds", "tpart"):
@@ -642,10 +648,9 @@ def test_band_limited_confinement():
     assert cont.converged
     modes = np.abs(np.arange(-k, k + 1))
     assert np.linalg.norm(cont.final.point.coeffs[modes > 1]) < 1e-10
-    free = model.with_strength(0.0)
     grid = CylinderGrid(S=4.0, N_s=40, N_t=8, k=k)
-    left = boundary_orbit(free, mode_point(0, k), 8, side="left")
-    right = boundary_orbit(free, cont.final.point, 8, side="right")
+    left = boundary_orbit(mode_point(0, k), 8, side="left")
+    right = boundary_orbit(cont.final.point, 8, side="right")
     result = solve_floer(model, grid, 1.0, (left, right), tol=1e-8)
     assert result.converged
     tail = np.abs(result.state.coeffs[:, :, modes > 1])
@@ -683,7 +688,7 @@ def test_slices_constant_orbit_all_qualify():
     k = 3
     model = potential_model(k).with_strength(0.0)
     grid = CylinderGrid(S=6.0, N_s=60, N_t=16, k=k)
-    rows = boundary_orbit(model, mode_point(1, k), 16)
+    rows = boundary_orbit(mode_point(1, k), 16)
     state = frozen_state(grid, rows)
     report = extract_slices(_equation(model, state, build_cutoff(0.0)), gamma_max=3)
     for entry in report.entries:
@@ -698,7 +703,7 @@ def test_slices_thresholds_follow_pi_over_gamma():
     k = 3
     model = potential_model(k).with_strength(0.0)
     grid = CylinderGrid(S=6.0, N_s=60, N_t=16, k=k)
-    state = frozen_state(grid, boundary_orbit(model, mode_point(0, k), 16))
+    state = frozen_state(grid, boundary_orbit(mode_point(0, k), 16))
     report = extract_slices(_equation(model, state, build_cutoff(0.0)), gamma_max=4)
     for g, entry in enumerate(report.entries, start=1):
         assert entry.gamma == g
