@@ -462,7 +462,8 @@ def _pipe_fixed_points(cfg: dict, out: ArtifactWriter) -> dict:
             f"fixed-points: n={n} residual {entry.residual:.3e} "
             f"iterations {entry.iterations} converged={result.converged} "
             f"attempts {result.attempts} ({result.corrector_iterations} iterations) "
-            f"flows {result.flows} backtracks {result.backtracks}"
+            f"flows {result.flows} rows {result.flow_rows} "
+            f"backtracks {result.backtracks}"
         )
         if not result.converged:
             out.write("fixed_points_summary.json", _json_text(summaries))

@@ -47,9 +47,9 @@ def evolve_many(
     coeffs has shape (M, 2k+1) at the model bandwidth.  The batch form
     exists because finite-difference Jacobians re-run the same flow for
     2(2k+1)+1 nearby states, and a backtracking line search tries several
-    step scales at once; the Newton corrector's line search also carries a
-    difference batch, at a continuation's next strength if the model's is an
-    (M, 1) column.  Rows never mix: each row is bit for bit its one-row flow.
+    step scales at once; the Newton corrector's full-step trial also carries
+    a difference batch, at a continuation's next strength if the model's is
+    an (M, 1) column.  Rows never mix: each row is bit for bit its one-row flow.
     A row that loses finiteness is returned as computed; the caller decides.
 
     The gradient stage (GradientStage) is built once per call and applied
@@ -234,17 +234,18 @@ def newton_fixed_point(
     the augmented residual appends the norm and gauge constraints, and the
     flow Jacobian comes from forward differences of a batched propagation
     whose first row is the current iterate itself.  Gauss-Newton steps
-    with backtracking: the scales 1, 1/2, ..., 1/512 are propagated in one
-    batched flow and the largest one that lowers the residual norm is
-    accepted, the same choice a sequential halving loop makes.  Stops when
-    the residual l2 norm drops below tol.
+    with backtracking over the scales 1, 1/2, ..., 1/512: the full step is
+    propagated first, and only if it does not lower the residual norm are
+    the nine shorter trials, in one batched flow; the largest scale that
+    lowers it is accepted, the same choice a sequential halving loop
+    makes.  Stops when the residual l2 norm drops below tol.
 
-    Above sqrt(tol) the full step should not yet converge, so the trials'
-    flow also carries the rest of the difference batch around c + step;
+    Above sqrt(tol) the full step should not yet converge, so its flow
+    also carries the rest of the difference batch around c + step;
     when the full step is accepted the next iteration builds its Jacobian
     from those rows and makes no flow of its own.  Rows never mix.
 
-    Given next_strength, a line search below sqrt(tol) carries the batch at
+    Given next_strength, a full step below sqrt(tol) carries the batch at
     that strength around gauge_fix(result.point), where the next attempt
     starts; a converging full step returns its flow as next_rows, and
     passed back as jac_rows it is that attempt's first Jacobian.
@@ -321,19 +322,21 @@ def newton_fixed_point(
         trials = np.array([c + scale * step for scale in LINE_SEARCH_SCALES])
         carry = rnorm > math.sqrt(tol)  # carry the full step's difference batch
         ahead = not carry and next_strength is not None
-        batch, batch_model = trials, model
-        if carry:
-            batch = np.concatenate([trials, _fd_batch(trials[0])[1:]])
-        elif ahead:  # one strength per row, the trials' then the next attempt's
+        batch, batch_model = trials[:1], model
+        if carry:  # its first row is the full step
+            batch = _fd_batch(trials[0])
+        elif ahead:  # one strength per row, the full step's then the next attempt's
             start = gauge_fix(gauge_fix(SpectralField(p0.k, trials[0])))
-            batch = np.concatenate([trials, _fd_batch(start.coeffs)])
+            batch = np.concatenate([trials[:1], _fd_batch(start.coeffs)])
             column = np.full((len(batch), 1), next_strength)
-            column[: len(trials)] = model.nonlinearity.strength
+            column[0] = model.nonlinearity.strength
             batch_model = model.with_strength(column)
         out = flow(batch, batch_model)
         jac_rows = next_rows = None
         rnorm_before = rnorm
         for i, scale in enumerate(LINE_SEARCH_SCALES):
+            if i == 1:  # the full step is rejected: flow the shorter trials
+                out = np.concatenate([out[:1], flow(trials[1:])])
             if not np.all(np.isfinite(out[i])):
                 continue
             a_new = a + scale * delta[m2]
@@ -342,12 +345,10 @@ def newton_fixed_point(
             if rn < rnorm:
                 c, a, r, rnorm = trials[i], a_new, r_new, rn
                 backtracks += i
-                if carry and i == 0:  # out[0] and out[10:] flow _fd_batch(c)
-                    fd_rows = np.concatenate([out[:1], out[len(trials) :]])
-                    if np.all(np.isfinite(fd_rows)):
-                        jac_rows = fd_rows
-                if ahead and i == 0 and np.all(np.isfinite(out[len(trials) :])):
-                    next_rows = out[len(trials) :]
+                if carry and i == 0 and np.all(np.isfinite(out)):
+                    jac_rows = out  # the flow of _fd_batch(c)
+                if ahead and i == 0 and np.all(np.isfinite(out[1:])):
+                    next_rows = out[1:]
                 break
         else:
             message = "stalled: no descent along the Gauss-Newton direction"

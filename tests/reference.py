@@ -7,12 +7,17 @@ import numpy as np
 
 from nlsfloer.dynamics import (
     CORRECTOR_ITERS,
+    FD_STEP,
+    LINE_SEARCH_SCALES,
     ContinuationResult,
+    FixedPointResult,
     PathEntry,
+    _fd_batch,
     _wrap_phase,
+    evolve_many,
     fixed_point_residual,
+    gauge_fix,
     mode_point,
-    newton_fixed_point,
 )
 from nlsfloer.floer import (
     CutoffProfile,
@@ -191,10 +196,108 @@ def reference_evolve(
     return c
 
 
+def reference_newton(
+    model: ModelSpec,
+    guess: SpectralField,
+    phase_guess=None,
+    tol: float = 1e-10,
+    max_iter: int = 150,
+    steps: int = 400,
+) -> FixedPointResult:
+    """newton_fixed_point written plainly: nothing carried, all ten trials at once.
+
+    Every iteration propagates its own forward-difference batch around the
+    iterate, and its line search propagates the ten LINE_SEARCH_SCALES
+    trials in one flow and takes the first that lowers the residual norm.
+    The arithmetic of the residual, the Jacobian and the step is the
+    package's, so the two must agree bit for bit.
+    """
+    p0 = gauge_fix(guess)
+    g_idx = p0.gauge_index + p0.k
+    dim = 2 * p0.k + 1
+    m2 = 2 * dim
+
+    def difference_flow(cc):
+        out = evolve_many(model, _fd_batch(cc), 0.0, 1.0, steps)
+        if not np.all(np.isfinite(out)):
+            raise ArithmeticError("the corrector's difference flow lost finiteness")
+        return out
+
+    def residual_vec(cc, flow_cc, aa):
+        r_eq = flow_cc - np.exp(1j * aa) * cc
+        r = np.empty(m2 + 2)
+        r[:m2:2] = r_eq.real
+        r[1:m2:2] = r_eq.imag
+        r[m2] = np.vdot(cc, cc).real - 1.0
+        r[m2 + 1] = cc[g_idx].imag
+        return r
+
+    units = np.kron(np.eye(dim), [[1.0], [1j]])
+    c = p0.coeffs.copy()
+    fd = difference_flow(c)
+    a = phase_guess
+    if a is None:
+        a = float(np.angle(np.vdot(c, fd[0])))
+    r = residual_vec(c, fd[0], a)
+    rnorm = float(np.linalg.norm(r))
+    iters = backtracks = 0
+    message = ""
+    while rnorm > tol and iters < max_iter:
+        if iters > 0:
+            fd = difference_flow(c)
+        iters += 1
+        J = np.zeros((m2 + 2, m2 + 1))
+        e_ia = np.exp(1j * a)
+        d_eq = (fd[1:] - fd[0]) / FD_STEP - e_ia * units
+        J[:m2:2, :m2] = d_eq.real.T
+        J[1:m2:2, :m2] = d_eq.imag.T
+        J[m2, :m2:2] = 2.0 * c.real
+        J[m2, 1:m2:2] = 2.0 * c.imag
+        J[m2 + 1, 2 * g_idx + 1] = 1.0
+        d_phase = -1j * e_ia * c
+        J[:m2:2, m2] = d_phase.real
+        J[1:m2:2, m2] = d_phase.imag
+
+        delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        step = delta[:m2:2] + 1j * delta[1:m2:2]
+        trials = np.array([c + scale * step for scale in LINE_SEARCH_SCALES])
+        out = evolve_many(model, trials, 0.0, 1.0, steps)
+        rnorm_before = rnorm
+        for i, scale in enumerate(LINE_SEARCH_SCALES):
+            if not np.all(np.isfinite(out[i])):
+                continue
+            a_new = a + scale * delta[m2]
+            r_new = residual_vec(trials[i], out[i], a_new)
+            rn = float(np.linalg.norm(r_new))
+            if rn < rnorm:
+                c, a, r, rnorm = trials[i], a_new, r_new, rn
+                backtracks += i
+                break
+        else:
+            message = "stalled: no descent along the Gauss-Newton direction"
+            break
+        if rnorm > 0.5 * rnorm_before and rnorm > math.sqrt(tol):
+            message = f"not contracting: residual {rnorm_before:.3e} -> {rnorm:.3e}"
+            break
+
+    converged = rnorm <= tol
+    if not converged and not message:
+        message = f"iteration limit reached at residual {rnorm:.3e}"
+    return FixedPointResult(
+        point=gauge_fix(SpectralField(p0.k, c)),
+        phase=_wrap_phase(a),
+        residual=rnorm,
+        converged=converged,
+        iterations=iters,
+        message=message,
+        backtracks=backtracks,
+    )
+
+
 def reference_continuation(
     model: ModelSpec, n: int, steps: int, tol: float = 1e-10
 ) -> ContinuationResult:
-    """continue_fixed_point over the default schedule, one plain corrector per step.
+    """continue_fixed_point over the default schedule, one reference_newton per step.
 
     Every attempt makes its own difference flows and the free state's
     residual is a flow of its own; nothing is carried from one strength
@@ -207,7 +310,7 @@ def reference_continuation(
     entries = [PathEntry(0.0, point, phase, res0, 0)]
     for eps in np.linspace(0.0, model.nonlinearity.strength, 11)[1:]:
         eps = float(eps)
-        res = newton_fixed_point(
+        res = reference_newton(
             model.with_strength(eps), point, phase, tol, CORRECTOR_ITERS, steps
         )
         assert res.converged, f"strength {eps}: {res.message}"

@@ -333,7 +333,7 @@ def test_fixed_points_pipeline_emits_points_and_distances(tmp_path, capsys):
     lines = [ln for ln in capsys.readouterr().out.splitlines()
              if ln.startswith("fixed-points: n=")]
     assert len(lines) == 2
-    assert all(re.search(r" flows \d+ backtracks \d+$", ln) for ln in lines)
+    assert all(re.search(r" flows \d+ rows \d+ backtracks \d+$", ln) for ln in lines)
 
 
 def test_floer_trivial_solve_takes_zero_iterations(tmp_path, capsys):

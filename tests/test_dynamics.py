@@ -31,7 +31,7 @@ from nlsfloer.model import (
     exponential_kernel,
 )
 from nlsfloer.spectral import SpectralField
-from reference import reference_continuation, reference_evolve
+from reference import reference_continuation, reference_evolve, reference_newton
 
 RNG = np.random.default_rng
 
@@ -127,9 +127,9 @@ def test_evolve_many_matches_single():
 
 @pytest.mark.parametrize("k, rows", [(4, 28), (12, 60)])
 def test_evolve_many_rows_are_bitwise_independent(k, rows):
-    # the corrector's line-search flow carries the next difference batch
-    # (2(2k+1)+1 rows) beside the 9 shorter trials, at this strength or, in
-    # a continuation, at the next one; no row may feel the others
+    # the corrector's full-step flow carries the next difference batch
+    # (2(2k+1)+1 rows) beside the full step, at this strength or, in a
+    # continuation, at the next one; no row may feel the others
     rng = RNG(k)
     cos = cosine_field(k)
     kinds = (
@@ -301,21 +301,22 @@ def _record_flow_rows(monkeypatch):
 
 def test_newton_line_search_carries_the_next_difference_batch(monkeypatch):
     # the first strength step of the n = 0 continuation: the line search of
-    # iteration 1 propagates the 19-row batch around c + step with the 9
-    # shorter trials, and iteration 2 builds its Jacobian from those rows
+    # iteration 1 propagates the 19-row batch around c + step, whose first
+    # row is the full step, and iteration 2 builds its Jacobian from those
+    # rows; both full steps are taken, so no shorter trial is propagated
     rows = _record_flow_rows(monkeypatch)
     res = newton_fixed_point(
         potential_model(4, 0.005), mode_point(0, 4), 0.0, steps=30, max_iter=25
     )
     assert res.converged
     assert res.iterations == 2
-    assert rows == [19, 28, 10]
-    assert (res.flows, res.flow_rows) == (3, 57)
+    assert rows == [19, 19, 1]
+    assert (res.flows, res.flow_rows) == (3, 39)
     assert res.backtracks == 0
 
 
 def test_newton_carries_the_next_strengths_difference_batch(monkeypatch):
-    # told the next strength, the last line search also propagates the
+    # told the next strength, the last full step's flow also propagates the
     # next attempt's 19-row difference batch there, around the point that
     # attempt starts from: gauge_fix(result.point)
     rows = _record_flow_rows(monkeypatch)
@@ -324,7 +325,7 @@ def test_newton_carries_the_next_strengths_difference_batch(monkeypatch):
         next_strength=0.01,
     )
     assert res.converged
-    assert rows == [19, 28, 29]
+    assert rows == [19, 19, 20]
     fresh = evolve_many(
         potential_model(4, 0.01), _fd_batch(gauge_fix(res.point).coeffs), 0.0, 1.0, 30
     )
@@ -337,15 +338,16 @@ def test_newton_carries_the_next_strengths_difference_batch(monkeypatch):
     plain = newton_fixed_point(
         potential_model(4, 0.01), res.point, res.phase, steps=30, max_iter=25
     )
-    assert rows[3:] == [28, 10] + [19, 28, 10]
+    assert rows[3:] == [19, 1] + [19, 19, 1]
     assert np.array_equal(nxt.point.coeffs, plain.point.coeffs)
     assert (nxt.phase, nxt.residual) == (plain.phase, plain.residual)
     assert nxt.next_rows is None
 
 
 def test_newton_rejected_full_step_makes_its_own_difference_flow(monkeypatch):
-    # the first full step of this guess raises the residual, so iteration 2
-    # propagates its own 7-row difference batch; later full steps are taken
+    # the first full step of this guess raises the residual, so the 9
+    # shorter trials are propagated after it and iteration 2 propagates its
+    # own 7-row difference batch; later full steps are taken
     rows = _record_flow_rows(monkeypatch)
     rng = RNG(47)
     guess = SpectralField(1, rng.standard_normal(3) + 1j * rng.standard_normal(3))
@@ -353,8 +355,8 @@ def test_newton_rejected_full_step_makes_its_own_difference_flow(monkeypatch):
     res = newton_fixed_point(model, guess, steps=10, max_iter=25)
     assert res.converged
     assert res.iterations == 5
-    assert rows == [7, 16, 7, 16, 16, 16, 10]
-    assert (res.flows, res.flow_rows) == (7, sum(rows))
+    assert rows == [7, 7, 9, 7, 7, 7, 7, 1]
+    assert (res.flows, res.flow_rows) == (8, sum(rows))
     assert res.backtracks >= 1
 
 
@@ -385,6 +387,40 @@ def test_newton_backtracks_past_a_full_step_that_overflows(seed, monkeypatch):
     assert np.isfinite(res.residual)
 
 
+def _rng_guess(seed):
+    rng = RNG(seed)
+    return SpectralField(1, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+
+
+def _quadratic_k1(eps):
+    return ModelSpec(exponential_kernel(1.0, 1), Quadratic(eps), 1)
+
+
+@pytest.mark.parametrize(
+    "model, guess, kwargs",
+    [
+        (potential_model(4, 0.005), mode_point(0, 4), dict(phase_guess=0.0, steps=30)),
+        (_quadratic_k1(1.0), _rng_guess(47), dict(steps=10)),
+        (_quadratic_k1(2.0), _rng_guess(1), dict(steps=10)),
+        (_quadratic_k1(2.0), _rng_guess(4), dict(steps=10)),
+        (potential_model(4, 0.005), mode_point(1, 4), dict(phase_guess=-1.0, steps=30)),
+    ],
+    ids=["n0", "rejected-full-step", "overflow-1", "overflow-4", "not-contracting"],
+)
+def test_newton_is_bitwise_the_reference_corrector(model, guess, kwargs):
+    # carried rows and a full step flowed ahead of the shorter trials stand
+    # in for flows the plain corrector makes; they may change no float
+    res = newton_fixed_point(model, guess, max_iter=25, **kwargs)
+    ref = reference_newton(model, guess, max_iter=25, **kwargs)
+    assert np.array_equal(res.point.coeffs, ref.point.coeffs)
+    assert (res.phase, res.residual, res.iterations) == (
+        ref.phase, ref.residual, ref.iterations
+    )
+    assert (res.converged, res.message, res.backtracks) == (
+        ref.converged, ref.message, ref.backtracks
+    )
+
+
 def test_newton_raises_when_its_difference_flow_blows_up():
     model = quadratic_model(k=4, eps=1e8)
     with pytest.raises(ArithmeticError):
@@ -393,10 +429,12 @@ def test_newton_raises_when_its_difference_flow_blows_up():
 
 def test_continuation_counts_flows(monkeypatch):
     # the free state's flow carries the first step's difference batch, and
-    # each step's last line search the next step's: n = 0 makes 10
-    # two-iteration correctors of 2 flows each, n = 3 10 one-iteration
-    # correctors of 1 flow each, after the free state's flow
-    for n, flows, flow_rows in ((0, 21, 571), (3, 11, 291)):
+    # each step's last full step the next step's: n = 0 makes 10
+    # two-iteration correctors of 2 flows each (19 + 20 rows, 19 + 1 at the
+    # last step), n = 3 10 one-iteration correctors of 1 flow each (20 rows,
+    # 1 at the last step), after the free state's 20-row flow; no full step
+    # is rejected
+    for n, flows, flow_rows in ((0, 21, 391), (3, 11, 201)):
         rows = _record_flow_rows(monkeypatch)
         out = continue_fixed_point(potential_model(4), n=n, steps=30)
         assert out.converged
