@@ -44,8 +44,9 @@ def main():
     hofer = hofer_norm(model, t_nodes=4)
     print(f"\nenergy {result.energy:.4e} vs bound 2*|||G||| = {2*hofer.estimate:.4e}")
 
-    endpoint = fs_distance(result.state.coeffs[-1, 0], target.coeffs)
-    print(f"right endpoint distance to the fixed point: {endpoint:.2e}")
+    # the end row is pinned to the orbit; the row next to it is solved
+    near_end = max(map(fs_distance, result.state.coeffs[-2], right))
+    print(f"row next to the right end, largest distance to its orbit: {near_end:.2e}")
 
     cutoff = build_cutoff(T)
     monitor = gradient_monitor(result.state, model, cutoff)

@@ -257,6 +257,8 @@ class FloerEquation:
     X^F = i grad F_t, are projected off the node line; each is
     (N_s, N_t, dim).  The residual is Ds + i tpart and the energy density
     the mean of their squares; the two agree pointwise on a solved curve.
+    lam = <N, v>, (N_s, N_t), is the overlap the projection removes from
+    the unprojected equation N = D_s v + i (D_t v - X_t(v)).
     """
 
     state: FloerState
@@ -265,6 +267,7 @@ class FloerEquation:
     dt_v: np.ndarray
     Ds: np.ndarray
     tpart: np.ndarray
+    lam: np.ndarray
 
     def residual(self) -> FloerResidual:
         grid = self.state.grid
@@ -312,8 +315,9 @@ def _equation(
         + 1j * mode_squares(grid.k)[None, None, :] * C
         - phi[:, None, None] * (1j * G)
     )
+    lam = np.sum((ds_v + 1j * tpart) * np.conj(C), axis=-1)
     return FloerEquation(
-        state, cutoff, ds_v, dt_v, _project_out(ds_v, C), _project_out(tpart, C)
+        state, cutoff, ds_v, dt_v, _project_out(ds_v, C), _project_out(tpart, C), lam
     )
 
 
@@ -402,26 +406,30 @@ class _FreeInverse:
 class _GaussNewtonOperator:
     """Right-preconditioned linearization J M of the projected residual.
 
-    J: delta on interior nodes -> P_V [ A delta + phi H delta ] with
-    A = D_s + i D_t - n^2 matrix-free and H the exact Hessian of F_t at the
-    nodes (grad_F_tangent): a(t) G0 as a matmul for power <= 1, matrix-free
-    through the transforms for power 2.  The tangent projector T removes
-    radial directions on input, the complex projector removes the node
-    line on output.  M = T A^-1 (the exact free inverse, its sawtooth
-    block shifted by the LSMR damping), so J M is the identity plus the
-    phi H and projection terms, and the step is x = M y.  rmatvec
-    mirrors each factor (D_s is skew, H symmetric), so the pair is an
-    exact adjoint.
+    J: delta on interior nodes -> P_V [ A delta + phi H delta - lam delta ]
+    with A = D_s + i D_t - n^2 matrix-free and H the exact Hessian of F_t
+    at the nodes (grad_F_tangent): a(t) G0 as a matmul for power <= 1,
+    matrix-free through the transforms for power 2.  lam is the node
+    overlap <N, V> of FloerEquation; -lam delta is the derivative of the
+    node-line projection, without which J is off by n^2 P_V next to a free
+    orbit through mode n.  The tangent projector T removes radial
+    directions on input, the complex projector removes the node line on
+    output.  M = T A^-1 (the exact free inverse, its sawtooth block
+    shifted by the LSMR damping), so J M is the identity plus the phi H,
+    lam and projection terms, and the step is x = M y.  rmatvec mirrors
+    each factor (D_s is skew, H symmetric, lam becomes conj(lam)), so the
+    pair is an exact adjoint.
     """
 
     def __init__(
         self, grid: CylinderGrid, V: np.ndarray, hessian, phi: np.ndarray,
-        damping: float,
+        lam: np.ndarray, damping: float,
     ):
         self.grid = grid
         self.V = V
         self.hessian = hessian
         self.phi_int = phi[1:-1, None, None]
+        self.lam = lam[..., None]
         self.n2 = mode_squares(grid.k)
         self.free = _FreeInverse(grid, damping)
         m = V.size * 2
@@ -443,16 +451,19 @@ class _GaussNewtonOperator:
         lin = self._ds(delta) + 1j * _dt_spectral(delta)
         lin -= self.n2[None, None, :] * delta
         lin += self.hessian(delta) * self.phi_int
+        lin -= self.lam * delta
         out = _project_out(lin, self.V)
         return _real_view(np.ascontiguousarray(out)).copy()
 
     def rmatvec(self, z: np.ndarray) -> np.ndarray:
         rho = _complex_view(np.ascontiguousarray(z), self.V.shape)
         rho = _project_out(rho, self.V)
-        # adjoints: D_s^T = -D_s, (i D_t)^* = i D_t, n^2 and H symmetric
+        # adjoints: D_s^T = -D_s, (i D_t)^* = i D_t, n^2 and H symmetric,
+        # lam conjugated
         out = -self._ds(rho) + 1j * _dt_spectral(rho)
         out -= self.n2[None, None, :] * rho
         out += self.hessian(rho) * self.phi_int
+        out -= np.conj(self.lam) * rho
         out = self.free(_tangent(out, self.V), adjoint=True)
         return _real_view(np.ascontiguousarray(out)).copy()
 
@@ -520,12 +531,12 @@ def solve_floer(
             message = "iteration budget exhausted"
             break
         start = time.perf_counter()
-        V = eq.state.coeffs[1:-1]
+        V, lam = eq.state.coeffs[1:-1], eq.lam[1:-1]
         hessian = grad_F_tangent(model, V, grid.t_nodes)
         rhs = -_real_view(np.ascontiguousarray(res.field))
         itn, istop, retries = 0, None, 0
         while damping <= 1e8:
-            op = _GaussNewtonOperator(grid, V, hessian, phi, damping)
+            op = _GaussNewtonOperator(grid, V, hessian, phi, lam, damping)
             sol = lsmr(
                 LinearOperator(
                     op.shape, matvec=op.matvec, rmatvec=op.rmatvec, dtype=np.float64

@@ -20,10 +20,6 @@ import numpy as np
 
 from .spectral import TWO_PI, smooth_step
 
-# double precision loses the divisor signal once q outgrows this
-_EXACT_Q = 10**8
-
-
 # ---------------------------------------------------------------------------
 # divisors
 
@@ -62,34 +58,21 @@ def _pi_floor(digits: int) -> int:
 
 
 def _divisor_exact(q: int) -> tuple[int, float]:
+    """p_star and |q - 2*pi*p_star| in integers scaled by 10^digits.
+
+    2*_pi_floor(digits) stands for 2*pi*10^digits, p_star is the nearest
+    integer to q/(2*pi) and int/int division rounds the value correctly.
+    """
     # q - 2*pi*p cancels the digits of q; keep 20 beyond them
     digits = max(40, len(str(abs(q))) + 20)
-    two_pi = Fraction(2 * _pi_floor(digits), 10**digits)
-    p = round(q / two_pi)
-    return p, float(abs(q - two_pi * p))
-
-
-def _nearest_multiples(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p_star and |q - 2*pi*p_star| for int64 gaps q.
-
-    Double precision cannot certify |q| > _EXACT_Q or a value near 0 or
-    the tie at pi; those are recomputed with an extended-precision 2*pi.
-    """
-    p_stars = np.round(qs.astype(np.float64) / TWO_PI).astype(np.int64)
-    values = np.abs(qs.astype(np.float64) - TWO_PI * p_stars.astype(np.float64))
-    suspect = (np.abs(qs) > _EXACT_Q) | (values < 1e-6) | (values > math.pi - 1e-9)
-    for i in np.nonzero(suspect)[0]:
-        p_stars[i], values[i] = _divisor_exact(int(qs[i]))
-    return p_stars, values
+    scale, two_pi = 10**digits, 2 * _pi_floor(digits)
+    p = (2 * q * scale + two_pi) // (2 * two_pi)
+    return p, abs(q * scale - two_pi * p) / scale
 
 
 def divisor(m: int, n: int) -> DivisorRecord:
     """Distance of m^2 - n^2 to the nearest multiple of 2*pi."""
-    q = int(m) * int(m) - int(n) * int(n)
-    if abs(q) >= 2**63:  # beyond int64, so far past _EXACT_Q
-        p, value = _divisor_exact(q)
-    else:
-        p, value = (a[0].item() for a in _nearest_multiples(np.array([q])))
+    p, value = _divisor_exact(int(m) * int(m) - int(n) * int(n))
     return DivisorRecord(m=int(m), n=int(n), p_star=p, value=value)
 
 
@@ -124,7 +107,8 @@ def divisor_scan(m_max: int, n: int = 0) -> ScanReport:
         raise ValueError("scan too large; call divisor() for individual large m")
     ms = np.arange(abs(n) + 1, m_max + 1, dtype=np.int64)
     qs = ms * ms - np.int64(n) * np.int64(n)
-    p_stars, values = _nearest_multiples(qs)
+    p_list, v_list = zip(*map(_divisor_exact, qs.tolist()))
+    p_stars, values = np.array(p_list, dtype=np.int64), np.array(v_list)
 
     running_min = np.minimum.accumulate(values)
     is_record = values < np.concatenate([[math.inf], running_min[:-1]])
@@ -312,11 +296,12 @@ def cosine_forcing(plateau_periods: int = 10) -> Forcing:
     )
 
 
-def random_forcing(
-    c: float, seed: int, plateau: float = 6.0, ramp: float = 1.0
-) -> Forcing:
-    """Windowed sum of six random cosines with sup strictly below c."""
-    terms = 6
+def random_forcing(c: float, seed: int) -> Forcing:
+    """Windowed sum of six random cosines with sup strictly below c.
+
+    The plateau is [0, 6] with ramps of width 1 on either side.
+    """
+    terms, plateau, ramp = 6, 6.0, 1.0
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(terms)
     freqs = rng.uniform(0.5, 4.0, size=terms)

@@ -15,6 +15,7 @@ import scipy
 import nlsfloer.cli as cli_module
 import nlsfloer.floer as floer_module
 from nlsfloer.cli import build_model, main, resolve_config
+from nlsfloer.dynamics import fs_distance
 from nlsfloer.floer import (
     CylinderGrid,
     FloerState,
@@ -372,6 +373,34 @@ FLOER_CONVERGING = {
     "floer": {"T": 1.0, "S": 4.0, "N_s": 24, "N_t": 8, "tol": 1e-8,
               "gamma_max": 2, "continuation_steps": 30},
 }
+
+
+def test_floer_connects_distinct_orbits(tmp_path):
+    # mode 0 to the continued n = 1 point at the benchmark's k = 4 size:
+    # the row next to each end lies near its own orbit, far from the other
+    cfg = write_config(
+        tmp_path,
+        {
+            "pipeline": "floer",
+            "floer": {"N_s": 32, "N_t": 32, "tol": 1e-6, "n_right": 1,
+                      "continuation_steps": 30},
+        },
+    )
+    out = tmp_path / "o"
+    assert main(["floer", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "floer_summary.json").read_text())
+    assert summary["converged"]
+    assert summary["message"] == "converged"
+    assert summary["residual_norm"] < 1e-6
+    # the end rows are the boundary orbits, pinned by the solve
+    C = FloerState.from_json((out / "floer_state.json").read_text()).coeffs
+
+    def farthest(row, orbit):
+        return max(map(fs_distance, row, orbit))
+
+    for near, own, other in ((C[-2], C[-1], C[0]), (C[1], C[0], C[-1])):
+        assert farthest(near, own) < 0.1
+        assert farthest(near, other) > 1.0
 
 
 def test_floer_non_convergence_exits_3_with_artifacts(tmp_path, capsys):

@@ -498,7 +498,8 @@ def test_free_inverse_sweep_and_adjoint(N_s):
     V /= np.linalg.norm(V, axis=-1, keepdims=True)
     hessian = grad_F_tangent(quadratic_model(k), V, grid.t_nodes)
     phi = build_cutoff(1.0).phi(grid.s_nodes)
-    op = _GaussNewtonOperator(grid, V, hessian, phi, 1e-3)
+    lam = rng.normal(size=shape[:2]) + 1j * rng.normal(size=shape[:2])
+    op = _GaussNewtonOperator(grid, V, hessian, phi, lam, 1e-3)
 
     # every mode but the shifted (p, m) = (0, 0) block is inverted exactly
     R = np.fft.fft(field(), axis=1)
@@ -508,6 +509,7 @@ def test_free_inverse_sweep_and_adjoint(N_s):
         X = op.free(R, adjoint=adjoint)
         assert np.max(np.abs(_free_operator(op, X, adjoint) - R)) < 1e-12
 
+    # the adjoint pair covers every term, the complex node overlap lam too
     x = rng.normal(size=op.shape[1])
     y = rng.normal(size=op.shape[0])
     Jx = op.matvec(x)
@@ -527,7 +529,8 @@ def test_operator_applies_a_linear_density_without_transforms(monkeypatch):
     V /= np.linalg.norm(V, axis=-1, keepdims=True)
     hessian = grad_F_tangent(potential_model(k), V, grid.t_nodes)
     phi = build_cutoff(1.0).phi(grid.s_nodes)
-    op = _GaussNewtonOperator(grid, V, hessian, phi, 1e-3)
+    lam = rng.normal(size=V.shape[:2]) + 1j * rng.normal(size=V.shape[:2])
+    op = _GaussNewtonOperator(grid, V, hessian, phi, lam, 1e-3)
     calls = []
     for name in ("synthesize_many", "analyze_many"):
         inner = getattr(model_module, name)
@@ -542,8 +545,9 @@ def test_operator_applies_a_linear_density_without_transforms(monkeypatch):
 
 
 def test_solve_partial_result_when_budget_exhausted():
-    # boundary data whose neutral-pair mismatch no boundary layer can
-    # absorb: the solver must hand back the partial state with diagnostics
+    # bare mode 1 against the even pair: the solve converges given more
+    # steps, so only the budget of 2 stops it, and the solver must hand
+    # back the partial state with diagnostics
     k = 4
     model = potential_model(k)
     grid = CylinderGrid(S=4.0, N_s=30, N_t=8, k=k)
@@ -559,6 +563,27 @@ def test_solve_partial_result_when_budget_exhausted():
     assert result.residual_norm == result.history[-1]["residual_norm"]
     assert result.energy == result.history[-1]["energy"]
     assert result.state.coeffs.shape == (30, 8, 9)
+
+
+def test_free_cylinder_energy_is_the_action_difference():
+    # for an s-independent Hamiltonian a cylinder's energy is the action
+    # difference of its ends, n^2 / 2 from mode 0 to the even n point in
+    # the free model; the central difference makes the error O(ds^2).
+    # Wider or finer free windows are near-singular (s-translation family)
+    k, N_t = 4, 32
+    pair = np.zeros(2 * k + 1, dtype=np.complex128)
+    pair[k + 1] = pair[k - 1] = 1.0 / math.sqrt(2.0)
+    left = boundary_orbit(mode_point(0, k), N_t, side="left")
+    right = boundary_orbit(gauge_fix(SpectralField(k, pair)), N_t, side="right")
+    errors = []
+    for N_s in (32, 64, 128):
+        grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k)
+        result = solve_floer(potential_model(k, eps=0.0), grid, 1.0, (left, right))
+        assert result.converged, N_s
+        errors.append(abs(result.energy - 0.5))
+    assert errors[0] / errors[1] >= 3.5
+    assert errors[1] / errors[2] >= 3.5
+    assert errors[2] < 3e-4
 
 
 def test_solve_evaluates_each_state_once(monkeypatch):

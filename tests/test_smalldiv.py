@@ -92,14 +92,22 @@ def test_divisor_large_argument_precision():
     assert abs(rec.value - expected) < 1e-10
 
 
+def _mp_divisor(q):
+    # the same working precision as _divisor_exact, with mpmath's pi
+    with mp.workdps(max(40, len(str(abs(q))) + 20)):
+        two_pi = 2 * mp.pi
+        p = int(mp.nint(mp.mpf(q) / two_pi))
+        return p, float(abs(q - two_pi * p))
+
+
 @pytest.mark.parametrize("n", [0, 3, -40])
 def test_divisor_agrees_with_every_scan_row(n):
-    # m past 10**4 puts |q| above _EXACT_Q, so rows on both sides of the
-    # switch to extended precision are compared
     rep = divisor_scan(10_050, n)
     for i, m in enumerate(rep.ms):
         rec = divisor(int(m), n)
-        assert (rec.p_star, rec.value) == (int(rep.p_stars[i]), float(rep.values[i]))
+        row = (int(rep.p_stars[i]), float(rep.values[i]))
+        assert (rec.p_star, rec.value) == row
+        assert row == _mp_divisor(int(rep.qs[i])), int(m)
 
 
 def test_divisor_beyond_int64():
@@ -126,14 +134,6 @@ def test_divisor_keeps_digits_past_the_cancellation(m):
     assert rec.p_star == p
     assert 0.0 <= rec.value <= math.pi
     assert abs(rec.value - expected) <= 1e-15 * expected
-
-
-def _mp_divisor(q):
-    # the same working precision as _divisor_exact, with mpmath's pi
-    with mp.workdps(max(40, len(str(abs(q))) + 20)):
-        two_pi = 2 * mp.pi
-        p = int(mp.nint(mp.mpf(q) / two_pi))
-        return p, float(abs(q - two_pi * p))
 
 
 def test_pi_floor_matches_mpmath():
@@ -301,7 +301,7 @@ def test_bump_bound():
 def test_solution_solves_ode():
     # central difference of w against lambda w + f on interior nodes
     lam = 0.7
-    forcing = random_forcing(0.8, seed=3, plateau=3.0, ramp=1.5)
+    forcing = random_forcing(0.8, seed=3)
     chk = ode_bound_check(lam, 1.0, forcing, nodes=50_000)
     s, w = chk.s, chk.w
     ds = s[1] - s[0]
