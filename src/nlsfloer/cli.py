@@ -15,13 +15,18 @@ Exit codes: 0 success, 2 config error, 3 numeric non-convergence,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import itertools
 import json
 import math
+import multiprocessing
 import os
 import platform
 import sys
 import tempfile
+import time
+from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from typing import Callable, Dict, List, Optional
 
@@ -440,35 +445,56 @@ def _continue_mode(model: ModelSpec, n: int, tol: float, steps: int):
     return result.final.point
 
 
+def _continue_timed(model: ModelSpec, n: int, tol: float, steps: int):
+    """One mode's continuation and its wall seconds.  Module level, so a worker
+    unpickles it by reference and looks up continue_fixed_point here."""
+    t0 = time.perf_counter()
+    result = continue_fixed_point(model, n, tol=tol, steps=steps)
+    return result, time.perf_counter() - t0
+
+
 def _pipe_fixed_points(cfg: dict, out: ArtifactWriter) -> dict:
     p = cfg["fixed_points"]
     model = build_model(cfg["model"])
+    modes = p["modes"]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    # Forked workers inherit the loaded modules; spawned ones would
+    # re-import scipy (about 0.4 s each) and erase the gain.  The CLI
+    # starts no thread before the pool forks.
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    workers = min(len(modes), cpus) if fork else 1
+    print(f"fixed-points: {len(modes)} modes on {workers} worker processes")
     points = []
     summaries = []
-    for n in p["modes"]:
-        result = continue_fixed_point(model, n, tol=p["tol"], steps=p["steps"])
-        entry = result.final
-        out.write(f"fixed_point_n{n}.json", result.to_json() + "\n")
-        summaries.append(
-            {
-                "n": n,
-                "converged": result.converged,
-                "residual": entry.residual,
-                "iterations": entry.iterations,
-                "eps": entry.eps,
-            }
-        )
-        print(
-            f"fixed-points: n={n} residual {entry.residual:.3e} "
-            f"iterations {entry.iterations} converged={result.converged} "
-            f"attempts {result.attempts} ({result.corrector_iterations} iterations) "
-            f"flows {result.flows} rows {result.flow_rows} "
-            f"backtracks {result.backtracks}"
-        )
-        if not result.converged:
-            out.write("fixed_points_summary.json", _json_text(summaries))
-            raise NumericError(f"continuation for n={n} stalled: {result.message}")
-        points.append(entry.point)
+    with (ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+          if workers > 1 else contextlib.nullcontext()) as pool:
+        results = (pool.map if pool else map)(
+            _continue_timed, itertools.repeat(model), modes,
+            itertools.repeat(p["tol"]), itertools.repeat(p["steps"]))
+        for n, (result, seconds) in zip(modes, results):
+            entry = result.final
+            out.write(f"fixed_point_n{n}.json", result.to_json() + "\n")
+            summaries.append(
+                {
+                    "n": n,
+                    "converged": result.converged,
+                    "residual": entry.residual,
+                    "iterations": entry.iterations,
+                    "eps": entry.eps,
+                }
+            )
+            print(
+                f"fixed-points: n={n} residual {entry.residual:.3e} "
+                f"iterations {entry.iterations} converged={result.converged} "
+                f"attempts {result.attempts} ({result.corrector_iterations} iterations) "
+                f"flows {result.flows} rows {result.flow_rows} "
+                f"backtracks {result.backtracks} wall_s {seconds:.3f}"
+            )
+            if not result.converged:
+                out.write("fixed_points_summary.json", _json_text(summaries))
+                raise NumericError(f"continuation for n={n} stalled: {result.message}")
+            points.append(entry.point)
 
     rep = None
     if len(points) >= 2:
@@ -555,28 +581,15 @@ def _pipe_floer(cfg: dict, out: ArtifactWriter) -> dict:
 def _pipe_divisors(cfg: dict, out: ArtifactWriter) -> dict:
     p = cfg["divisors"]
     report = divisor_scan(p["m_max"], p["n"])
-    rows = []
-    for i in range(report.ms.size):
-        m = int(report.ms[i])
-        value = float(report.values[i])
-        rows.append(
-            [
-                str(m),
-                str(int(report.qs[i])),
-                str(int(report.p_stars[i])),
-                _fmt(value),
-                "1" if bool(report.is_record[i]) else "0",
-                _fmt(math.log10(m)) if m > 0 else "nan",
-                _fmt(math.log10(value)) if value > 0 else "-inf",
-            ]
-        )
-    out.write(
-        "divisors.csv",
-        _csv(
-            ["m", "q", "p_star", "value", "is_record", "log10_m", "log10_value"],
-            rows,
-        ),
+    columns = (report.ms, report.qs, report.p_stars, report.values, report.is_record)
+    rows = "".join(
+        f"{m},{q},{p_star},{value:.17e},{record:d},"
+        f"{_fmt(math.log10(m)) if m > 0 else 'nan'},"
+        f"{_fmt(math.log10(value)) if value > 0 else '-inf'}\n"
+        for m, q, p_star, value, record in zip(*(c.tolist() for c in columns))
     )
+    header = ["m", "q", "p_star", "value", "is_record", "log10_m", "log10_value"]
+    out.write("divisors.csv", _csv(header, []) + rows)
 
     center, eta = inv_two_pi()
     conv = convergents(center, p["convergent_count"], uncertainty=eta)

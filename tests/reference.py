@@ -317,3 +317,29 @@ def reference_continuation(
         point, phase = res.point, res.phase
         entries.append(PathEntry(eps, point, phase, res.residual, res.iterations))
     return ContinuationResult(n, model.k, entries, True)
+
+
+def reference_divisors_csv(report) -> str:
+    """divisors.csv from a DivisorReport, one value at a time.
+
+    Floats are written as ``f"{float(x):.17e}"``; log10_m is "nan" for
+    m = 0 and log10_value is "-inf" for a zero divisor.
+    """
+
+    def fmt(x) -> str:
+        return f"{float(x):.17e}"
+
+    lines = ["m,q,p_star,value,is_record,log10_m,log10_value"]
+    for i in range(report.ms.size):
+        m = int(report.ms[i])
+        value = float(report.values[i])
+        lines.append(",".join([
+            str(m),
+            str(int(report.qs[i])),
+            str(int(report.p_stars[i])),
+            fmt(value),
+            "1" if bool(report.is_record[i]) else "0",
+            fmt(math.log10(m)) if m > 0 else "nan",
+            fmt(math.log10(value)) if value > 0 else "-inf",
+        ]))
+    return "\n".join(lines) + "\n"

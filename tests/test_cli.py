@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import platform
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import scipy
 import nlsfloer.cli as cli_module
 import nlsfloer.floer as floer_module
 from nlsfloer.cli import build_model, main, resolve_config
-from nlsfloer.dynamics import fs_distance
+from nlsfloer.dynamics import continue_fixed_point, fs_distance
 from nlsfloer.floer import (
     CylinderGrid,
     FloerState,
@@ -23,6 +25,9 @@ from nlsfloer.floer import (
     build_cutoff,
     extract_slices,
 )
+from nlsfloer.smalldiv import divisor_scan
+
+from reference import reference_divisors_csv
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -151,6 +156,17 @@ def test_divisors_csv_contains_m5_record(tmp_path):
     conv = (out / "convergents.csv").read_text().strip().split("\n")
     assert conv[0] == "index,p,q,error"
     assert len(conv) > 3
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_divisors_csv_follows_the_per_value_rule(tmp_path, n):
+    cfg = write_config(
+        tmp_path, {"pipeline": "divisors", "divisors": {"m_max": 2000, "n": n}}
+    )
+    out = tmp_path / "out"
+    assert main(["divisors", "--config", cfg, "--out", str(out)]) == 0
+    expect = reference_divisors_csv(divisor_scan(2000, n))
+    assert (out / "divisors.csv").read_text() == expect
 
 
 def test_manifest_records_digests_and_config(tmp_path):
@@ -331,10 +347,65 @@ def test_fixed_points_pipeline_emits_points_and_distances(tmp_path, capsys):
     assert (out / "fixed_point_n0.json").exists()
     assert (out / "fixed_point_n1.json").exists()
     assert (out / "distances.csv").exists()
-    lines = [ln for ln in capsys.readouterr().out.splitlines()
-             if ln.startswith("fixed-points: n=")]
+    stdout = capsys.readouterr().out.splitlines()
+    lines = [ln for ln in stdout if ln.startswith("fixed-points: n=")]
     assert len(lines) == 2
-    assert all(re.search(r" flows \d+ rows \d+ backtracks \d+$", ln) for ln in lines)
+    assert all(re.search(r" flows \d+ rows \d+ backtracks \d+ wall_s \d+\.\d{3}$", ln)
+               for ln in lines)
+    workers = min(2, len(os.sched_getaffinity(0)))
+    assert stdout[0] == f"fixed-points: 2 modes on {workers} worker processes"
+
+
+@pytest.mark.parametrize(
+    "kind", ["constant", "hartree", "quadratic", "potential", "time_modulated"]
+)
+def test_fixed_points_workers_write_the_in_process_bytes(tmp_path, kind):
+    body = {
+        "pipeline": "fixed-points",
+        "model": {"kind": kind, "k": 2},
+        "fixed_points": {"modes": [0, 1], "steps": 20},
+    }
+    out = tmp_path / "o"
+    assert main(["fixed-points", "--config", write_config(tmp_path, body),
+                 "--out", str(out)]) == 0
+    resolved = resolve_config(body, "fixed-points")
+    model = build_model(resolved["model"])
+    p = resolved["fixed_points"]
+    for n in (0, 1):
+        result = continue_fixed_point(model, n, tol=p["tol"], steps=p["steps"])
+        assert (out / f"fixed_point_n{n}.json").read_text() == result.to_json() + "\n"
+
+
+def test_fixed_points_stops_at_the_first_stalled_mode(tmp_path, monkeypatch, capsys):
+    real = cli_module.continue_fixed_point
+
+    def stall_at_1(model, n, tol, steps):
+        result = real(model, n, tol=tol, steps=steps)
+        return replace(result, converged=False, message="stub") if n == 1 else result
+
+    # forked workers inherit the stub
+    monkeypatch.setattr(cli_module, "continue_fixed_point", stall_at_1)
+    body = {
+        "pipeline": "fixed-points",
+        "model": {"k": 2},
+        "fixed_points": {"modes": [0, 1, 2], "steps": 20},
+    }
+    out = tmp_path / "o"
+    rc = main(["fixed-points", "--config", write_config(tmp_path, body),
+               "--out", str(out)])
+    assert rc == 3
+    # the stalled mode's path is written, as in a serial run; no later mode's
+    assert (out / "fixed_point_n0.json").exists()
+    assert (out / "fixed_point_n1.json").exists()
+    assert not (out / "fixed_point_n2.json").exists()
+    summary = json.loads((out / "fixed_points_summary.json").read_text())
+    assert [m["n"] for m in summary] == [0, 1]
+    assert [m["converged"] for m in summary] == [True, False]
+    captured = capsys.readouterr()
+    lines = [ln for ln in captured.out.splitlines() if ln.startswith("fixed-points: n=")]
+    assert [ln.split()[1] for ln in lines] == ["n=0", "n=1"]
+    assert "continuation for n=1 stalled: stub" in captured.err
+    assert multiprocessing.active_children() == []
 
 
 def test_floer_trivial_solve_takes_zero_iterations(tmp_path, capsys):
