@@ -437,9 +437,26 @@ def _pipe_simulate(cfg: dict, out: ArtifactWriter) -> dict:
 
 
 def _continue_mode(model: ModelSpec, n: int, tol: float, steps: int):
-    if model.nonlinearity.strength == 0.0:
+    """The right end's orbit point, with one stdout line on its continuation.
+
+    Mode 0's free eigenvalue is simple, so its branch is locally unique and
+    one strength step reaches it (halved by continue_fixed_point when the
+    corrector fails).  A ±n pair is degenerate at strength 0, and for n != 0
+    the default schedule's path picks the member.
+    """
+    eps = model.nonlinearity.strength
+    if eps == 0.0:
         return mode_point(n, model.k)
-    result = continue_fixed_point(model, n, tol=tol, steps=steps)
+    t0 = time.perf_counter()
+    result = continue_fixed_point(
+        model, n, [0.0, eps] if n == 0 else None, tol=tol, steps=steps
+    )
+    print(
+        f"floer: right end n={n} strength steps {len(result.entries) - 1} "
+        f"attempts {result.attempts} ({result.corrector_iterations} iterations) "
+        f"flows {result.flows} rows {result.flow_rows} "
+        f"backtracks {result.backtracks} wall_s {time.perf_counter() - t0:.3f}"
+    )
     if not result.converged:
         raise NumericError(f"continuation for n={n} stalled: {result.message}")
     return result.final.point

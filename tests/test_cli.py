@@ -22,6 +22,7 @@ from nlsfloer.floer import (
     CylinderGrid,
     FloerState,
     _equation,
+    boundary_orbit,
     build_cutoff,
     extract_slices,
 )
@@ -472,6 +473,36 @@ def test_floer_connects_distinct_orbits(tmp_path):
     for near, own, other in ((C[-2], C[-1], C[0]), (C[1], C[0], C[-1])):
         assert farthest(near, own) < 0.1
         assert farthest(near, other) > 1.0
+
+
+@pytest.mark.parametrize(
+    "kind", ["constant", "hartree", "quadratic", "potential", "time_modulated"]
+)
+def test_floer_right_end_takes_mode_0_in_one_strength_step(tmp_path, capsys, kind):
+    # mode 0 in one strength step lands on the default schedule's endpoint;
+    # n = 1 keeps that schedule, so its end row is the same bytes
+    for n, steps in ((0, 1), (1, 10)):
+        body = {"pipeline": "floer", "model": {"kind": kind, "k": 4},
+                "floer": {"N_s": 32, "N_t": 16, "n_right": n,
+                          "continuation_steps": 30}}
+        out = tmp_path / f"n{n}"
+        assert main(["floer", "--config", write_config(tmp_path, body),
+                     "--out", str(out)]) == 0
+        C = FloerState.from_json((out / "floer_state.json").read_text()).coeffs
+        model = build_model(resolve_config(body, "floer")["model"])
+        end = continue_fixed_point(model, n, steps=30).final.point
+        if n == 0:
+            assert fs_distance(C[-1, 0], end.coeffs) <= 1e-12
+        else:
+            assert np.array_equal(C[-1], boundary_orbit(end, 16, side="right"))
+        lines = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("floer: right end")]
+        assert len(lines) == 1
+        assert re.fullmatch(
+            rf"floer: right end n={n} strength steps {steps} attempts \d+ "
+            r"\(\d+ iterations\) flows \d+ rows \d+ backtracks \d+ wall_s \d+\.\d{3}",
+            lines[0],
+        )
 
 
 def test_floer_non_convergence_exits_3_with_artifacts(tmp_path, capsys):

@@ -474,6 +474,21 @@ def test_continuation_carry_is_bitwise_through_failover(n, eps, schedule, monkey
     assert carried.flows < alone.flows - 1
 
 
+def test_continuation_one_step_schedule_halves_on_failure():
+    # mode 0's free eigenvalue is simple, so one strength step reaches the
+    # default schedule's endpoint; at strength 2 the full step fails and is
+    # halved.  A +-n pair is degenerate at strength 0, so n != 0 keeps the
+    # path: one step lands 1.57 FS from the path's n = 1 point at strength
+    # 2, and 0.785 FS from its n = 3 point at strength 0.05
+    model = potential_model(4, 2.0)
+    one = continue_fixed_point(model, 0, [0.0, 2.0], steps=30)
+    path = continue_fixed_point(model, 0, steps=30)
+    assert one.converged and path.converged
+    assert one.attempts >= 2
+    assert len(one.entries) == 2
+    assert fs_distance(one.final.point.coeffs, path.final.point.coeffs) <= 1e-12
+
+
 def test_continuation_counts_corrector_attempts():
     # n = 1 fails over from the bare mode to a pair seed once, at the first
     # strength step, then converges in two iterations per step
