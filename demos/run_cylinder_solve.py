@@ -27,8 +27,7 @@ def main():
     model = ModelSpec(exponential_kernel(1.0, k), Potential(0.05, cosine_field(k)), k)
     grid = CylinderGrid(S=4.0, N_s=80, N_t=16, k=k)
 
-    # mode 0's branch is locally unique: one strength step, halved on failure
-    target = continue_fixed_point(model, 0, [0.0, model.nonlinearity.strength]).final.point
+    target = continue_fixed_point(model, 0).final.point
     left = boundary_orbit(mode_point(0, k), grid.N_t, side="left")
     right = boundary_orbit(target, grid.N_t, side="right")
 

@@ -436,38 +436,21 @@ def _pipe_simulate(cfg: dict, out: ArtifactWriter) -> dict:
     return summary
 
 
-def _continue_mode(model: ModelSpec, n: int, tol: float, steps: int):
-    """The right end's orbit point, with one stdout line on its continuation.
-
-    Mode 0's free eigenvalue is simple, so its branch is locally unique and
-    one strength step reaches it (halved by continue_fixed_point when the
-    corrector fails).  A ±n pair is degenerate at strength 0, and for n != 0
-    the default schedule's path picks the member.
-    """
-    eps = model.nonlinearity.strength
-    if eps == 0.0:
-        return mode_point(n, model.k)
-    t0 = time.perf_counter()
-    result = continue_fixed_point(
-        model, n, [0.0, eps] if n == 0 else None, tol=tol, steps=steps
-    )
-    print(
-        f"floer: right end n={n} strength steps {len(result.entries) - 1} "
-        f"attempts {result.attempts} ({result.corrector_iterations} iterations) "
-        f"flows {result.flows} rows {result.flow_rows} "
-        f"backtracks {result.backtracks} wall_s {time.perf_counter() - t0:.3f}"
-    )
-    if not result.converged:
-        raise NumericError(f"continuation for n={n} stalled: {result.message}")
-    return result.final.point
-
-
 def _continue_timed(model: ModelSpec, n: int, tol: float, steps: int):
     """One mode's continuation and its wall seconds.  Module level, so a worker
     unpickles it by reference and looks up continue_fixed_point here."""
     t0 = time.perf_counter()
     result = continue_fixed_point(model, n, tol=tol, steps=steps)
     return result, time.perf_counter() - t0
+
+
+def _counts(result, seconds: float) -> str:
+    """The work counts of one continuation, as both pipelines print them."""
+    return (
+        f"attempts {result.attempts} ({result.corrector_iterations} iterations) "
+        f"flows {result.flows} rows {result.flow_rows} "
+        f"backtracks {result.backtracks} wall_s {seconds:.3f}"
+    )
 
 
 def _pipe_fixed_points(cfg: dict, out: ArtifactWriter) -> dict:
@@ -504,9 +487,7 @@ def _pipe_fixed_points(cfg: dict, out: ArtifactWriter) -> dict:
             print(
                 f"fixed-points: n={n} residual {entry.residual:.3e} "
                 f"iterations {entry.iterations} converged={result.converged} "
-                f"attempts {result.attempts} ({result.corrector_iterations} iterations) "
-                f"flows {result.flows} rows {result.flow_rows} "
-                f"backtracks {result.backtracks} wall_s {seconds:.3f}"
+                f"{_counts(result, seconds)}"
             )
             if not result.converged:
                 out.write("fixed_points_summary.json", _json_text(summaries))
@@ -532,10 +513,16 @@ def _pipe_floer(cfg: dict, out: ArtifactWriter) -> dict:
     model = build_model(cfg["model"])
     grid = CylinderGrid(S=p["S"], N_s=p["N_s"], N_t=p["N_t"], k=model.k)
 
-    left_point = mode_point(p["n_left"], model.k)
-    right_point = _continue_mode(
-        model, p["n_right"], tol=1e-10, steps=p["continuation_steps"]
+    n = p["n_right"]
+    cont, seconds = _continue_timed(model, n, 1e-10, p["continuation_steps"])
+    print(
+        f"floer: right end n={n} strength steps {len(cont.entries) - 1} "
+        f"{_counts(cont, seconds)}"
     )
+    if not cont.converged:
+        raise NumericError(f"continuation for n={n} stalled: {cont.message}")
+    left_point = mode_point(p["n_left"], model.k)
+    right_point = cont.final.point
     left = boundary_orbit(left_point, grid.N_t, side="left")
     right = boundary_orbit(right_point, grid.N_t, side="right")
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -477,19 +477,23 @@ def _pair_seeds(point: ProjectivePoint) -> list:
 def continue_fixed_point(
     model: ModelSpec,
     n: int,
-    eps_schedule: Optional[Sequence[float]] = None,
     tol: float = 1e-10,
     steps: int = 400,
 ) -> ContinuationResult:
     """Continue the free single-mode state to the model's full strength.
 
-    The schedule starts at 0; each step reuses the previous corrected
-    state (and phase) as predictor, and the flow of its first Jacobian,
-    which the previous attempt (or the free state's flow) carried.  A
-    corrector that stalls is retried from the reflection-symmetrized
-    combinations of the predictor before the strength interval is bisected
-    (up to MAX_BISECT times); partial paths are returned with
-    converged=False rather than discarded.
+    The strength schedule follows the mode.  At strength 0 it is [0], since
+    the free state is exact there.  Mode 0's free eigenvalue is simple, so
+    its branch is locally unique and one step [0, strength] reaches it; a
+    +-n pair is degenerate at strength 0, so for n != 0 an 11-point path
+    picks the member of the pair the interaction selects.
+
+    Each step reuses the previous corrected state (and phase) as predictor,
+    and the flow of its first Jacobian, which the previous attempt (or the
+    free state's flow) carried.  A corrector that stalls is retried from the
+    reflection-symmetrized combinations of the predictor before the strength
+    interval is bisected (up to MAX_BISECT times); partial paths are
+    returned with converged=False rather than discarded.
 
     CORRECTOR_ITERS is a per-attempt backstop.  What fails a predictor
     caught on a degenerate pair circle over to the seeded retries quickly
@@ -498,17 +502,7 @@ def continue_fixed_point(
     if abs(n) > model.k:
         raise ValueError("mode outside model bandwidth")
     target = model.nonlinearity.strength
-    if eps_schedule is None:
-        eps_schedule = np.linspace(0.0, target, 11)
-    sched = [float(e) for e in eps_schedule]
-    if sched[0] != 0.0:
-        raise ValueError("strength schedule must start at 0")
-    if not all(b >= a for a, b in zip(sched, sched[1:])) and not all(
-        b <= a for a, b in zip(sched, sched[1:])
-    ):
-        raise ValueError("strength schedule must be monotone")
-    if sched[-1] != target:
-        raise ValueError("strength schedule must end at the model strength")
+    sched = np.linspace(0.0, target, 2 if n == 0 else 11).tolist() if target else [0.0]
 
     point = mode_point(n, model.k)
     phase = _wrap_phase(-float(n) ** 2)

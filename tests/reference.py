@@ -295,9 +295,9 @@ def reference_newton(
 
 
 def reference_continuation(
-    model: ModelSpec, n: int, steps: int, tol: float = 1e-10
+    model: ModelSpec, n: int, schedule, steps: int, tol: float = 1e-10
 ) -> ContinuationResult:
-    """continue_fixed_point over the default schedule, one reference_newton per step.
+    """continue_fixed_point over a given schedule, one reference_newton per step.
 
     Every attempt makes its own difference flows and the free state's
     residual is a flow of its own; nothing is carried from one strength
@@ -308,7 +308,7 @@ def reference_continuation(
     phase = _wrap_phase(-float(n) ** 2)
     res0 = fixed_point_residual(model.with_strength(0.0), point, steps)
     entries = [PathEntry(0.0, point, phase, res0, 0)]
-    for eps in np.linspace(0.0, model.nonlinearity.strength, 11)[1:]:
+    for eps in schedule[1:]:
         eps = float(eps)
         res = reference_newton(
             model.with_strength(eps), point, phase, tol, CORRECTOR_ITERS, steps

@@ -479,8 +479,8 @@ def test_floer_connects_distinct_orbits(tmp_path):
     "kind", ["constant", "hartree", "quadratic", "potential", "time_modulated"]
 )
 def test_floer_right_end_takes_mode_0_in_one_strength_step(tmp_path, capsys, kind):
-    # mode 0 in one strength step lands on the default schedule's endpoint;
-    # n = 1 keeps that schedule, so its end row is the same bytes
+    # the right end is continue_fixed_point's endpoint: mode 0 in one
+    # strength step, n = 1 along the 11-point path, the same bytes
     for n, steps in ((0, 1), (1, 10)):
         body = {"pipeline": "floer", "model": {"kind": kind, "k": 4},
                 "floer": {"N_s": 32, "N_t": 16, "n_right": n,

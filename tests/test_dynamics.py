@@ -429,12 +429,11 @@ def test_newton_raises_when_its_difference_flow_blows_up():
 
 def test_continuation_counts_flows(monkeypatch):
     # the free state's flow carries the first step's difference batch, and
-    # each step's last full step the next step's: n = 0 makes 10
-    # two-iteration correctors of 2 flows each (19 + 20 rows, 19 + 1 at the
-    # last step), n = 3 10 one-iteration correctors of 1 flow each (20 rows,
-    # 1 at the last step), after the free state's 20-row flow; no full step
-    # is rejected
-    for n, flows, flow_rows in ((0, 21, 391), (3, 11, 201)):
+    # each step's last full step the next step's: n = 0 takes one strength
+    # step, a three-iteration corrector of 3 flows (19, 19 and 1 rows), n = 3
+    # 10 one-iteration correctors of 1 flow each (20 rows, 1 at the last
+    # step), both after the free state's 20-row flow; no full step is rejected
+    for n, flows, flow_rows in ((0, 4, 59), (3, 11, 201)):
         rows = _record_flow_rows(monkeypatch)
         out = continue_fixed_point(potential_model(4), n=n, steps=30)
         assert out.converged
@@ -449,26 +448,23 @@ def test_continuation_is_bitwise_the_per_step_loop(n):
     # started from any other point they would move the path
     model = potential_model(4)
     out = continue_fixed_point(model, n, steps=30)
-    assert out.to_json() == reference_continuation(model, n, steps=30).to_json()
+    schedule = np.linspace(0.0, model.nonlinearity.strength, 2 if n == 0 else 11)
+    assert out.to_json() == reference_continuation(model, n, schedule, 30).to_json()
 
 
-@pytest.mark.parametrize(
-    "n, eps, schedule",
-    [(0, 2.0, [0.0, 2.0]), (1, 0.05, None)],
-    ids=["bisected", "pair-seeded"],
-)
-def test_continuation_carry_is_bitwise_through_failover(n, eps, schedule, monkeypatch):
+@pytest.mark.parametrize("n, eps", [(0, 2.0), (1, 0.05)], ids=["bisected", "pair-seeded"])
+def test_continuation_carry_is_bitwise_through_failover(n, eps, monkeypatch):
     # at strength 2 the full step fails and its half step hands the rows of
     # the step's target on; at n = 1 a pair-seeded retry hands them on
     model = potential_model(4, eps)
-    carried = continue_fixed_point(model, n, eps_schedule=schedule, steps=30)
+    carried = continue_fixed_point(model, n, steps=30)
     newton = dynamics.newton_fixed_point
 
     def plain(*args, jac_rows=None, next_strength=None, **kwargs):
         return newton(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "newton_fixed_point", plain)
-    alone = continue_fixed_point(model, n, eps_schedule=schedule, steps=30)
+    alone = continue_fixed_point(model, n, steps=30)
     assert carried.attempts == alone.attempts == (3 if n == 0 else 11)
     assert carried.to_json() == alone.to_json()
     assert carried.flows < alone.flows - 1
@@ -476,17 +472,30 @@ def test_continuation_carry_is_bitwise_through_failover(n, eps, schedule, monkey
 
 def test_continuation_one_step_schedule_halves_on_failure():
     # mode 0's free eigenvalue is simple, so one strength step reaches the
-    # default schedule's endpoint; at strength 2 the full step fails and is
+    # 11-point path's endpoint; at strength 2 the full step fails and is
     # halved.  A +-n pair is degenerate at strength 0, so n != 0 keeps the
     # path: one step lands 1.57 FS from the path's n = 1 point at strength
     # 2, and 0.785 FS from its n = 3 point at strength 0.05
     model = potential_model(4, 2.0)
-    one = continue_fixed_point(model, 0, [0.0, 2.0], steps=30)
-    path = continue_fixed_point(model, 0, steps=30)
-    assert one.converged and path.converged
-    assert one.attempts >= 2
+    one = continue_fixed_point(model, 0, steps=30)
+    path = reference_continuation(model, 0, np.linspace(0.0, 2.0, 11), 30)
+    assert one.converged
+    assert one.attempts == 3
     assert len(one.entries) == 2
     assert fs_distance(one.final.point.coeffs, path.final.point.coeffs) <= 1e-12
+
+
+def test_continuation_schedule_follows_the_mode():
+    # mode 0 in one strength step, n != 0 along 11 equally spaced strengths,
+    # and the free state alone at strength 0
+    model = potential_model(4, 0.05)
+    assert [e.eps for e in continue_fixed_point(model, 0, steps=30).entries] == [0.0, 0.05]
+    path = [e.eps for e in continue_fixed_point(model, 2, steps=30).entries]
+    assert path == np.linspace(0.0, 0.05, 11).tolist()
+    for n in (0, 1, 3):
+        out = continue_fixed_point(potential_model(4, 0.0), n, steps=30)
+        assert out.converged
+        assert [e.eps for e in out.entries] == [0.0]
 
 
 def test_continuation_counts_corrector_attempts():
@@ -516,7 +525,7 @@ def test_continuation_sums_backtracks(monkeypatch):
 
 def test_continuation_free_schedule_is_trivial():
     model = hartree_model(6, 0.0)
-    out = continue_fixed_point(model, n=1, eps_schedule=[0.0], steps=50)
+    out = continue_fixed_point(model, n=1, steps=50)
     assert out.converged
     assert len(out.entries) == 1
     assert out.final.residual < 1e-13
@@ -524,9 +533,7 @@ def test_continuation_free_schedule_is_trivial():
 
 def test_continuation_reaches_target_strength():
     model = quadratic_model(k=5, eps=0.05)
-    out = continue_fixed_point(
-        model, n=0, eps_schedule=np.linspace(0.0, 0.05, 6), steps=200
-    )
+    out = continue_fixed_point(model, n=0, steps=200)
     assert out.converged
     assert out.final.eps == pytest.approx(0.05)
     assert out.final.residual < 1e-10
@@ -537,18 +544,9 @@ def test_continuation_reaches_target_strength():
     assert all(d < 0.5 for d in dists)
 
 
-def test_continuation_schedule_validation():
-    model = quadratic_model(k=4, eps=0.05)
-    with pytest.raises(ValueError):
-        continue_fixed_point(model, 0, eps_schedule=[0.01, 0.05])
-    with pytest.raises(ValueError):
-        continue_fixed_point(model, 0, eps_schedule=[0.0, 0.04])
-
-
 def test_continuation_roundtrip_json():
     model = hartree_model(4, 0.1)
-    out = continue_fixed_point(model, n=1, eps_schedule=np.linspace(0, 0.1, 3),
-                               steps=100)
+    out = continue_fixed_point(model, n=1, steps=100)
     assert out.converged
     back = ContinuationResult.from_json(out.to_json())
     assert back.n == out.n
