@@ -53,15 +53,12 @@ def main():
     quad = integrate_density(result.state, monitor["energy_density_map"])
     print(f"sup |D_s| {monitor['sup_ds']:.3e}, density integrates to {quad:.4e}")
 
-    slices = extract_slices(result.equation, gamma_max=2)
-    for entry in slices.entries:
-        for side in ("left", "right"):
-            cand = getattr(entry, side)
-            if cand is not None:
-                print(
-                    f"gamma={entry.gamma} {side:>5}: slice at s={cand.s:+.2f}, "
-                    f"criterion {cand.criterion:.1e}, orbit distance {cand.distance:.1e}"
-                )
+    for r in extract_slices(result.equation, gamma_max=2):
+        if r.count > 0:
+            print(
+                f"gamma={r.gamma} {r.side:>5}: slice at s={r.s:+.2f}, "
+                f"criterion {r.criterion:.1e}, orbit distance {r.distance:.1e}"
+            )
 
 
 if __name__ == "__main__":

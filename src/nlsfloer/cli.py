@@ -144,6 +144,8 @@ def _check_scalar(value, default, path):
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected number, got {_type_name(value)}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         return float(value)
     if isinstance(default, str):
         if not isinstance(value, str):
@@ -278,6 +280,8 @@ def _validate_params(section: str, p: dict, model: dict):
     elif section == "divisors":
         if p["m_max"] <= abs(p["n"]):
             raise ConfigError("divisors.m_max: need m_max > |n|")
+        if p["m_max"] > 10**7:
+            raise ConfigError("divisors.m_max: the scan stops at 10^7")
         positive("convergent_count", p["convergent_count"])
     elif section == "hofer":
         positive("t_nodes", p["t_nodes"])
@@ -543,22 +547,14 @@ def _pipe_floer(cfg: dict, out: ArtifactWriter) -> dict:
     out.write("floer_state.json", result.state.to_json() + "\n")
 
     endpoint = fs_distance(result.state.coeffs[-1, 0], right_point.coeffs)
-    slices = extract_slices(result.equation, p["gamma_max"])
-    srows = []
-    for entry in slices.entries:
-        for side in ("left", "right"):
-            cand = getattr(entry, side)
-            count = getattr(entry, f"{side}_count")
-            if cand is None:
-                srows.append([str(entry.gamma), side, "nan", "nan", "nan", "0"])
-            else:
-                srows.append(
-                    [str(entry.gamma), side, _fmt(cand.s), _fmt(cand.criterion),
-                     _fmt(cand.distance), str(count)]
-                )
+    slices = [
+        [str(r.gamma), r.side, _fmt(r.s), _fmt(r.criterion), _fmt(r.distance),
+         str(r.count)]
+        for r in extract_slices(result.equation, p["gamma_max"])
+    ]
     out.write(
         "floer_slices.csv",
-        _csv(["gamma", "side", "s", "criterion", "distance", "count"], srows),
+        _csv(["gamma", "side", "s", "criterion", "distance", "count"], slices),
     )
 
     summary = {

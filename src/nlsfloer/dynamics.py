@@ -285,12 +285,9 @@ def newton_fixed_point(
 
     def residual_vec(cc, flow_cc, aa):
         r_eq = flow_cc - np.exp(1j * aa) * cc
-        r = np.empty(m2 + 2)
-        r[:m2:2] = r_eq.real
-        r[1:m2:2] = r_eq.imag
-        r[m2] = np.vdot(cc, cc).real - 1.0
-        r[m2 + 1] = cc[g_idx].imag
-        return r
+        return np.concatenate(
+            [r_eq.view(np.float64), [np.vdot(cc, cc).real - 1.0, cc[g_idx].imag]]
+        )
 
     # rows 2*alpha and 2*alpha + 1 of the difference batch move component alpha by 1, i
     units = np.kron(np.eye(dim), [[1.0], [1j]])
@@ -308,17 +305,13 @@ def newton_fixed_point(
         J = np.zeros((m2 + 2, m2 + 1))
         e_ia = np.exp(1j * a)
         d_eq = (jac_rows[1:] - jac_rows[0]) / FD_STEP - e_ia * units
-        J[:m2:2, :m2] = d_eq.real.T
-        J[1:m2:2, :m2] = d_eq.imag.T
-        J[m2, :m2:2] = 2.0 * c.real
-        J[m2, 1:m2:2] = 2.0 * c.imag
+        J[:m2, :m2] = d_eq.view(np.float64).T
+        J[m2, :m2] = 2.0 * c.view(np.float64)
         J[m2 + 1, 2 * g_idx + 1] = 1.0
-        d_phase = -1j * e_ia * c
-        J[:m2:2, m2] = d_phase.real
-        J[1:m2:2, m2] = d_phase.imag
+        J[:m2, m2] = (-1j * e_ia * c).view(np.float64)
 
         delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        step = delta[:m2:2] + 1j * delta[1:m2:2]
+        step = delta[:m2].view(np.complex128)
         trials = np.array([c + scale * step for scale in LINE_SEARCH_SCALES])
         carry = rnorm > math.sqrt(tol)  # carry the full step's difference batch
         ahead = not carry and next_strength is not None

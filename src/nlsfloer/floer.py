@@ -25,8 +25,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lsmr
@@ -570,85 +569,55 @@ def solve_floer(
 # asymptotic slices
 
 
-@dataclass
-class SliceCandidate:
+@dataclass(frozen=True)
+class Slice:
+    """One row of floer_slices.csv: the best slice of one (gamma, side) window."""
+
+    gamma: int
+    side: str
     s: float
     criterion: float
     distance: float
+    count: int
 
 
-@dataclass
-class GammaSlices:
-    gamma: int
-    threshold: float
-    left: Optional[SliceCandidate]
-    right: Optional[SliceCandidate]
-    left_count: int
-    right_count: int
-
-
-@dataclass
-class SliceReport:
-    gamma_max: int
-    entries: list
-    s_nodes: np.ndarray = field(repr=False)
-    criterion: np.ndarray = field(repr=False)
-
-
-def extract_slices(equation: FloerEquation, gamma_max: int) -> SliceReport:
+def extract_slices(equation: FloerEquation, gamma_max: int) -> list[Slice]:
     """Search an evaluated state's free-side windows for slices meeting pi/gamma.
 
     For each gamma the windows sit a distance gamma into the free region
     on either side of the cutoff support: [-2 gamma, -gamma] on the left
     and [2T + gamma, 2T + 2 gamma] on the right, clipped to the grid.
     The criterion at a slice is the t-integral of the projected squared
-    t-equation density, matching the orbit-convergence test; for each
-    qualifying side the best slice is reported with its distance at t = 0
-    to the corresponding boundary orbit.  An empty or non-qualifying
-    window is reported with a count of zero, not raised.  The evaluation
-    is solve_floer's result.equation, or _equation(...) of a bare state.
+    t-equation density, matching the orbit-convergence test; a window's
+    best qualifying slice is reported with its distance at t = 0 to the
+    corresponding boundary orbit.  Rows 0 and N_s - 1 are never reported:
+    they are the Dirichlet data the solve pins, not solved rows, so their
+    distance to the boundary orbit is zero by construction.  The rows run
+    gamma ascending, left before right; a window with no qualifying node
+    gives s, criterion and distance nan and a count of 0, not an error.
+    The evaluation is solve_floer's result.equation, or _equation(...) of
+    a bare state.
     """
     if gamma_max < 1:
         raise ValueError("gamma_max must be >= 1")
-    state = equation.state
-    grid = state.grid
+    grid, coeffs = equation.state.grid, equation.state.coeffs
     t_density = grid.dt * np.sum(equation.t_map(), axis=1)
     s = grid.s_nodes
-
-    def best_in(mask, boundary_node):
-        idx = np.nonzero(mask)[0]
-        if idx.size == 0:
-            return None, 0
-        i_best = idx[np.argmin(t_density[idx])]
-        dist = fs_distance(state.coeffs[i_best, 0], boundary_node)
-        return (
-            SliceCandidate(
-                s=float(s[i_best]),
-                criterion=float(t_density[i_best]),
-                distance=float(dist),
-            ),
-            int(idx.size),
-        )
-
     two_t = equation.cutoff.support[1] - 1.0
-    entries = []
+    rows = []
     for gamma in range(1, gamma_max + 1):
-        thr = math.pi / gamma
-        ok = t_density < thr
-        lmask = ok & (s >= -2.0 * gamma) & (s <= -1.0 * gamma)
-        rmask = ok & (s >= two_t + gamma) & (s <= two_t + 2.0 * gamma)
-        lbest, lcount = best_in(lmask, state.coeffs[0, 0])
-        rbest, rcount = best_in(rmask, state.coeffs[-1, 0])
-        entries.append(
-            GammaSlices(
-                gamma=gamma,
-                threshold=thr,
-                left=lbest,
-                right=rbest,
-                left_count=lcount,
-                right_count=rcount,
-            )
-        )
-    return SliceReport(
-        gamma_max=gamma_max, entries=entries, s_nodes=s, criterion=t_density
-    )
+        ok = t_density < math.pi / gamma
+        ok[[0, -1]] = False
+        for side, lo, hi, end in (
+            ("left", -2.0 * gamma, -1.0 * gamma, 0),
+            ("right", two_t + gamma, two_t + 2.0 * gamma, -1),
+        ):
+            idx = np.nonzero(ok & (s >= lo) & (s <= hi))[0]
+            if idx.size == 0:
+                rows.append(Slice(gamma, side, math.nan, math.nan, math.nan, 0))
+                continue
+            i = idx[np.argmin(t_density[idx])]
+            dist = fs_distance(coeffs[i, 0], coeffs[end, 0])
+            rows.append(Slice(gamma, side, float(s[i]), float(t_density[i]),
+                              float(dist), int(idx.size)))
+    return rows

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import platform
@@ -122,12 +123,19 @@ def test_invalid_mode_rejected_before_running(tmp_path, capsys):
          "diagnose.deriv_orders[1]"),
         ("diagnose", {"states": ["s.json"], "deriv_orders": [1.0]},
          "diagnose.deriv_orders[0]"),
+        ("floer", {"S": math.nan}, "floer.S"),
+        ("divisors", {"m_max": 20_000_000}, "divisors.m_max"),
+        ("floer", {"model": {"kernel": {"rate": math.nan}}}, "model.kernel.rate"),
+        ("simulate", {"model": {"eps": math.inf}}, "model.eps"),
     ],
 )
 def test_out_of_range_field_is_named(tmp_path, capsys, pipeline, section, field):
+    # a "model" entry in section goes to the model section
+    section = dict(section)
+    model = {"k": 3, **section.pop("model", {})}
     cfg = write_config(
         tmp_path,
-        {"pipeline": pipeline, "model": {"k": 3}, pipeline.replace("-", "_"): section},
+        {"pipeline": pipeline, "model": model, pipeline.replace("-", "_"): section},
     )
     rc = main([pipeline, "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -544,19 +552,10 @@ def slice_rows_from_scratch(payload, state_path):
     p = resolved["floer"]
     state = FloerState.from_json(state_path.read_text())
     equation = _equation(build_model(resolved["model"]), state, build_cutoff(p["T"]))
-    rows = ["gamma,side,s,criterion,distance,count"]
-    for entry in extract_slices(equation, p["gamma_max"]).entries:
-        for side in ("left", "right"):
-            cand = getattr(entry, side)
-            if cand is None:
-                rows.append(f"{entry.gamma},{side},nan,nan,nan,0")
-            else:
-                count = getattr(entry, f"{side}_count")
-                rows.append(
-                    f"{entry.gamma},{side},{cand.s:.17e},{cand.criterion:.17e},"
-                    f"{cand.distance:.17e},{count}"
-                )
-    return rows
+    return ["gamma,side,s,criterion,distance,count"] + [
+        f"{r.gamma},{r.side},{r.s:.17e},{r.criterion:.17e},{r.distance:.17e},{r.count}"
+        for r in extract_slices(equation, p["gamma_max"])
+    ]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Cylinder boundary-value machinery: cutoffs, residual, solver, slices."""
 
+import dataclasses
 import functools
 import math
 
@@ -716,51 +717,72 @@ def test_slices_constant_orbit_all_qualify():
     rows = boundary_orbit(mode_point(1, k), 16)
     state = frozen_state(grid, rows)
     report = extract_slices(_equation(model, state, build_cutoff(0.0)), gamma_max=3)
-    for entry in report.entries:
-        assert entry.left is not None and entry.right is not None
-        assert entry.left.criterion < 1e-20
-        assert entry.right.criterion < 1e-20
-        assert entry.left.distance < 1e-12
-        assert entry.right.distance < 1e-12
+    assert [(r.gamma, r.side) for r in report] == [
+        (g, side) for g in (1, 2, 3) for side in ("left", "right")
+    ]
+    for r in report:
+        assert r.count > 0
+        assert r.criterion < 1e-20
+        assert r.distance < 1e-12
 
 
 def test_slices_thresholds_follow_pi_over_gamma():
+    # every node's criterion is set to one value: a window qualifies exactly
+    # when value < pi / gamma (2.0 at gamma = 1 only, 0.9 up to gamma = 3)
     k = 3
     model = potential_model(k).with_strength(0.0)
     grid = CylinderGrid(S=6.0, N_s=60, N_t=16, k=k)
     state = frozen_state(grid, boundary_orbit(mode_point(0, k), 16))
-    report = extract_slices(_equation(model, state, build_cutoff(0.0)), gamma_max=4)
-    for g, entry in enumerate(report.entries, start=1):
-        assert entry.gamma == g
-        assert entry.threshold == pytest.approx(math.pi / g)
+    equation = _equation(model, state, build_cutoff(0.0))
+    for value, qualifying in ((2.0, {1}), (0.9, {1, 2, 3})):
+        tpart = np.zeros_like(equation.tpart)
+        tpart[..., 0] = math.sqrt(value)
+        report = extract_slices(dataclasses.replace(equation, tpart=tpart), 4)
+        assert [r.gamma for r in report] == [1, 1, 2, 2, 3, 3, 4, 4]
+        for r in report:
+            if r.gamma in qualifying:
+                assert r.count > 0
+                assert r.criterion == pytest.approx(value)
+            else:
+                assert r.count == 0
+                assert math.isnan(r.s) and math.isnan(r.criterion)
 
 
 def test_slices_on_converged_state():
-    _, _, result = solved_potential()
+    _, grid, result = solved_potential()
     report = extract_slices(result.equation, gamma_max=2)
-    e1 = report.entries[0]
-    assert e1.left is not None and e1.right is not None
-    assert e1.left.criterion < math.pi
-    assert e1.right.criterion < math.pi
-    # the slices sit on the curve's decaying tails, order eps * dressing
-    assert e1.left.distance < 0.02
-    assert e1.right.distance < 0.02
+    for r in report[:2]:
+        assert r.gamma == 1 and r.count > 0
+        assert r.criterion < math.pi
+        # the slices sit on the curve's decaying tails, order eps * dressing
+        assert r.distance < 0.02
     # left free region: the criterion profile improves toward the wall;
     # stride two cancels the scheme's alternating branch (1e-7 ripple)
-    s = report.s_nodes
-    left_zone = (s >= -3.5) & (s <= -1.5)
-    prof = report.criterion[left_zone]
+    s = grid.s_nodes
+    criterion = grid.dt * result.equation.t_map().sum(axis=1)
+    prof = criterion[(s >= -3.5) & (s <= -1.5)]
     assert np.all(np.diff(prof[::2]) >= 0.0)
     assert np.all(np.diff(prof[1::2]) >= 0.0)
+
+
+def test_slices_never_report_the_pinned_end_rows():
+    # the gamma = 2 windows reach s = -4 and s = 4, the Dirichlet rows the
+    # solve pins at distance 0; the right one holds no other node
+    _, grid, result = solved_potential()
+    report = extract_slices(result.equation, gamma_max=2)
+    assert all(abs(r.s) != grid.S for r in report)
+    left2, right2 = report[2:]
+    assert left2.count > 0 and left2.distance > 0.0
+    assert right2.count == 0 and math.isnan(right2.distance)
 
 
 def test_slices_empty_window_reported_not_raised():
     _, _, result = solved_potential()
     report = extract_slices(result.equation, gamma_max=4)
     # gamma = 4 window [7, 11] lies beyond S = 4 on the right
-    e4 = report.entries[3]
-    assert e4.right is None
-    assert e4.right_count == 0
+    r = report[-1]
+    assert (r.gamma, r.side, r.count) == (4, "right", 0)
+    assert math.isnan(r.s) and math.isnan(r.criterion) and math.isnan(r.distance)
 
 
 def test_slices_validation():
