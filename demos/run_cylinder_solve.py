@@ -53,7 +53,7 @@ def main():
     quad = integrate_density(result.state, monitor["energy_density_map"])
     print(f"sup |D_s| {monitor['sup_ds']:.3e}, density integrates to {quad:.4e}")
 
-    for r in extract_slices(result.equation, gamma_max=2):
+    for r in extract_slices(result.equation, gamma_max=1):
         if r.count > 0:
             print(
                 f"gamma={r.gamma} {r.side:>5}: slice at s={r.s:+.2f}, "

@@ -53,6 +53,7 @@ from .floer import (
     boundary_orbit,
     build_cutoff,
     extract_slices,
+    slice_windows,
     solve_floer,
 )
 from .model import (
@@ -107,7 +108,7 @@ PIPELINE_DEFAULTS = {
         "n_right": 0,
         "tol": 1e-6,
         "max_iter": 60,
-        "gamma_max": 2,
+        "gamma_max": 1,
         "continuation_steps": 400,
     },
     "divisors": {"m_max": 2000, "n": 0, "convergent_count": 10},
@@ -277,6 +278,13 @@ def _validate_params(section: str, p: dict, model: dict):
         for name in ("n_left", "n_right"):
             if abs(p[name]) > model["k"]:
                 raise ConfigError(f"floer.{name}: mode outside the model bandwidth")
+        s = CylinderGrid(p["S"], p["N_s"], p["N_t"], model["k"]).s_nodes[1:-1]
+        for gamma, side, lo, hi in slice_windows(p["T"], p["gamma_max"]):
+            if not np.any((s >= lo) & (s <= hi)):
+                raise ConfigError(
+                    f"floer.gamma_max: the gamma={gamma} {side} slice window "
+                    f"[{lo:g}, {hi:g}] holds no solved node"
+                )
     elif section == "divisors":
         if p["m_max"] <= abs(p["n"]):
             raise ConfigError("divisors.m_max: need m_max > |n|")

@@ -12,8 +12,11 @@ the two parts' squares is the energy density (see _equation).  The
 projection removes the radial and global-phase directions, which is what
 makes the residual a statement about the projective curve: the gauge-fixed
 constant free orbit solves it exactly, and the reported norm, energy, and
-distances are all phase-invariant.  For power <= 1 grad F_t and its Hessian
-are v -> a(t) (v @ G0) (model.gradient_matrix): no spectral transforms.
+distances are all phase-invariant.  The Gauss-Newton step lives in the
+same horizontal space, the complex complement of each node field, so the
+unknowns are points of CP^{2k} and no per-node phase is left to solve for.
+For power <= 1 grad F_t and its Hessian are v -> a(t) (v @ G0)
+(model.gradient_matrix): no spectral transforms.
 
 Boundary rows at s = -S and s = +S carry prescribed orbits (Dirichlet data
 standing in for the asymptotics on the line); the window always contains
@@ -234,12 +237,6 @@ def _project_out(R: np.ndarray, V: np.ndarray) -> np.ndarray:
     return R - overlap * V
 
 
-def _tangent(delta: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Remove the radial (normalization) direction at each node."""
-    radial = np.sum(delta.real * V.real + delta.imag * V.imag, axis=-1, keepdims=True)
-    return delta - radial * V
-
-
 @dataclass
 class FloerResidual:
     field: np.ndarray
@@ -411,13 +408,14 @@ class _GaussNewtonOperator:
     matrix-free through the transforms for power 2.  lam is the node
     overlap <N, V> of FloerEquation; -lam delta is the derivative of the
     node-line projection, without which J is off by n^2 P_V next to a free
-    orbit through mode n.  The tangent projector T removes radial
-    directions on input, the complex projector removes the node line on
-    output.  M = T A^-1 (the exact free inverse, its sawtooth block
-    shifted by the LSMR damping), so J M is the identity plus the phi H,
-    lam and projection terms, and the step is x = M y.  rmatvec mirrors
-    each factor (D_s is skew, H symmetric, lam becomes conj(lam)), so the
-    pair is an exact adjoint.
+    orbit through mode n.  One projector P_V acts on both sides: it
+    removes the node line from the step as from the residual, so the
+    step is horizontal and moves no node along its own phase.  M = P_V
+    A^-1 (the exact free inverse, its sawtooth block shifted by the LSMR
+    damping), so J M is the identity plus the phi H, lam and projection
+    terms, and the step is x = M y.  rmatvec mirrors each factor (P_V is
+    an orthogonal projector, D_s skew, H symmetric, lam becomes
+    conj(lam)), so the pair is an exact adjoint.
     """
 
     def __init__(
@@ -441,9 +439,9 @@ class _GaussNewtonOperator:
         return out / (2.0 * self.grid.ds)
 
     def step(self, y: np.ndarray) -> np.ndarray:
-        """The node update x = M y = T A^-1 y, complex (rows, N_t, dim)."""
+        """The node update x = M y = P_V A^-1 y, complex (rows, N_t, dim)."""
         y = _complex_view(np.ascontiguousarray(y), self.V.shape)
-        return _tangent(self.free(y), self.V)
+        return _project_out(self.free(y), self.V)
 
     def matvec(self, y: np.ndarray) -> np.ndarray:
         delta = self.step(y)
@@ -463,7 +461,7 @@ class _GaussNewtonOperator:
         out -= self.n2[None, None, :] * rho
         out += self.hessian(rho) * self.phi_int
         out -= np.conj(self.lam) * rho
-        out = self.free(_tangent(out, self.V), adjoint=True)
+        out = self.free(_project_out(out, self.V), adjoint=True)
         return _real_view(np.ascontiguousarray(out)).copy()
 
 
@@ -581,43 +579,49 @@ class Slice:
     count: int
 
 
-def extract_slices(equation: FloerEquation, gamma_max: int) -> list[Slice]:
-    """Search an evaluated state's free-side windows for slices meeting pi/gamma.
+def slice_windows(T: float, gamma_max: int):
+    """The (gamma, side, lo, hi) s-windows of the slice table, in row order.
 
     For each gamma the windows sit a distance gamma into the free region
     on either side of the cutoff support: [-2 gamma, -gamma] on the left
-    and [2T + gamma, 2T + 2 gamma] on the right, clipped to the grid.
+    and [2T + gamma, 2T + 2 gamma] on the right.  The rows run gamma
+    ascending, left before right.
+    """
+    for gamma in range(1, gamma_max + 1):
+        yield gamma, "left", -2.0 * gamma, -1.0 * gamma
+        yield gamma, "right", 2.0 * T + gamma, 2.0 * T + 2.0 * gamma
+
+
+def extract_slices(equation: FloerEquation, gamma_max: int) -> list[Slice]:
+    """Search an evaluated state's free-side windows for slices meeting pi/gamma.
+
+    The windows are slice_windows(T, gamma_max), clipped to the grid.
     The criterion at a slice is the t-integral of the projected squared
     t-equation density, matching the orbit-convergence test; a window's
     best qualifying slice is reported with its distance at t = 0 to the
     corresponding boundary orbit.  Rows 0 and N_s - 1 are never reported:
     they are the Dirichlet data the solve pins, not solved rows, so their
-    distance to the boundary orbit is zero by construction.  The rows run
-    gamma ascending, left before right; a window with no qualifying node
-    gives s, criterion and distance nan and a count of 0, not an error.
-    The evaluation is solve_floer's result.equation, or _equation(...) of
-    a bare state.
+    distance to the boundary orbit is zero by construction.  A window with
+    no qualifying node gives s, criterion and distance nan and a count of
+    0, not an error.  The evaluation is solve_floer's result.equation, or
+    _equation(...) of a bare state.
     """
     if gamma_max < 1:
         raise ValueError("gamma_max must be >= 1")
     grid, coeffs = equation.state.grid, equation.state.coeffs
     t_density = grid.dt * np.sum(equation.t_map(), axis=1)
     s = grid.s_nodes
-    two_t = equation.cutoff.support[1] - 1.0
     rows = []
-    for gamma in range(1, gamma_max + 1):
+    for gamma, side, lo, hi in slice_windows(equation.cutoff.T, gamma_max):
         ok = t_density < math.pi / gamma
         ok[[0, -1]] = False
-        for side, lo, hi, end in (
-            ("left", -2.0 * gamma, -1.0 * gamma, 0),
-            ("right", two_t + gamma, two_t + 2.0 * gamma, -1),
-        ):
-            idx = np.nonzero(ok & (s >= lo) & (s <= hi))[0]
-            if idx.size == 0:
-                rows.append(Slice(gamma, side, math.nan, math.nan, math.nan, 0))
-                continue
-            i = idx[np.argmin(t_density[idx])]
-            dist = fs_distance(coeffs[i, 0], coeffs[end, 0])
-            rows.append(Slice(gamma, side, float(s[i]), float(t_density[i]),
-                              float(dist), int(idx.size)))
+        idx = np.nonzero(ok & (s >= lo) & (s <= hi))[0]
+        if idx.size == 0:
+            rows.append(Slice(gamma, side, math.nan, math.nan, math.nan, 0))
+            continue
+        i = idx[np.argmin(t_density[idx])]
+        end = 0 if side == "left" else -1
+        dist = fs_distance(coeffs[i, 0], coeffs[end, 0])
+        rows.append(Slice(gamma, side, float(s[i]), float(t_density[i]),
+                          float(dist), int(idx.size)))
     return rows

@@ -7,6 +7,8 @@ constants there count too.  A public method or property of a class
 counts as used only when those modules reach it as an attribute,
 ``obj.name``; a bare name of the same spelling, such as a local
 variable, does not.  Code that only the tests call belongs in the tests.
+A private (underscore) module-level function or class must have a caller
+in src/ outside its own definition: the tests alone do not keep it.
 
 A defaulted parameter of a package function or non-dunder method must be
 set, by keyword, by position or by a * or ** spread, in some call in
@@ -15,6 +17,7 @@ that no call overrides is a constant.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,15 +31,23 @@ def _nodes():
                 yield directory, node
 
 
+def _name_of(node):
+    """The name a Name, Attribute or import alias node refers to, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
 def _referenced_names():
     names = set()
     for directory, node in _nodes():
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name)
+        name = _name_of(node)
+        if name is not None:
+            names.add(name)
         elif (directory == "perfbench" and isinstance(node, ast.Constant)
               and isinstance(node.value, str)):
             names.add(node.value)
@@ -59,6 +70,26 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         and node.name not in referenced
     ]
     assert unused == []
+
+
+def _names_in(tree):
+    return [name for name in map(_name_of, ast.walk(tree)) if name is not None]
+
+
+def test_every_private_name_has_a_caller_in_src():
+    modules = list(_package_modules())
+    counts = Counter(
+        name for _, body in modules for node in body for name in _names_in(node)
+    )
+    dead = [
+        f"{module}.{node.name}"
+        for module, body in modules
+        for node in body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and counts[node.name] == _names_in(node).count(node.name)
+    ]
+    assert dead == []
 
 
 def test_every_public_method_has_an_attribute_caller_outside_the_tests():

@@ -127,6 +127,7 @@ def test_invalid_mode_rejected_before_running(tmp_path, capsys):
         ("divisors", {"m_max": 20_000_000}, "divisors.m_max"),
         ("floer", {"model": {"kernel": {"rate": math.nan}}}, "model.kernel.rate"),
         ("simulate", {"model": {"eps": math.inf}}, "model.eps"),
+        ("floer", {"gamma_max": 2}, "floer.gamma_max"),
     ],
 )
 def test_out_of_range_field_is_named(tmp_path, capsys, pipeline, section, field):
@@ -141,6 +142,15 @@ def test_out_of_range_field_is_named(tmp_path, capsys, pipeline, section, field)
     assert rc == 2
     assert f"config error: {field}:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("N_s", [16, 32, 200])
+def test_floer_default_slice_windows_hold_solved_nodes(N_s):
+    # at S 4, T 1 the gamma = 2 right window [4, 6] holds only the pinned
+    # end row s = 4 (rejected above); the default gamma_max 1 passes at
+    # the CLI's N_s and at the benchmark's
+    floer = resolve_config({"floer": {"N_s": N_s}}, "floer")["floer"]
+    assert floer["gamma_max"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +461,7 @@ FLOER_CONVERGING = {
     "pipeline": "floer",
     "model": {"kind": "potential", "eps": 0.05, "k": 3},
     "floer": {"T": 1.0, "S": 4.0, "N_s": 24, "N_t": 8, "tol": 1e-8,
-              "gamma_max": 2, "continuation_steps": 30},
+              "gamma_max": 1, "continuation_steps": 30},
 }
 
 

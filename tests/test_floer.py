@@ -518,6 +518,25 @@ def test_free_inverse_sweep_and_adjoint(N_s):
     assert abs(y @ Jx - x @ op.rmatvec(y)) < 1e-12 * scale
 
 
+@pytest.mark.parametrize("N_s", [16, 17])
+def test_step_is_horizontal(N_s):
+    # the step removes each node's complex line, phase direction i V
+    # included, so it moves no node along its own phase
+    k, N_t = 4, 8
+    grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k)
+    shape = (N_s - 2, N_t, grid.dim)
+    rng = RNG(N_s)
+    V = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    V /= np.linalg.norm(V, axis=-1, keepdims=True)
+    hessian = grad_F_tangent(potential_model(k), V, grid.t_nodes)
+    phi = build_cutoff(1.0).phi(grid.s_nodes)
+    lam = rng.normal(size=shape[:2]) + 1j * rng.normal(size=shape[:2])
+    op = _GaussNewtonOperator(grid, V, hessian, phi, lam, 1e-3)
+    delta = op.step(rng.normal(size=op.shape[1]))
+    overlap = np.sum(delta * np.conj(V), axis=-1)
+    assert np.max(np.abs(overlap)) < 1e-14 * np.max(np.abs(delta))
+
+
 def test_operator_applies_a_linear_density_without_transforms(monkeypatch):
     # for power <= 1 the Hessian is the matmul a(t) (delta @ G0), built once
     # per step, so matvec and rmatvec synthesize and analyze nothing
@@ -585,6 +604,25 @@ def test_free_cylinder_energy_is_the_action_difference():
     assert errors[0] / errors[1] >= 3.5
     assert errors[1] / errors[2] >= 3.5
     assert errors[2] < 3e-4
+
+
+def test_cylinder_to_a_continued_mode_1_converges_under_s_refinement():
+    # the horizontal step leaves no per-node phase in the unknowns, so the
+    # n != 0 cylinder converges at every N_s with no damping retry, and its
+    # energy settles at the central difference's second order
+    k, N_t = 4, 16
+    model = potential_model(k)
+    left = boundary_orbit(mode_point(0, k), N_t, side="left")
+    right_point = continue_fixed_point(model, 1, steps=30).final.point
+    right = boundary_orbit(right_point, N_t, side="right")
+    energies = []
+    for N_s in (32, 64, 128):
+        grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k)
+        result = solve_floer(model, grid, 1.0, (left, right), max_iter=10)
+        assert result.converged, N_s
+        assert all(row["retries"] == 0 for row in result.history), N_s
+        energies.append(result.energy)
+    assert abs(energies[1] - energies[0]) >= 3.0 * abs(energies[2] - energies[1])
 
 
 def test_solve_evaluates_each_state_once(monkeypatch):
