@@ -41,7 +41,7 @@ def main():
         )
     print(f"converged: {result.converged} ({result.message})")
 
-    hofer = hofer_norm(model, t_nodes=4)
+    hofer = hofer_norm(model)
     print(f"\nenergy {result.energy:.4e} vs bound 2*|||G||| = {2*hofer.estimate:.4e}")
 
     # the end row is pinned to the orbit; the row next to it is solved

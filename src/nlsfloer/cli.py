@@ -8,8 +8,8 @@ version, a timestamp, the fully resolved config, the seed, a sha256
 digest per artifact and the library versions and CPU count of the
 environment; it is written even when the pipeline fails.
 
-Exit codes: 0 success, 2 config error, 3 numeric non-convergence,
-4 I/O error.
+Exit codes: 0 success, 2 config error, 3 numeric failure (no convergence,
+lost finiteness, or an array too large to allocate), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ MODEL_DEFAULTS = {
     "kind": "potential",
     "eps": 0.05,
     "k": 4,
-    "base": "constant",
+    "modulated": False,
     "kernel": {"type": "exponential", "rate": 1.0, "ell": 2},
 }
 
@@ -112,7 +112,7 @@ PIPELINE_DEFAULTS = {
         "continuation_steps": 400,
     },
     "divisors": {"m_max": 2000, "n": 0, "convergent_count": 10},
-    "hofer": {"t_nodes": 16, "starts": 8},
+    "hofer": {"starts": 8},
     "galerkin": {"k_values": [2, 3, 4, 5, 6], "R": 1.0, "samples": 32},
     "diagnose": {
         "states": [],
@@ -125,7 +125,7 @@ PIPELINE_DEFAULTS = {
     },
 }
 
-KINDS = ("constant", "hartree", "quadratic", "potential", "time_modulated")
+KINDS = ("constant", "hartree", "quadratic", "potential")
 KERNEL_TYPES = ("exponential", "band_limited")
 
 
@@ -211,10 +211,6 @@ def resolve_config(raw: dict, pipeline: str) -> dict:
     model = _merge_section(MODEL_DEFAULTS, raw.get("model"), "model")
     if model["kind"] not in KINDS:
         raise ConfigError(f"model.kind: expected one of {', '.join(KINDS)}")
-    if model["base"] not in KINDS[:-1]:
-        raise ConfigError(
-            f"model.base: expected one of {', '.join(KINDS[:-1])}"
-        )
     if model["k"] < 0:
         raise ConfigError("model.k: bandwidth must be nonnegative")
     if model["kernel"]["type"] not in KERNEL_TYPES:
@@ -292,7 +288,6 @@ def _validate_params(section: str, p: dict, model: dict):
             raise ConfigError("divisors.m_max: the scan stops at 10^7")
         positive("convergent_count", p["convergent_count"])
     elif section == "hofer":
-        positive("t_nodes", p["t_nodes"])
         positive("starts", p["starts"])
     elif section == "galerkin":
         if not p["k_values"]:
@@ -332,23 +327,15 @@ def build_model(cfg: dict) -> ModelSpec:
     else:
         kernel = band_limited_kernel(kernel_cfg["ell"], k)
 
-    def leaf(kind: str):
-        if kind == "constant":
-            return Constant(cfg["eps"])
-        if kind == "hartree":
-            return Hartree(cfg["eps"])
-        if kind == "quadratic":
-            return Quadratic(cfg["eps"])
-        if kind == "potential":
-            if k < 1:
-                raise ConfigError("model.k: potential kind needs bandwidth >= 1")
-            return Potential(cfg["eps"], cosine_field(k))
-        raise ConfigError(f"model.kind: unknown kind {kind!r}")
-
-    if cfg["kind"] == "time_modulated":
-        nl = TimeModulated(leaf(cfg["base"]))
+    if cfg["kind"] == "potential":
+        if k < 1:
+            raise ConfigError("model.k: potential kind needs bandwidth >= 1")
+        nl = Potential(cfg["eps"], cosine_field(k))
     else:
-        nl = leaf(cfg["kind"])
+        nl = {"constant": Constant, "hartree": Hartree, "quadratic": Quadratic}[
+            cfg["kind"]](cfg["eps"])
+    if cfg["modulated"]:  # F_t = (1 + cos 2pi t) F_0
+        nl = TimeModulated(nl)
     return ModelSpec(kernel, nl, k)
 
 
@@ -630,20 +617,11 @@ def _pipe_divisors(cfg: dict, out: ArtifactWriter) -> dict:
 def _pipe_hofer(cfg: dict, out: ArtifactWriter) -> dict:
     p = cfg["hofer"]
     model = build_model(cfg["model"])
-    report = hofer_norm(model, p["t_nodes"], p["starts"], cfg["seed"])
-    out.write(
-        "hofer_nodes.csv",
-        _csv(
-            ["t", "max_value", "min_value", "converged"],
-            [
-                [_fmt(nd.t), _fmt(nd.max_value), _fmt(nd.min_value),
-                 "1" if nd.converged else "0"]
-                for nd in report.nodes
-            ],
-        ),
-    )
+    report = hofer_norm(model, p["starts"], cfg["seed"])
     summary = {
         "estimate": report.estimate,
+        "max_value": report.max_value,
+        "min_value": report.min_value,
         "sufficient_gate": report.sufficient_gate,
         "sup_f_bound": report.sup_f_bound,
         "all_converged": report.all_converged,
@@ -651,7 +629,7 @@ def _pipe_hofer(cfg: dict, out: ArtifactWriter) -> dict:
     out.write("hofer_summary.json", _json_text(summary))
     print(f"hofer: estimate {report.estimate:g} gate {report.sufficient_gate}")
     if not report.all_converged:
-        raise NumericError("hofer extremization failed to converge at some node")
+        raise NumericError("hofer extremization of F_0 failed to converge")
     return summary
 
 
@@ -873,6 +851,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (NumericError, ValueError, ArithmeticError) as exc:
         status, code, message = "numeric-failure", EXIT_NUMERIC, str(exc)
         print(f"numeric failure: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        status, code, message = "numeric-failure", EXIT_NUMERIC, f"out of memory: {exc}"
+        print(f"numeric failure: {message}", file=sys.stderr)
     except OSError as exc:
         status, code, message = "io-error", EXIT_IO, str(exc)
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -166,7 +166,6 @@ class DistinctnessReport:
 
     distances: np.ndarray
     flagged: Tuple[Tuple[int, int], ...]
-    threshold: float
 
     @property
     def min_offdiag(self) -> float:
@@ -207,6 +206,4 @@ def distinctness_report(
             D[i, j] = D[j, i] = d
             if d < threshold:
                 flagged.append((i, j))
-    return DistinctnessReport(
-        distances=D, flagged=tuple(flagged), threshold=threshold
-    )
+    return DistinctnessReport(distances=D, flagged=tuple(flagged))

@@ -21,9 +21,10 @@ the model is built.
 
 The catalog names constant (p = 0), hartree (p = 1), quadratic (p = 2),
 potential (p = 1 with V) and time_modulated(...) (a(t) = 1 + cos 2pi t)
-build Density values.  Every density reports a certified bound for
-sup |f| over [0, L2(psi)^2] x S^1 x [0, 1]; the sufficient smallness gate
-compares that bound against 1/8.
+build Density values.  Since F_t = a(t) * F_0, Density.f leaves a(t) out
+and each evaluator multiplies by it once.  Every density reports a
+certified bound for sup |f| over [0, L2(psi)^2] x S^1 x [0, 1]; the
+sufficient smallness gate compares that bound against 1/8.
 """
 
 from __future__ import annotations
@@ -144,18 +145,18 @@ class Density:
         t = np.asarray(t, dtype=float)
         return 1.0 + np.cos(TWO_PI * t) if self.modulated else np.ones(t.shape)
 
-    def f(self, w, v, t, order: int = 0):
-        """f, or its partial derivative of the given order in w.
+    def f(self, w, v, order: int = 0):
+        """f / a(t), or its partial derivative of the given order in w.
 
-        At order == power it does not depend on w and is not broadcast to w;
-        from there on w may be None.  t is read only when modulated.
+        The evaluators multiply by factor(t).  At order == power it does not
+        depend on w and is not broadcast to w; from there on w may be None.
         """
         if order > self.power:
             return np.zeros(np.shape(w))
         out = math.perm(self.power, order) * self.strength * v
         if order < self.power:
             out = out * np.asarray(w) ** (self.power - order)
-        return self.factor(t) * out if self.modulated else out
+        return out
 
     def sup_f_bound(self, w_max: float) -> float:
         """Certified bound for sup |f| over [0, w_max] x S^1 x [0, 1]."""
@@ -259,19 +260,17 @@ class ModelSpec:
         return model
 
 
-def _smoothed(model: ModelSpec, coeffs: np.ndarray, t) -> tuple:
-    """z = u * psi on the grid, w = |z|^2, and t as a column if modulated."""
+def _smoothed(model: ModelSpec, coeffs: np.ndarray) -> tuple:
+    """z = u * psi on the grid and w = |z|^2."""
     z = synthesize_many(coeffs * model.psi_band, model.k, model.quad_points)
-    w = np.abs(z) ** 2
-    if not model.nonlinearity.modulated:
-        return z, w, None
-    return z, w, np.asarray(t, dtype=float)[..., np.newaxis]
+    return z, np.abs(z) ** 2
 
 
 def eval_F_many(model: ModelSpec, coeffs: np.ndarray, t) -> np.ndarray:
     """Batched values of F_t; coeffs has shape (..., 2k+1)."""
-    _, w, t_col = _smoothed(model, coeffs, t)
-    fvals = np.broadcast_to(model.nonlinearity.f(w, model._v, t_col), w.shape)
+    nl = model.nonlinearity
+    _, w = _smoothed(model, coeffs)
+    fvals = np.broadcast_to(nl.factor(t)[..., np.newaxis] * nl.f(w, model._v), w.shape)
     return -0.5 * (TWO_PI / model.quad_points) * np.sum(fvals, axis=-1)
 
 
@@ -279,7 +278,7 @@ class GradientStage:
     """grad F_t on batches of one shape: built once, applied at every RK4 stage.
 
     It keeps what does not depend on the state: psi and, for a density linear
-    in w and not modulated, -d1f, as complex arrays (numpy casts them so),
+    in w, -d1f without a(t), as complex arrays (numpy casts them so),
     and the psi-weighted coefficient, zero-padded synthesis, grid and band
     buffers, so a call allocates only its result.  Each call makes the
     floating-point operations of a fresh stage in the same order, so a
@@ -297,8 +296,8 @@ class GradientStage:
         self._grid = np.empty(shape + (N,), dtype=np.complex128)
         self._band = np.empty(shape + (dim,), dtype=np.complex128)
         self._neg_d1 = None
-        if nl.power < 2 and not nl.modulated:
-            self._neg_d1 = np.asarray(-nl.f(None, model._v, None, 1), np.complex128)
+        if nl.power < 2:
+            self._neg_d1 = np.asarray(-nl.f(None, model._v, 1), np.complex128)
 
     def __call__(self, coeffs: np.ndarray, t) -> np.ndarray:
         model = self.model
@@ -309,11 +308,9 @@ class GradientStage:
         )
         neg_d1 = self._neg_d1
         if neg_d1 is None:
-            w = np.abs(z) ** 2 if nl.power == 2 else None
-            t_col = None
-            if nl.modulated:
-                t_col = np.asarray(t, dtype=float)[..., np.newaxis]
-            neg_d1 = -nl.f(w, model._v, t_col, 1)
+            neg_d1 = -nl.f(np.abs(z) ** 2, model._v, 1)
+        if nl.modulated:
+            neg_d1 = nl.factor(t)[..., np.newaxis] * neg_d1
         np.multiply(neg_d1, z, out=z)
         return analyze_many(z, model.k, out=self._band, spec=z) * self._psi
 
@@ -344,13 +341,13 @@ def grad_F_tangent(model: ModelSpec, coeffs: np.ndarray, t):
     symmetric under Re<.,.>.  Directions have the shape of coeffs.
     """
     nl = model.nonlinearity
+    a = nl.factor(t)[..., np.newaxis]
     G0 = gradient_matrix(model)
     if G0 is not None:
-        a = nl.factor(t)[..., np.newaxis]
         return lambda delta: a * (delta @ G0)
-    z, w, t_col = _smoothed(model, coeffs, t)
-    d1 = nl.f(w, model._v, t_col, 1)
-    d2 = 2.0 * nl.f(w, model._v, t_col, 2)
+    z, w = _smoothed(model, coeffs)
+    d1 = a * nl.f(w, model._v, 1)
+    d2 = 2.0 * (a * nl.f(w, model._v, 2))
 
     def apply(delta: np.ndarray) -> np.ndarray:
         dz = synthesize_many(delta * model.psi_band, model.k, model.quad_points)
@@ -433,19 +430,12 @@ HOFER_GRAD_TOL = 1e-10
 
 
 @dataclass
-class HoferNode:
-    t: float
-    max_value: float
-    min_value: float
-    converged: bool
-
-
-@dataclass
 class HoferReport:
     estimate: float
+    max_value: float
+    min_value: float
     sufficient_gate: bool
     sup_f_bound: float
-    nodes: list
     all_converged: bool
 
 
@@ -498,34 +488,25 @@ def _extremize_on_sphere(model, sign, starts, rng):
     return best, best_converged
 
 
-def hofer_norm(
-    model: ModelSpec, t_nodes: int = 16, starts: int = 8, seed: int = 0
-) -> HoferReport:
-    """Estimate the oscillation integral int_0^1 (max F_t - min F_t) dt.
+def hofer_norm(model: ModelSpec, starts: int = 8, seed: int = 0) -> HoferReport:
+    """The oscillation integral int_0^1 (max F_t - min F_t) dt, exact in t.
 
-    Every density is f = a(t) * f0 with a(t) >= 0, so F_t = a(t) * F0 and
-    the max and min of F_t over the unit sphere are a(t) times those of
-    F0.  F0 is therefore extremized once each way, by multi-start
-    projected gradient ascent/descent; node j at t_j = j / t_nodes reports
-    a(t_j) times those extremes, and the t-integral uses the uniform
-    (periodic trapezoid) rule.  `converged` reports whether both
-    extremizations of F0 converged, so it is the same on every node.  The
-    sampled estimate never exceeds the true oscillation.
+    Every density is f = a(t) * f0 with a(t) >= 0 and int_0^1 a(t) dt = 1,
+    so F_t = a(t) * F0 and the integral is max F0 - min F0 over the unit
+    sphere.  F0 is extremized once each way, by multi-start projected
+    gradient ascent/descent, so the estimate never exceeds the true
+    oscillation.  all_converged reports whether both extremizations did.
     """
-    nl = model.nonlinearity
-    base = ModelSpec(model.kernel, replace(nl, modulated=False), model.k)
+    nl = replace(model.nonlinearity, modulated=False)
+    base = ModelSpec(model.kernel, nl, model.k)
     rng = np.random.default_rng(seed)
     fmax, c1 = _extremize_on_sphere(base, +1.0, starts, rng)
-    fmin_neg, c2 = _extremize_on_sphere(base, -1.0, starts, rng)
-    fmin, converged = -fmin_neg, c1 and c2
-    ts = [j / t_nodes for j in range(t_nodes)]
-    a = nl.factor(ts)
-    nodes = [HoferNode(t, float(aj * fmax), float(aj * fmin), converged)
-             for t, aj in zip(ts, a)]
+    neg_fmin, c2 = _extremize_on_sphere(base, -1.0, starts, rng)
     return HoferReport(
-        estimate=float(np.mean(a) * (fmax - fmin)),
+        estimate=fmax + neg_fmin,
+        max_value=fmax,
+        min_value=-neg_fmin,
         sufficient_gate=model.smallness_gate(),
         sup_f_bound=model.sup_f_bound(),
-        nodes=nodes,
-        all_converged=converged,
+        all_converged=c1 and c2,
     )

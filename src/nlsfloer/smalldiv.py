@@ -89,7 +89,6 @@ class ScanReport:
     """
 
     n: int
-    m_max: int
     records: list
     fitted_c: float
     worst_exponent: float
@@ -127,7 +126,6 @@ def divisor_scan(m_max: int, n: int = 0) -> ScanReport:
         worst = min(worst, slope)
     return ScanReport(
         n=n,
-        m_max=m_max,
         records=records,
         fitted_c=fitted_c,
         worst_exponent=worst,
@@ -155,15 +153,12 @@ class Convergent:
 class ConvergentReport:
     """Certified convergents of a positive real.
 
-    Behaves as a sequence of (p, q) pairs.  truncated means the supplied
-    precision ran out before the requested count; terminated means the
-    continued fraction of an exact rational input ended.
+    Behaves as a sequence of (p, q) pairs.  Fewer entries than requested
+    means the supplied precision ran out, or the continued fraction of an
+    exact rational input ended (its last error is then 0).
     """
 
-    x: float
     entries: list
-    truncated: bool
-    terminated: bool
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -205,21 +200,15 @@ def convergents(x, count: int, uncertainty=None) -> ConvergentReport:
     center = (lo + hi) / 2
 
     terms = []
-    truncated = False
-    terminated = False
     while len(terms) < count:
         a_lo, a_hi = lo // 1, hi // 1
         if a_lo != a_hi:
-            truncated = True
             break
         terms.append(int(a_lo))
         flo, fhi = lo - a_lo, hi - a_hi
-        if fhi == 0:
-            terminated = True
-            break
-        if flo == 0:
-            # interval straddles an integer boundary after this quotient
-            truncated = True
+        # fhi == 0: an exact rational ended; flo == 0 alone: the interval
+        # straddles an integer boundary after this quotient
+        if flo == 0 or fhi == 0:
             break
         lo, hi = 1 / fhi, 1 / flo
 
@@ -234,12 +223,7 @@ def convergents(x, count: int, uncertainty=None) -> ConvergentReport:
             q_cur, q_prev = a * q_cur + q_prev, q_cur
         err = abs(center - Fraction(p_cur, q_cur))
         entries.append(Convergent(index=i, p=p_cur, q=q_cur, error=float(err)))
-    return ConvergentReport(
-        x=float(center),
-        entries=entries,
-        truncated=truncated,
-        terminated=terminated,
-    )
+    return ConvergentReport(entries=entries)
 
 
 def inv_two_pi(digits: int = 50) -> tuple[Fraction, Fraction]:
@@ -337,8 +321,6 @@ class OdeCheck:
     """
 
     lam: float
-    c: float
-    nodes: int
     sup_w: float
     bound: float
     passed: bool
@@ -396,8 +378,6 @@ def ode_bound_check(
     bound = math.sqrt(2.0) * c / abs(lam)
     return OdeCheck(
         lam=lam,
-        c=c,
-        nodes=nodes,
         sup_w=sup_w,
         bound=bound,
         passed=sup_w <= bound + 1e-10,

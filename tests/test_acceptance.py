@@ -234,19 +234,19 @@ def test_criterion_06_hofer_closed_form_and_gate():
     k = 6
     eps = 0.1
     model = ModelSpec(exponential_kernel(1.0, k), Hartree(eps), k)
-    rep = hofer_norm(model, t_nodes=2)
+    rep = hofer_norm(model)
     expected = 0.5 * eps * (1.0 - math.exp(-2.0 * k))
     assert rep.all_converged
     assert abs(rep.estimate - expected) <= 0.01 * expected
 
     ker = exponential_kernel(1.0, 4)
     w_max = ker.l2() ** 2
-    below = hofer_norm(ModelSpec(ker, Hartree(0.12 / w_max), 4), t_nodes=2)
-    above = hofer_norm(ModelSpec(ker, Hartree(0.13 / w_max), 4), t_nodes=2)
+    below = hofer_norm(ModelSpec(ker, Hartree(0.12 / w_max), 4))
+    above = hofer_norm(ModelSpec(ker, Hartree(0.13 / w_max), 4))
     assert below.sufficient_gate and below.sup_f_bound < 0.125
     assert not above.sufficient_gate and above.sup_f_bound >= 0.125
     for m in catalog(4):
-        r = hofer_norm(m, t_nodes=2)
+        r = hofer_norm(m)
         assert r.sufficient_gate == (r.sup_f_bound < 0.125)
     print(
         f"criterion 6: hartree estimate {rep.estimate:.6f} vs closed form "

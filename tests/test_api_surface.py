@@ -14,6 +14,10 @@ A defaulted parameter of a package function or non-dunder method must be
 set, by keyword, by position or by a * or ** spread, in some call in
 src/, demos/, perfbench/ or tests/ to a callee of its name; a default
 that no call overrides is a constant.
+
+A field of a package dataclass must be read as an attribute,
+``obj.field``, in src/, demos/ or perfbench/: a field that only the tests
+read is an echo of an input or a flag that no caller acts on.
 """
 
 import ast
@@ -70,6 +74,32 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         and node.name not in referenced
     ]
     assert unused == []
+
+
+def _is_dataclass(cls):
+    return any(
+        getattr(d, "id", None) == "dataclass"
+        or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    read = {
+        node.attr
+        for _, node in _nodes()
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{module}.{cls.name}.{node.target.id}"
+        for module, body in _package_modules()
+        for cls in body
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        and node.target.id not in read
+    ]
+    assert unread == []
 
 
 def _names_in(tree):

@@ -43,6 +43,13 @@ def read_manifest(out_dir):
         return json.load(fh)
 
 
+# one model config per density kind, and the modulated potential
+MODELS = [pytest.param({"kind": kind}, id=kind)
+          for kind in ("constant", "hartree", "quadratic", "potential")]
+MODELS.append(
+    pytest.param({"kind": "potential", "modulated": True}, id="time_modulated"))
+
+
 # ---------------------------------------------------------------------------
 # config handling
 
@@ -128,6 +135,11 @@ def test_invalid_mode_rejected_before_running(tmp_path, capsys):
         ("floer", {"model": {"kernel": {"rate": math.nan}}}, "model.kernel.rate"),
         ("simulate", {"model": {"eps": math.inf}}, "model.eps"),
         ("floer", {"gamma_max": 2}, "floer.gamma_max"),
+        # time modulation is the one boolean model.modulated
+        ("hofer", {"t_nodes": 4}, "hofer.t_nodes"),
+        ("hofer", {"model": {"base": "constant"}}, "model.base"),
+        ("hofer", {"model": {"kind": "time_modulated"}}, "model.kind"),
+        ("hofer", {"model": {"modulated": 1}}, "model.modulated"),
     ],
 )
 def test_out_of_range_field_is_named(tmp_path, capsys, pipeline, section, field):
@@ -290,7 +302,7 @@ def test_hofer_constant_prints_zero(tmp_path, capsys):
         {
             "pipeline": "hofer",
             "model": {"kind": "constant", "eps": 0.3, "k": 2},
-            "hofer": {"t_nodes": 4, "starts": 2},
+            "hofer": {"starts": 2},
         },
     )
     rc = main(["hofer", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -300,18 +312,24 @@ def test_hofer_constant_prints_zero(tmp_path, capsys):
     assert summary["estimate"] == 0.0
 
 
-def test_hofer_runs_the_configured_t_nodes(tmp_path):
+def test_hofer_summary_reports_the_extremes(tmp_path):
+    # hartree: F0(u) = -(eps/2) sum psi_n^2 |u_n|^2 on the sphere, so its
+    # extremes are -(eps/2) times the smallest and largest psi_n^2
     cfg = write_config(
         tmp_path,
         {
             "pipeline": "hofer",
-            "model": {"kind": "hartree", "eps": 0.1, "k": 2},
-            "hofer": {"t_nodes": 2, "starts": 2},
+            "model": {"kind": "hartree", "eps": 0.1, "k": 2, "modulated": True},
+            "hofer": {"starts": 2},
         },
     )
-    assert main(["hofer", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    lines = (tmp_path / "o" / "hofer_nodes.csv").read_text().splitlines()
-    assert len(lines) == 1 + 2
+    out = tmp_path / "o"
+    assert main(["hofer", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "hofer_summary.json").read_text())
+    assert summary["max_value"] == pytest.approx(-0.05 * math.exp(-4.0), rel=1e-8)
+    assert summary["min_value"] == pytest.approx(-0.05, rel=1e-8)
+    assert summary["estimate"] == summary["max_value"] - summary["min_value"]
+    assert [a["path"] for a in read_manifest(out)["artifacts"]] == ["hofer_summary.json"]
 
 
 def test_simulate_hartree_matches_closed_form(tmp_path):
@@ -375,13 +393,11 @@ def test_fixed_points_pipeline_emits_points_and_distances(tmp_path, capsys):
     assert stdout[0] == f"fixed-points: 2 modes on {workers} worker processes"
 
 
-@pytest.mark.parametrize(
-    "kind", ["constant", "hartree", "quadratic", "potential", "time_modulated"]
-)
-def test_fixed_points_workers_write_the_in_process_bytes(tmp_path, kind):
+@pytest.mark.parametrize("model_cfg", MODELS)
+def test_fixed_points_workers_write_the_in_process_bytes(tmp_path, model_cfg):
     body = {
         "pipeline": "fixed-points",
-        "model": {"kind": kind, "k": 2},
+        "model": {**model_cfg, "k": 2},
         "fixed_points": {"modes": [0, 1], "steps": 20},
     }
     out = tmp_path / "o"
@@ -425,6 +441,27 @@ def test_fixed_points_stops_at_the_first_stalled_mode(tmp_path, monkeypatch, cap
     assert [ln.split()[1] for ln in lines] == ["n=0", "n=1"]
     assert "continuation for n=1 stalled: stub" in captured.err
     assert multiprocessing.active_children() == []
+
+
+def test_an_allocation_failure_exits_3_with_manifest(tmp_path, monkeypatch, capsys):
+    # what numpy raises for an array it cannot allocate; nothing is allocated here
+    refusal = ("Unable to allocate 116. TiB for an array with shape "
+               "(4000003, 2000001) and data type complex128")
+
+    def refuse(model, n, tol, steps):
+        raise MemoryError(refusal)
+
+    monkeypatch.setattr(cli_module, "continue_fixed_point", refuse)
+    body = {"pipeline": "fixed-points", "fixed_points": {"modes": [0], "steps": 2}}
+    out = tmp_path / "o"
+    rc = main(["fixed-points", "--config", write_config(tmp_path, body),
+               "--out", str(out)])
+    assert rc == 3
+    manifest = read_manifest(out)
+    assert (manifest["status"], manifest["exit_code"]) == ("numeric-failure", 3)
+    assert manifest["message"] == f"out of memory: {refusal}"
+    assert manifest["artifacts"] == []
+    assert f"numeric failure: out of memory: {refusal}" in capsys.readouterr().err
 
 
 def test_floer_trivial_solve_takes_zero_iterations(tmp_path, capsys):
@@ -493,14 +530,12 @@ def test_floer_connects_distinct_orbits(tmp_path):
         assert farthest(near, other) > 1.0
 
 
-@pytest.mark.parametrize(
-    "kind", ["constant", "hartree", "quadratic", "potential", "time_modulated"]
-)
-def test_floer_right_end_takes_mode_0_in_one_strength_step(tmp_path, capsys, kind):
+@pytest.mark.parametrize("model_cfg", MODELS)
+def test_floer_right_end_takes_mode_0_in_one_strength_step(tmp_path, capsys, model_cfg):
     # the right end is continue_fixed_point's endpoint: mode 0 in one
     # strength step, n = 1 along the 11-point path, the same bytes
     for n, steps in ((0, 1), (1, 10)):
-        body = {"pipeline": "floer", "model": {"kind": kind, "k": 4},
+        body = {"pipeline": "floer", "model": {**model_cfg, "k": 4},
                 "floer": {"N_s": 32, "N_t": 16, "n_right": n,
                           "continuation_steps": 30}}
         out = tmp_path / f"n{n}"

@@ -22,6 +22,7 @@ from nlsfloer.dynamics import (
 )
 from nlsfloer.model import (
     Constant,
+    Density,
     Hartree,
     ModelSpec,
     Potential,
@@ -176,6 +177,25 @@ def test_evolve_many_is_bitwise_the_reference_rk4(k, rows):
         )
         out = evolve_many(model, batch, 0.0, 1.0, 30)
         assert np.array_equal(out, reference_evolve(model, batch, 0.0, 1.0, 30))
+
+
+@pytest.mark.parametrize("nl", [Hartree(0.1), Potential(0.05, cosine_field(4))])
+def test_modulated_linear_flow_evaluates_the_density_once(nl, monkeypatch):
+    # -d1f of a density linear in w does not depend on the state or on t:
+    # the flow's gradient stage computes it once and scales it by a(t)
+    calls = []
+    f = Density.f
+
+    def counted(self, *args):
+        calls.append(args)
+        return f(self, *args)
+
+    monkeypatch.setattr(Density, "f", counted)
+    model = ModelSpec(exponential_kernel(1.0, 4), TimeModulated(nl), 4)
+    batch = RNG(3).standard_normal((5, 9)) + 0j
+    out = evolve_many(model, batch, 0.0, 1.0, 30)
+    assert len(calls) == 1
+    assert np.array_equal(out, reference_evolve(model, batch, 0.0, 1.0, 30))
 
 
 def test_evolve_flags_blowup():

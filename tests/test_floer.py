@@ -9,7 +9,13 @@ import pytest
 
 import nlsfloer.floer as floer_module
 import nlsfloer.model as model_module
-from nlsfloer.dynamics import continue_fixed_point, fs_distance, gauge_fix, mode_point
+from nlsfloer.dynamics import (
+    continue_fixed_point,
+    evolve_many,
+    fs_distance,
+    gauge_fix,
+    mode_point,
+)
 from nlsfloer.floer import (
     CylinderGrid,
     FloerState,
@@ -827,3 +833,46 @@ def test_slices_validation():
     _, _, result = solved_potential()
     with pytest.raises(ValueError):
         extract_slices(result.equation, gamma_max=0)
+
+
+def _even_point(n, k):
+    """Mode 0, or the even pair (e_n + e_-n) / sqrt 2: a free fixed point."""
+    c = np.zeros(2 * k + 1, dtype=np.complex128)
+    c[k + n] = c[k - n] = 1.0
+    return gauge_fix(SpectralField(k, c))
+
+
+def test_free_ended_cylinders_find_the_periodic_orbits():
+    # Floer curves of H0 + phi_T(s) F with the same free orbit at both ends:
+    # the energy stays within the Hofer bound, so on the plateau phi = 1 the
+    # t = 0 row at s = T must approach a fixed point of the full time-one map
+    # U as T grows.  The potential flow is linear and even, so the target is
+    # U's eigenvector in the even sector nearest the end point.
+    k, N_t = 4, 32
+    model = potential_model(k)
+    dim = 2 * k + 1
+    U = evolve_many(model, np.eye(dim, dtype=np.complex128), 0.0, 1.0, 400).T
+    even = np.zeros((dim, k + 1))
+    for m in range(k + 1):
+        even[k + m, m] = even[k - m, m] = 1.0
+    even /= np.linalg.norm(even, axis=0)
+    bound = 2.0 * hofer_norm(model).estimate + 1e-3
+    for n, Ts in ((0, (1, 2, 4)), (1, (1, 2, 4)), (2, (4,)), (3, (4,))):
+        point = _even_point(n, k)
+        _, vecs = np.linalg.eig(even.T @ U @ even)
+        target = even @ vecs[:, np.argmax(np.abs(vecs[n]))]
+        ends = tuple(boundary_orbit(point, N_t, side=side) for side in ("left", "right"))
+        distances = []
+        for T in Ts:
+            S = 2.0 * T + 3.0
+            grid = CylinderGrid(S=S, N_s=int(8 * S) + 1, N_t=N_t, k=k)  # ds = 0.25
+            result = solve_floer(model, grid, T, ends, tol=1e-8)
+            assert result.converged, (n, T)
+            assert 0.0 <= result.energy <= bound, (n, T)
+            row = int(np.argmin(np.abs(grid.s_nodes - T)))
+            assert grid.s_nodes[row] == pytest.approx(T, abs=1e-12)
+            distances.append(fs_distance(result.state.coeffs[row, 0], target))
+        if n < 2:
+            assert distances[0] > distances[1] > distances[2], n
+        else:
+            assert distances[-1] < 1e-8, n
