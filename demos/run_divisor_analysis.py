@@ -38,10 +38,10 @@ def main():
     center, eta = inv_two_pi()
     conv = convergents(center, 8, uncertainty=eta)
     print("\nconvergents p/q of 1/(2 pi):")
-    for e in conv.entries:
+    for e in conv:
         print(f"  {e.p:7d}/{e.q:<7d} error {e.error:.2e}")
     qs = {rec.p_star for rec in report.records}
-    hits = qs.intersection(p for p, _ in conv)
+    hits = qs.intersection(e.p for e in conv)
     print(f"record p* values that are convergent numerators: {sorted(hits)}")
 
     print("\nstrip-equation bound sup|w| <= sqrt(2) c / |lambda|:")

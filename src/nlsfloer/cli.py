@@ -51,7 +51,6 @@ from .floer import (
     CylinderGrid,
     FloerState,
     boundary_orbit,
-    build_cutoff,
     extract_slices,
     slice_windows,
     solve_floer,
@@ -120,7 +119,6 @@ PIPELINE_DEFAULTS = {
         "ell_min": 1,
         "ell_max": 0,
         "deriv_orders": [0, 1, 2],
-        "T": 1.0,
         "threshold": 1e-3,
     },
 }
@@ -217,6 +215,11 @@ def resolve_config(raw: dict, pipeline: str) -> dict:
         raise ConfigError(
             f"model.kernel.type: expected one of {', '.join(KERNEL_TYPES)}"
         )
+    unread = "ell" if model["kernel"]["type"] == "exponential" else "rate"
+    if unread in ((raw.get("model") or {}).get("kernel") or {}):
+        raise ConfigError(
+            f"model.kernel.{unread}: not read by the {model['kernel']['type']} kernel"
+        )
     if model["kernel"]["rate"] <= 0.0:
         raise ConfigError("model.kernel.rate: decay rate must be positive")
     if model["kernel"]["ell"] < 0:
@@ -274,7 +277,7 @@ def _validate_params(section: str, p: dict, model: dict):
         for name in ("n_left", "n_right"):
             if abs(p[name]) > model["k"]:
                 raise ConfigError(f"floer.{name}: mode outside the model bandwidth")
-        s = CylinderGrid(p["S"], p["N_s"], p["N_t"], model["k"]).s_nodes[1:-1]
+        s = CylinderGrid(p["S"], p["N_s"], p["N_t"], model["k"], p["T"]).s_nodes[1:-1]
         for gamma, side, lo, hi in slice_windows(p["T"], p["gamma_max"]):
             if not np.any((s >= lo) & (s <= hi)):
                 raise ConfigError(
@@ -312,7 +315,6 @@ def _validate_params(section: str, p: dict, model: dict):
         if p["ell_min"] > (p["ell_max"] or model["k"]):  # 0: the model bandwidth
             raise ConfigError("diagnose.ell_min: must not exceed ell_max")
         positive("threshold", p["threshold"])
-        positive("T", p["T"], strict=False)
         for i, a in enumerate(p["deriv_orders"]):
             if isinstance(a, bool) or not isinstance(a, int) or a not in (0, 1, 2):
                 raise ConfigError(f"diagnose.deriv_orders[{i}]: expected 0, 1 or 2")
@@ -510,7 +512,7 @@ def _pipe_fixed_points(cfg: dict, out: ArtifactWriter) -> dict:
 def _pipe_floer(cfg: dict, out: ArtifactWriter) -> dict:
     p = cfg["floer"]
     model = build_model(cfg["model"])
-    grid = CylinderGrid(S=p["S"], N_s=p["N_s"], N_t=p["N_t"], k=model.k)
+    grid = CylinderGrid(S=p["S"], N_s=p["N_s"], N_t=p["N_t"], k=model.k, T=p["T"])
 
     n = p["n_right"]
     cont, seconds = _continue_timed(model, n, 1e-10, p["continuation_steps"])
@@ -526,7 +528,7 @@ def _pipe_floer(cfg: dict, out: ArtifactWriter) -> dict:
     right = boundary_orbit(right_point, grid.N_t, side="right")
 
     result = solve_floer(
-        model, grid, p["T"], (left, right), tol=p["tol"], max_iter=p["max_iter"]
+        model, grid, (left, right), tol=p["tol"], max_iter=p["max_iter"]
     )
     out.write(
         "floer_history.csv",
@@ -594,7 +596,7 @@ def _pipe_divisors(cfg: dict, out: ArtifactWriter) -> dict:
             ["index", "p", "q", "error"],
             [
                 [str(e.index), str(e.p), str(e.q), _fmt(e.error)]
-                for e in conv.entries
+                for e in conv
             ],
         ),
     )
@@ -604,7 +606,7 @@ def _pipe_divisors(cfg: dict, out: ArtifactWriter) -> dict:
         "fitted_c": report.fitted_c,
         "worst_exponent": report.worst_exponent,
         "record_count": len(report.records),
-        "convergent_count": len(conv.entries),
+        "convergent_count": len(conv),
     }
     out.write("divisors_summary.json", _json_text(summary))
     print(
@@ -680,7 +682,6 @@ def _load_artifacts(paths: List[str], field: str, parse: Callable) -> list:
 def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
     p = cfg["diagnose"]
     model = build_model(cfg["model"])
-    cutoff = build_cutoff(p["T"])
     ells = range(p["ell_min"], (p["ell_max"] or model.k) + 1)
     monitors = []
 
@@ -705,7 +706,7 @@ def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
         for alpha in p["deriv_orders"]:
             prof = normal_profile(state, ells, deriv_order=alpha)
             out.write(f"state{i}_decay_alpha{alpha}.csv", prof.to_csv())
-        rep = gradient_monitor(state, model, cutoff)
+        rep = gradient_monitor(state, model)
         monitors.append(
             {
                 "source": path,

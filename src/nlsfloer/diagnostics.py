@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 import numpy as np
 
 from .dynamics import fs_distance
-from .floer import CutoffProfile, FloerState, _dt_spectral, _equation
+from .floer import FloerState, _dt_spectral, _equation
 from .model import ModelSpec, mode_squares
 from .spectral import SpectralField
 
@@ -130,9 +130,7 @@ def normal_profile(
 # Derivative and energy-density monitoring
 
 
-def gradient_monitor(
-    state: FloerState, model: ModelSpec, cutoff: CutoffProfile
-) -> Dict[str, object]:
+def gradient_monitor(state: FloerState, model: ModelSpec) -> Dict[str, object]:
     """Suprema of discrete first derivatives and the energy density map.
 
     Returns sup_ds (largest per-node l2 norm of the interior central
@@ -140,9 +138,9 @@ def gradient_monitor(
     per-node l2 norm of the spectral t-derivative), and
     energy_density_map, the (N_s, N_t) density whose trapezoid-in-s,
     uniform-in-t quadrature is exactly the curve energy.  All three read
-    one evaluation of the equation.
+    one evaluation of the equation, at the cutoff T of state.grid.
     """
-    eq = _equation(model, state, cutoff)
+    eq = _equation(model, state)
     sup_ds, sup_dt = (
         float(np.sqrt(np.max(np.sum(np.abs(D) ** 2, axis=2))))
         for D in (eq.ds_v, eq.dt_v)

@@ -18,9 +18,13 @@ unknowns are points of CP^{2k} and no per-node phase is left to solve for.
 For power <= 1 grad F_t and its Hessian are v -> a(t) (v @ G0)
 (model.gradient_matrix): no spectral transforms.
 
-Boundary rows at s = -S and s = +S carry prescribed orbits (Dirichlet data
-standing in for the asymptotics on the line); the window always contains
-the full support of the cutoff, so both ends sit in the free region.
+The cutoff T is part of the geometry: CylinderGrid carries it beside the
+window and the nodes, grid.phi is the profile phi_T, and every evaluation
+reads T from state.grid, so a stored state carries its own T.  Boundary rows
+at s = -S and s = +S carry prescribed orbits (Dirichlet data standing in
+for the asymptotics on the line); the grid rejects a window that does not
+contain the full support [-1, 2T + 1] of the cutoff, so both ends sit in
+the free region.
 """
 
 from __future__ import annotations
@@ -38,59 +42,46 @@ from .model import ModelSpec, grad_F_many, grad_F_tangent, gradient_matrix, mode
 from .spectral import TWO_PI, smooth_step
 
 # ---------------------------------------------------------------------------
-# cutoff family
-
-
-@dataclass(frozen=True)
-class CutoffProfile:
-    """Switching profile: 0 off [-1, 2T+1], 1 on [0, 2T], ramps of width 1.
-
-    The ramp is the symmetric exponential smoothstep, whose maximal slope
-    is exactly 2 at the ramp midpoint, so the slope constraints hold with
-    equality at one point.  T = 0 is identically zero.
-    """
-
-    T: float
-
-    def phi(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=np.float64)
-        if self.T == 0.0:
-            return np.zeros_like(s)
-        return smooth_step(s + 1.0) * smooth_step(2.0 * self.T + 1.0 - s)
-
-    @property
-    def support(self) -> tuple:
-        return (-1.0, 2.0 * self.T + 1.0)
-
-
-def build_cutoff(T: float) -> CutoffProfile:
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    return CutoffProfile(float(T))
-
-
-# ---------------------------------------------------------------------------
 # grid and state
 
 
 @dataclass(frozen=True)
 class CylinderGrid:
-    """Uniform discretization of [-S, S] x [0, 1) at spatial bandwidth k."""
+    """Uniform discretization of [-S, S] x [0, 1) at bandwidth k, cutoff T.
+
+    phi switches the coupling on over [-1, 2T + 1]; the window must hold
+    that support strictly inside, so both end rows sit in the free region.
+    """
 
     S: float
     N_s: int
     N_t: int
     k: int
+    T: float
 
     def __post_init__(self):
         if self.N_s < 16:
             raise ValueError("need N_s >= 16")
         if self.N_t < 8:
             raise ValueError("need N_t >= 8")
-        if self.S <= 1.0:
-            raise ValueError("window must contain the up-ramp [-1, 0]")
+        if self.T < 0:
+            raise ValueError("T must be nonnegative")
+        if self.S <= 2.0 * self.T + 1.0:
+            raise ValueError("window must contain the cutoff support [-1, 2T+1]")
         if self.k < 0:
             raise ValueError("bandwidth must be nonnegative")
+
+    def phi(self, s) -> np.ndarray:
+        """Switching profile: 0 off [-1, 2T+1], 1 on [0, 2T], ramps of width 1.
+
+        The ramp is the symmetric exponential smoothstep, whose maximal slope
+        is exactly 2 at the ramp midpoint, so the slope constraints hold with
+        equality at one point.  T = 0 is identically zero.
+        """
+        s = np.asarray(s, dtype=np.float64)
+        if self.T == 0.0:
+            return np.zeros_like(s)
+        return smooth_step(s + 1.0) * smooth_step(2.0 * self.T + 1.0 - s)
 
     @property
     def s_nodes(self) -> np.ndarray:
@@ -149,7 +140,7 @@ class FloerState:
 
     def to_json(self) -> str:
         g = self.grid
-        grid = {"S": g.S, "N_s": g.N_s, "N_t": g.N_t, "k": g.k}
+        grid = {"S": g.S, "N_s": g.N_s, "N_t": g.N_t, "k": g.k, "T": g.T}
         coeffs = np.stack([self.coeffs.real, self.coeffs.imag], axis=-1)
         return json.dumps({"grid": grid, "coeffs": coeffs.tolist()})
 
@@ -157,7 +148,7 @@ class FloerState:
     def from_json(text: str) -> "FloerState":
         payload = json.loads(text)
         g = payload["grid"]
-        grid = CylinderGrid(S=g["S"], N_s=g["N_s"], N_t=g["N_t"], k=g["k"])
+        grid = CylinderGrid(S=g["S"], N_s=g["N_s"], N_t=g["N_t"], k=g["k"], T=g["T"])
         arr = np.array(payload["coeffs"], dtype=np.float64)
         return FloerState(grid, arr[..., 0] + 1j * arr[..., 1])
 
@@ -197,17 +188,14 @@ def boundary_orbit(point: ProjectivePoint, N_t: int, side: str = "right") -> np.
 
 
 def build_initial_guess(
-    grid: CylinderGrid,
-    left: np.ndarray,
-    right: np.ndarray,
-    cutoff: CutoffProfile,
+    grid: CylinderGrid, left: np.ndarray, right: np.ndarray
 ) -> FloerState:
-    """Blend the boundary orbits across the cutoff transition region."""
+    """Blend the boundary orbits across the cutoff support [-1, 2T + 1]."""
     left = np.asarray(left, dtype=np.complex128)
     right = np.asarray(right, dtype=np.complex128)
     if left.shape != (grid.N_t, grid.dim) or right.shape != (grid.N_t, grid.dim):
         raise ValueError("boundary rows must have shape (N_t, 2k+1)")
-    a, b = cutoff.support
+    a, b = -1.0, 2.0 * grid.T + 1.0
     sigma = smooth_step((grid.s_nodes - a) / (b - a))
     mix = (1.0 - sigma)[:, None, None] * left[None] + sigma[:, None, None] * right[None]
     norms = np.linalg.norm(mix, axis=-1, keepdims=True)
@@ -258,7 +246,6 @@ class FloerEquation:
     """
 
     state: FloerState
-    cutoff: CutoffProfile
     ds_v: np.ndarray
     dt_v: np.ndarray
     Ds: np.ndarray
@@ -291,15 +278,13 @@ class FloerEquation:
         return self.state.grid.integrate(self.energy_density())
 
 
-def _equation(
-    model: ModelSpec, state: FloerState, cutoff: CutoffProfile
-) -> FloerEquation:
+def _equation(model: ModelSpec, state: FloerState) -> FloerEquation:
     """One evaluation of the discrete equation at every node."""
     grid = state.grid
     if model.k != grid.k:
         raise ValueError("model bandwidth must match the grid")
     C = state.normalized()
-    phi = cutoff.phi(grid.s_nodes)
+    phi = grid.phi(grid.s_nodes)
     ds_v = np.zeros_like(C)
     ds_v[1:-1] = (C[2:] - C[:-2]) / (2.0 * grid.ds)
     dt_v = _dt_spectral(C)
@@ -313,22 +298,18 @@ def _equation(
     )
     lam = np.sum((ds_v + 1j * tpart) * np.conj(C), axis=-1)
     return FloerEquation(
-        state, cutoff, ds_v, dt_v, _project_out(ds_v, C), _project_out(tpart, C), lam
+        state, ds_v, dt_v, _project_out(ds_v, C), _project_out(tpart, C), lam
     )
 
 
-def floer_residual(
-    model: ModelSpec, state: FloerState, cutoff: CutoffProfile
-) -> FloerResidual:
+def floer_residual(model: ModelSpec, state: FloerState) -> FloerResidual:
     """Projected equation residual at the interior nodes."""
-    return _equation(model, state, cutoff).residual()
+    return _equation(model, state).residual()
 
 
-def floer_energy(
-    model: ModelSpec, state: FloerState, cutoff: CutoffProfile
-) -> float:
+def floer_energy(model: ModelSpec, state: FloerState) -> float:
     """Trapezoid-in-s, spectral-in-t quadrature of the curve energy."""
-    return _equation(model, state, cutoff).energy()
+    return _equation(model, state).energy()
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +449,6 @@ class _GaussNewtonOperator:
 def solve_floer(
     model: ModelSpec,
     grid: CylinderGrid,
-    T: float,
     boundary: tuple,
     tol: float = 1e-6,
     max_iter: int = 60,
@@ -494,13 +474,10 @@ def solve_floer(
     start = time.perf_counter()
     if model.k != grid.k:
         raise ValueError("model bandwidth must match the grid")
-    cutoff = build_cutoff(T)
-    if cutoff.support[1] >= grid.S:
-        raise ValueError("cutoff support must sit strictly inside the window")
 
-    guess = build_initial_guess(grid, boundary[0], boundary[1], cutoff)
-    phi = cutoff.phi(grid.s_nodes)
-    eq = _equation(model, FloerState(grid, guess.normalized()), cutoff)
+    guess = build_initial_guess(grid, boundary[0], boundary[1])
+    phi = grid.phi(grid.s_nodes)
+    eq = _equation(model, FloerState(grid, guess.normalized()))
     res, energy = eq.residual(), eq.energy()
     damping = INITIAL_DAMPING
     itn, istop, retries = 0, None, 0
@@ -550,7 +527,7 @@ def solve_floer(
             C_try = eq.state.coeffs.copy()
             C_try[1:-1] = V + delta
             C_try[1:-1] /= np.linalg.norm(C_try[1:-1], axis=-1, keepdims=True)
-            trial = _equation(model, FloerState(grid, C_try), cutoff)
+            trial = _equation(model, FloerState(grid, C_try))
             res_try = trial.residual()
             if res_try.norm < res.norm:
                 eq, res, energy = trial, res_try, trial.energy()
@@ -612,7 +589,7 @@ def extract_slices(equation: FloerEquation, gamma_max: int) -> list[Slice]:
     t_density = grid.dt * np.sum(equation.t_map(), axis=1)
     s = grid.s_nodes
     rows = []
-    for gamma, side, lo, hi in slice_windows(equation.cutoff.T, gamma_max):
+    for gamma, side, lo, hi in slice_windows(grid.T, gamma_max):
         ok = t_density < math.pi / gamma
         ok[[0, -1]] = False
         idx = np.nonzero(ok & (s >= lo) & (s <= hi))[0]

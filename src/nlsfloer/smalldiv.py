@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -149,28 +149,6 @@ class Convergent:
     error: float
 
 
-@dataclass
-class ConvergentReport:
-    """Certified convergents of a positive real.
-
-    Behaves as a sequence of (p, q) pairs.  Fewer entries than requested
-    means the supplied precision ran out, or the continued fraction of an
-    exact rational input ended (its last error is then 0).
-    """
-
-    entries: list
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i) -> tuple:
-        e = self.entries[i]
-        return (e.p, e.q)
-
-    def __iter__(self) -> Iterator[tuple]:
-        return ((e.p, e.q) for e in self.entries)
-
-
 def _as_interval(x, uncertainty) -> tuple[Fraction, Fraction]:
     if not isinstance(x, (Fraction, int, str, float)):
         raise TypeError("x must be Fraction, int, str, or float")
@@ -183,14 +161,16 @@ def _as_interval(x, uncertainty) -> tuple[Fraction, Fraction]:
     return center - eta, center + eta
 
 
-def convergents(x, count: int, uncertainty=None) -> ConvergentReport:
+def convergents(x, count: int, uncertainty=None) -> list[Convergent]:
     """Continued fraction convergents p/q certified by interval arithmetic.
 
     Runs the floor recursion on [x - eta, x + eta] and emits a partial
     quotient only while the whole interval agrees on it, so every entry
     is a true convergent of any real consistent with the input precision.
     Exact inputs (Fraction, int, decimal string) carry eta = 0 unless an
-    explicit uncertainty is given.
+    explicit uncertainty is given.  Fewer entries than requested means the
+    supplied precision ran out, or the continued fraction of an exact
+    rational input ended (its last error is then 0).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -223,7 +203,7 @@ def convergents(x, count: int, uncertainty=None) -> ConvergentReport:
             q_cur, q_prev = a * q_cur + q_prev, q_cur
         err = abs(center - Fraction(p_cur, q_cur))
         entries.append(Convergent(index=i, p=p_cur, q=q_cur, error=float(err)))
-    return ConvergentReport(entries=entries)
+    return entries
 
 
 def inv_two_pi(digits: int = 50) -> tuple[Fraction, Fraction]:
@@ -320,7 +300,6 @@ class OdeCheck:
     over the grid covers the whole line.
     """
 
-    lam: float
     sup_w: float
     bound: float
     passed: bool
@@ -377,7 +356,6 @@ def ode_bound_check(
     sup_w = float(np.max(np.abs(w)))
     bound = math.sqrt(2.0) * c / abs(lam)
     return OdeCheck(
-        lam=lam,
         sup_w=sup_w,
         bound=bound,
         passed=sup_w <= bound + 1e-10,

@@ -20,7 +20,7 @@ from nlsfloer.dynamics import (
     mode_point,
 )
 from nlsfloer.floer import (
-    CutoffProfile,
+    CylinderGrid,
     FloerResidual,
     FloerState,
     _dt_spectral,
@@ -77,16 +77,16 @@ def _smooth_step_slope(y) -> np.ndarray:
     return out
 
 
-def cutoff_slope(cutoff: CutoffProfile, s) -> np.ndarray:
-    """d phi / ds of the cutoff profile, from the exact smoothstep derivative."""
+def cutoff_slope(grid: CylinderGrid, s) -> np.ndarray:
+    """d phi / ds of the grid's cutoff profile, from the exact smoothstep derivative."""
     s = np.asarray(s, dtype=np.float64)
-    if cutoff.T == 0.0:
+    if grid.T == 0.0:
         return np.zeros_like(s)
     up = smooth_step(s + 1.0)
-    down = smooth_step(2.0 * cutoff.T + 1.0 - s)
+    down = smooth_step(2.0 * grid.T + 1.0 - s)
     return (
         _smooth_step_slope(s + 1.0) * down
-        - up * _smooth_step_slope(2.0 * cutoff.T + 1.0 - s)
+        - up * _smooth_step_slope(2.0 * grid.T + 1.0 - s)
     )
 
 
@@ -102,9 +102,7 @@ def grad_rows(model: ModelSpec, C: np.ndarray, t_nodes: np.ndarray) -> np.ndarra
     return grad_F_many(model, flat, t_flat).reshape(rows, N_t, d)
 
 
-def floer_residual_twisted(
-    model: ModelSpec, state: FloerState, cutoff: CutoffProfile
-) -> FloerResidual:
+def floer_residual_twisted(model: ModelSpec, state: FloerState) -> FloerResidual:
     """The cylinder residual assembled in the untransformed twisted picture.
 
     The stored state is mapped node by node through the inverse free flow,
@@ -115,7 +113,7 @@ def floer_residual_twisted(
     """
     grid = state.grid
     C = state.normalized()
-    phi = cutoff.phi(grid.s_nodes)
+    phi = grid.phi(grid.s_nodes)
     n2 = mode_squares(grid.k)
     phases = np.exp(-1j * n2[None, :] * grid.t_nodes[:, None])  # free flow
     U = C * np.conj(phases)[None]  # twisted picture nodes

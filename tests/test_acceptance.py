@@ -24,7 +24,6 @@ from nlsfloer.dynamics import (
 from nlsfloer.floer import (
     CylinderGrid,
     boundary_orbit,
-    build_cutoff,
     floer_energy,
     solve_floer,
 )
@@ -90,10 +89,10 @@ def continued(k, n=0, steps=400):
 def ladder_solve(k, N_s=60, N_t=16):
     """Converged cylinder solve of the potential model at bandwidth k."""
     model = potential_model(k)
-    grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k)
+    grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k, T=1.0)
     left = boundary_orbit(mode_point(0, k), N_t, side="left")
     right = boundary_orbit(continued(k), N_t, side="right")
-    result = solve_floer(model, grid, 1.0, (left, right), tol=1e-8)
+    result = solve_floer(model, grid, (left, right), tol=1e-8)
     assert result.converged, result.message
     return model, result
 
@@ -102,10 +101,10 @@ def ladder_solve(k, N_s=60, N_t=16):
 def big_solve(N_s):
     """Criterion-scale solve: T = 1, S = 4, N_t = 32 at bandwidth 4."""
     model = potential_model(4)
-    grid = CylinderGrid(S=4.0, N_s=N_s, N_t=32, k=4)
+    grid = CylinderGrid(S=4.0, N_s=N_s, N_t=32, k=4, T=1.0)
     left = boundary_orbit(mode_point(0, 4), 32, side="left")
     right = boundary_orbit(continued(4), 32, side="right")
-    result = solve_floer(model, grid, 1.0, (left, right), tol=1e-8)
+    result = solve_floer(model, grid, (left, right), tol=1e-8)
     assert result.converged, result.message
     return model, result
 
@@ -334,10 +333,10 @@ def test_criterion_10_band_limited_confinement():
     point_tail = normal_profile(point, [ell]).norms[0]
     assert point_tail < 1e-10
 
-    grid = CylinderGrid(S=4.0, N_s=60, N_t=16, k=k)
+    grid = CylinderGrid(S=4.0, N_s=60, N_t=16, k=k, T=1.0)
     left = boundary_orbit(mode_point(0, k), 16, side="left")
     right = boundary_orbit(point, 16, side="right")
-    solve = solve_floer(model, grid, 1.0, (left, right), tol=1e-8)
+    solve = solve_floer(model, grid, (left, right), tol=1e-8)
     assert solve.converged
     state_tail = normal_profile(solve.state, [ell]).norms[0]
     assert state_tail < 1e-10
@@ -380,7 +379,7 @@ def test_criterion_12_decay_and_uniformity():
     sups = []
     for k in (4, 6, 8):
         model, result = ladder_solve(k)
-        rep = gradient_monitor(result.state, model, build_cutoff(1.0))
+        rep = gradient_monitor(result.state, model)
         sups.append(rep["sup_ds"])
         # tails below the solver tolerance floor (~1e-15) carry no
         # decay information, so the state range stops at ell = 3

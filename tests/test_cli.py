@@ -1,5 +1,6 @@
 """Command line pipelines: config handling, artifacts, determinism."""
 
+import ast
 import hashlib
 import json
 import math
@@ -24,7 +25,6 @@ from nlsfloer.floer import (
     FloerState,
     _equation,
     boundary_orbit,
-    build_cutoff,
     extract_slices,
 )
 from nlsfloer.smalldiv import divisor_scan
@@ -140,6 +140,12 @@ def test_invalid_mode_rejected_before_running(tmp_path, capsys):
         ("hofer", {"model": {"base": "constant"}}, "model.base"),
         ("hofer", {"model": {"kind": "time_modulated"}}, "model.kind"),
         ("hofer", {"model": {"modulated": 1}}, "model.modulated"),
+        # each kernel type reads one of rate and ell; the other is refused
+        ("hofer", {"model": {"kernel": {"ell": 3}}}, "model.kernel.ell"),
+        ("hofer", {"model": {"kernel": {"type": "band_limited", "rate": 2.0}}},
+         "model.kernel.rate"),
+        # diagnose reads T from each stored state
+        ("diagnose", {"states": ["s.json"], "T": 1.0}, "diagnose.T"),
     ],
 )
 def test_out_of_range_field_is_named(tmp_path, capsys, pipeline, section, field):
@@ -154,6 +160,67 @@ def test_out_of_range_field_is_named(tmp_path, capsys, pipeline, section, field)
     assert rc == 2
     assert f"config error: {field}:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def _subscripts(tree, var):
+    """The (key, node) of each var["key"] subscript in a tree."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == var and isinstance(node.slice, ast.Constant)):
+            yield node.slice.value, node
+
+
+def _unread_fields(func, var, defaults, path):
+    """Fields of defaults that func never reads from var, the dict they sit in.
+
+    A nested section counts as read when func binds it to a name, as in
+    p = cfg["floer"]; its own fields must then be read from that name.
+    """
+    reads = list(_subscripts(func, var))
+    bound = {
+        key: node.targets[0].id
+        for node in ast.walk(func)
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        for key, sub in reads if node.value is sub
+    }
+    read = {key for key, _ in reads}
+    unread = []
+    for key, value in defaults.items():
+        name = f"{path}.{key}" if path else key
+        if isinstance(value, dict) and key in bound:
+            unread += _unread_fields(func, bound[key], value, name)
+        elif isinstance(value, dict) or key not in read:
+            unread.append(name)
+    return unread
+
+
+def test_every_config_field_is_read_where_it_takes_effect():
+    # each model field is read by build_model, and each pipeline field by
+    # its own pipeline function, as a string subscript of the dict that
+    # holds it: a field that nothing reads is accepted and then ignored
+    source = ast.parse(open(cli_module.__file__, encoding="utf-8").read())
+    functions = {node.name: node for node in source.body
+                 if isinstance(node, ast.FunctionDef)}
+    unread = _unread_fields(
+        functions["build_model"], "cfg", cli_module.MODEL_DEFAULTS, "model")
+    for section, defaults in cli_module.PIPELINE_DEFAULTS.items():
+        unread += _unread_fields(
+            functions[f"_pipe_{section}"], "cfg", {section: defaults}, "")
+    assert unread == []
+
+
+def test_band_limited_kernel_reads_ell(tmp_path):
+    estimates = []
+    for ell in (1, 2):
+        cfg = write_config(tmp_path, {
+            "pipeline": "hofer", "hofer": {"starts": 2},
+            "model": {"k": 3, "kernel": {"type": "band_limited", "ell": ell}},
+        })
+        out = tmp_path / f"ell{ell}"
+        assert main(["hofer", "--config", cfg, "--out", str(out)]) == 0
+        estimates.append(json.loads((out / "hofer_summary.json").read_text())["estimate"])
+    assert estimates[0] > 0.0 and estimates[1] > 0.0
+    assert estimates[0] != estimates[1]
 
 
 @pytest.mark.parametrize("N_s", [16, 32, 200])
@@ -596,7 +663,7 @@ def slice_rows_from_scratch(payload, state_path):
     resolved = resolve_config(payload, "floer")
     p = resolved["floer"]
     state = FloerState.from_json(state_path.read_text())
-    equation = _equation(build_model(resolved["model"]), state, build_cutoff(p["T"]))
+    equation = _equation(build_model(resolved["model"]), state)
     return ["gamma,side,s,criterion,distance,count"] + [
         f"{r.gamma},{r.side},{r.s:.17e},{r.criterion:.17e},{r.distance:.17e},{r.count}"
         for r in extract_slices(equation, p["gamma_max"])
@@ -644,7 +711,7 @@ def test_diagnose_missing_state_exits_4_with_manifest(tmp_path, capsys):
         {
             "pipeline": "diagnose",
             "model": {"kind": "potential", "eps": 0.0, "k": 3},
-            "diagnose": {"states": [str(tmp_path / "missing.json")], "T": 0.0},
+            "diagnose": {"states": [str(tmp_path / "missing.json")]},
         },
     )
     out = tmp_path / "o"
@@ -678,7 +745,7 @@ def test_diagnose_rejects_a_state_at_another_bandwidth(tmp_path, capsys, field):
     dg_cfg = write_config(
         tmp_path,
         {"pipeline": "diagnose", "model": {"kind": "potential", "eps": 0.0, "k": 4},
-         "diagnose": {field: [str(src_out / name)], "T": 0.0}},
+         "diagnose": {field: [str(src_out / name)]}},
         name="dg.json",
     )
     dg_out = tmp_path / "dg"
@@ -691,12 +758,51 @@ def test_diagnose_rejects_a_state_at_another_bandwidth(tmp_path, capsys, field):
     assert os.listdir(dg_out) == ["manifest.json"]
 
 
+def test_diagnose_evaluates_a_state_at_its_own_cutoff(tmp_path):
+    # the stored grid carries T, so diagnose needs no T of its own: the
+    # monitor's energy is the solve's to the last bit at T = 0.5, not the
+    # default 1.0
+    fl_cfg = write_config(tmp_path, {
+        "pipeline": "floer",
+        "floer": {"T": 0.5, "S": 4.0, "N_s": 32, "N_t": 16, "tol": 1e-8,
+                  "continuation_steps": 30},
+    }, name="fl.json")
+    fl_out = tmp_path / "fl"
+    assert main(["floer", "--config", fl_cfg, "--out", str(fl_out)]) == 0
+    stored = json.loads((fl_out / "floer_state.json").read_text())
+    assert stored["grid"]["T"] == 0.5
+    dg_cfg = write_config(tmp_path, {
+        "pipeline": "diagnose",
+        "diagnose": {"states": [str(fl_out / "floer_state.json")]},
+    }, name="dg.json")
+    dg_out = tmp_path / "dg"
+    assert main(["diagnose", "--config", dg_cfg, "--out", str(dg_out)]) == 0
+    energy = json.loads((fl_out / "floer_summary.json").read_text())["energy"]
+    assert json.loads((dg_out / "monitors.json").read_text())[0]["energy"] == energy
+
+
+def test_diagnose_rejects_a_state_without_T(tmp_path, capsys):
+    state = json.loads(FloerState(
+        CylinderGrid(S=2.0, N_s=16, N_t=8, k=3, T=0.0), np.ones((16, 8, 7))
+    ).to_json())
+    del state["grid"]["T"]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    cfg = write_config(tmp_path, {
+        "pipeline": "diagnose", "model": {"k": 3},
+        "diagnose": {"states": [str(path)]},
+    })
+    assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "diagnose.states[0]: malformed artifact" in err and "'T'" in err
+
+
 @pytest.mark.parametrize("field", ["states", "points"])
 def test_diagnose_rejects_a_malformed_artifact(tmp_path, capsys, field):
     # a well-formed state next to a malformed point: every file is read
     # before the first state artifact is written
     state = tmp_path / "state.json"
-    grid = CylinderGrid(S=2.0, N_s=16, N_t=8, k=3)
+    grid = CylinderGrid(S=2.0, N_s=16, N_t=8, k=3, T=0.0)
     state.write_text(FloerState(grid, np.ones((16, 8, 7))).to_json())
     bad = tmp_path / "bad.json"
     bad.write_text("{}" if field == "states" else '{"entries": [{}]}')
@@ -705,7 +811,7 @@ def test_diagnose_rejects_a_malformed_artifact(tmp_path, capsys, field):
     cfg = write_config(
         tmp_path,
         {"pipeline": "diagnose", "model": {"kind": "potential", "eps": 0.0, "k": 3},
-         "diagnose": {**paths, "T": 0.0}},
+         "diagnose": paths},
     )
     out = tmp_path / "o"
     rc = main(["diagnose", "--config", cfg, "--out", str(out)])
@@ -747,7 +853,6 @@ def test_diagnose_runs_on_stored_artifacts(tmp_path):
                 "states": [str(fl_out / "floer_state.json")],
                 "points": [str(fp_out / "fixed_point_n0.json"),
                            str(fp_out / "fixed_point_n1.json")],
-                "T": 0.0,
             },
         },
         name="dg.json",

@@ -21,7 +21,6 @@ from nlsfloer.floer import (
     CylinderGrid,
     FloerState,
     boundary_orbit,
-    build_cutoff,
     floer_energy,
     solve_floer,
 )
@@ -57,10 +56,10 @@ def continued_point(k, eps=0.05, n=0):
 @functools.lru_cache(maxsize=None)
 def solved_potential(k=4, N_s=60, N_t=16, S=4.0, T=1.0):
     model = potential_model(k)
-    grid = CylinderGrid(S=S, N_s=N_s, N_t=N_t, k=k)
+    grid = CylinderGrid(S=S, N_s=N_s, N_t=N_t, k=k, T=T)
     left = boundary_orbit(mode_point(0, k), N_t, side="left")
     right = boundary_orbit(continued_point(k), N_t, side="right")
-    result = solve_floer(model, grid, T, (left, right), tol=1e-8)
+    result = solve_floer(model, grid, (left, right), tol=1e-8)
     assert result.converged
     return model, grid, result
 
@@ -139,7 +138,7 @@ def test_profile_csv_round_trip():
 
 def test_state_profile_is_sup_over_nodes():
     k, N_s, N_t = 3, 7, 8
-    grid = CylinderGrid(S=2.0, N_s=16, N_t=N_t, k=k)
+    grid = CylinderGrid(S=2.0, N_s=16, N_t=N_t, k=k, T=0.0)
     rng = RNG(21)
     coeffs = rng.standard_normal((16, N_t, 2 * k + 1)) + 1j * rng.standard_normal(
         (16, N_t, 2 * k + 1)
@@ -163,7 +162,7 @@ def test_state_profile_applies_t_derivative_spectrally():
     # A single (m, p) exponential: the t-derivative multiplies the mode-m
     # row by 2 pi p, so each alpha scales the tail norm by known factors.
     k, p, m = 4, 3, 2
-    grid = CylinderGrid(S=2.0, N_s=16, N_t=16, k=k)
+    grid = CylinderGrid(S=2.0, N_s=16, N_t=16, k=k, T=0.0)
     t = grid.t_nodes
     coeffs = np.zeros((16, 16, 2 * k + 1), dtype=np.complex128)
     coeffs[:, :, m + k] = np.exp(2j * np.pi * p * t)[None, :]
@@ -177,7 +176,7 @@ def test_state_profile_applies_t_derivative_spectrally():
 
 def test_state_profile_zero_beyond_constructed_support():
     k, ell = 6, 2
-    grid = CylinderGrid(S=2.0, N_s=20, N_t=8, k=k)
+    grid = CylinderGrid(S=2.0, N_s=20, N_t=8, k=k, T=0.0)
     rng = RNG(31)
     coeffs = np.zeros((20, 8, 2 * k + 1), dtype=np.complex128)
     inner = slice(k - ell, k + ell + 1)
@@ -201,10 +200,10 @@ def test_continued_point_weighted_tails_decrease():
 def test_monitor_constant_state_has_zero_sup_ds():
     k, N_t = 3, 8
     model = potential_model(k)
-    grid = CylinderGrid(S=2.0, N_s=24, N_t=N_t, k=k)
+    grid = CylinderGrid(S=2.0, N_s=24, N_t=N_t, k=k, T=0.0)
     rows = np.tile(mode_point(0, k).coeffs, (N_t, 1)).astype(np.complex128)
     state = FloerState(grid, np.broadcast_to(rows[None], (24, N_t, grid.dim)).copy())
-    rep = gradient_monitor(state, model, build_cutoff(1.0))
+    rep = gradient_monitor(state, model)
     assert rep["sup_ds"] == 0.0
     assert rep["sup_dt"] == 0.0
 
@@ -212,23 +211,22 @@ def test_monitor_constant_state_has_zero_sup_ds():
 def test_monitor_sup_dt_of_oscillating_rows():
     k, p, N_t = 2, 2, 16
     model = potential_model(k)
-    grid = CylinderGrid(S=2.0, N_s=20, N_t=N_t, k=k)
+    grid = CylinderGrid(S=2.0, N_s=20, N_t=N_t, k=k, T=0.0)
     t = grid.t_nodes
     coeffs = np.zeros((20, N_t, grid.dim), dtype=np.complex128)
     coeffs[:, :, k] = np.exp(2j * np.pi * p * t)[None, :]
-    rep = gradient_monitor(FloerState(grid, coeffs), model, build_cutoff(1.0))
+    rep = gradient_monitor(FloerState(grid, coeffs), model)
     assert abs(rep["sup_dt"] - 2.0 * np.pi * p) < 1e-10
     assert rep["sup_ds"] < 1e-12
 
 
 def test_monitor_density_integrates_to_energy():
     model, grid, result = solved_potential()
-    cut = build_cutoff(1.0)
-    rep = gradient_monitor(result.state, model, cut)
+    rep = gradient_monitor(result.state, model)
     emap = rep["energy_density_map"]
     assert emap.shape == (grid.N_s, grid.N_t)
     assert np.all(emap >= 0.0)
-    E = floer_energy(model, result.state, cut)
+    E = floer_energy(model, result.state)
     assert abs(integrate_density(result.state, emap) - E) < 1e-8
     assert rep["sup_ds"] > 0.0
 
@@ -247,18 +245,18 @@ def test_monitor_evaluates_the_state_once(monkeypatch):
                 return _inner(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
-    rep = gradient_monitor(result.state, model, build_cutoff(1.0))
+    rep = gradient_monitor(result.state, model)
     assert calls == {"_dt_spectral": 1, "_equation": 1}
     assert rep["sup_ds"] > 0.0 and rep["sup_dt"] > 0.0
 
 
 def test_monitor_rejects_bandwidth_mismatch():
     model = potential_model(5)
-    grid = CylinderGrid(S=2.0, N_s=16, N_t=8, k=3)
+    grid = CylinderGrid(S=2.0, N_s=16, N_t=8, k=3, T=0.0)
     coeffs = np.zeros((16, 8, grid.dim), dtype=np.complex128)
     coeffs[:, :, 3] = 1.0
     with pytest.raises(ValueError):
-        gradient_monitor(FloerState(grid, coeffs), model, build_cutoff(1.0))
+        gradient_monitor(FloerState(grid, coeffs), model)
 
 
 def test_integrate_density_shape_check():

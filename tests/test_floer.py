@@ -23,7 +23,6 @@ from nlsfloer.floer import (
     _equation,
     _GaussNewtonOperator,
     boundary_orbit,
-    build_cutoff,
     build_initial_guess,
     extract_slices,
     floer_energy,
@@ -83,43 +82,50 @@ def continued_point(k, eps=0.05, n=0):
 @functools.lru_cache(maxsize=None)
 def solved_potential(k=4, N_s=60, N_t=16, S=4.0, T=1.0):
     model = potential_model(k)
-    grid = CylinderGrid(S=S, N_s=N_s, N_t=N_t, k=k)
+    grid = CylinderGrid(S=S, N_s=N_s, N_t=N_t, k=k, T=T)
     left = boundary_orbit(mode_point(0, k), N_t, side="left")
     right = boundary_orbit(continued_point(k), N_t, side="right")
-    return model, grid, solve_floer(model, grid, T, (left, right), tol=1e-8)
+    return model, grid, solve_floer(model, grid, (left, right), tol=1e-8)
 
 
 @functools.lru_cache(maxsize=None)
 def solved_quadratic(k=4, N_s=32, N_t=16, S=4.0, T=1.0):
     model = quadratic_model(k)
-    grid = CylinderGrid(S=S, N_s=N_s, N_t=N_t, k=k)
+    grid = CylinderGrid(S=S, N_s=N_s, N_t=N_t, k=k, T=T)
     mix = np.zeros(2 * k + 1, dtype=np.complex128)
     mix[k], mix[k + 1] = 0.8, 0.6
     left = boundary_orbit(mode_point(0, k), N_t, side="left")
     right = boundary_orbit(gauge_fix(SpectralField(k, mix)), N_t, side="right")
-    return model, grid, solve_floer(model, grid, T, (left, right), tol=1e-8)
+    return model, grid, solve_floer(model, grid, (left, right), tol=1e-8)
 
 
 # ---------------------------------------------------------------------------
 # cutoff family
 
 
+def cutoff_grid(T):
+    """The narrowest grid that holds the cutoff support [-1, 2T + 1]."""
+    return CylinderGrid(S=2.0 * T + 2.0, N_s=16, N_t=8, k=0, T=T)
+
+
 def test_cutoff_T0_identically_zero():
-    cut = build_cutoff(0.0)
+    cut = cutoff_grid(0.0)
     s = np.linspace(-5, 5, 301)
     assert np.all(cut.phi(s) == 0.0)
     assert np.all(cutoff_slope(cut, s) == 0.0)
 
 
 def test_cutoff_endpoint_values():
-    cut = build_cutoff(1.0)
+    cut = cutoff_grid(1.0)
     vals = cut.phi(np.array([-1.0, 0.0, 2.0, 3.0]))
     assert np.allclose(vals, [0.0, 1.0, 1.0, 0.0], atol=1e-15)
-    assert cut.support == (-1.0, 3.0)
+    # the support is exactly [-1, 3]: zero at and beyond its ends, positive inside
+    assert np.all(cut.phi(np.array([-1.5, -1.0, 3.0, 3.5])) == 0.0)
+    assert np.all(cut.phi(np.array([-0.9, 2.9])) > 0.0)
 
 
 def test_cutoff_plateau_and_off_regions():
-    cut = build_cutoff(2.0)
+    cut = cutoff_grid(2.0)
     s = np.linspace(0.0, 4.0, 97)
     assert np.all(cut.phi(s) == 1.0)
     off = np.array([-3.0, -1.0, 5.0, 8.0])
@@ -127,7 +133,7 @@ def test_cutoff_plateau_and_off_regions():
 
 
 def test_cutoff_slope_bounds_and_signs():
-    cut = build_cutoff(1.5)
+    cut = cutoff_grid(1.5)
     up = np.linspace(-1.0, 0.0, 401)
     down = np.linspace(3.0, 4.0, 401)
     assert np.all(cutoff_slope(cut, up) >= 0.0)
@@ -138,7 +144,7 @@ def test_cutoff_slope_bounds_and_signs():
 
 
 def test_cutoff_max_slope_is_two_at_midpoint():
-    cut = build_cutoff(1.0)
+    cut = cutoff_grid(1.0)
     s = np.linspace(-1.0, 0.0, 20001)
     slopes = cutoff_slope(cut, s)
     i = np.argmax(slopes)
@@ -147,7 +153,7 @@ def test_cutoff_max_slope_is_two_at_midpoint():
 
 
 def test_cutoff_slope_matches_finite_differences():
-    cut = build_cutoff(1.0)
+    cut = cutoff_grid(1.0)
     s = np.linspace(-0.95, -0.05, 61)
     h = 1e-6
     fd = (cut.phi(s + h) - cut.phi(s - h)) / (2 * h)
@@ -155,8 +161,8 @@ def test_cutoff_slope_matches_finite_differences():
 
 
 def test_cutoff_rejects_negative_T():
-    with pytest.raises(ValueError):
-        build_cutoff(-0.1)
+    with pytest.raises(ValueError, match="T must be nonnegative"):
+        CylinderGrid(S=4.0, N_s=16, N_t=8, k=0, T=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +171,19 @@ def test_cutoff_rejects_negative_T():
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        CylinderGrid(S=4.0, N_s=8, N_t=16, k=2)
+        CylinderGrid(S=4.0, N_s=8, N_t=16, k=2, T=1.0)
     with pytest.raises(ValueError):
-        CylinderGrid(S=4.0, N_s=32, N_t=4, k=2)
+        CylinderGrid(S=4.0, N_s=32, N_t=4, k=2, T=1.0)
     with pytest.raises(ValueError):
-        CylinderGrid(S=0.5, N_s=32, N_t=16, k=2)
-    grid = CylinderGrid(S=3.0, N_s=31, N_t=10, k=2)
+        CylinderGrid(S=0.5, N_s=32, N_t=16, k=2, T=0.0)
+    grid = CylinderGrid(S=3.0, N_s=31, N_t=10, k=2, T=0.5)
     assert grid.s_nodes[0] == -3.0 and grid.s_nodes[-1] == 3.0
     assert grid.ds == pytest.approx(6.0 / 30)
     assert grid.t_nodes[0] == 0.0 and grid.t_nodes[-1] == pytest.approx(0.9)
 
 
 def test_state_validation():
-    grid = CylinderGrid(S=3.0, N_s=20, N_t=8, k=2)
+    grid = CylinderGrid(S=3.0, N_s=20, N_t=8, k=2, T=0.0)
     with pytest.raises(ValueError):
         FloerState(grid, np.zeros((20, 8, 4), dtype=complex))
     bad = np.ones((20, 8, 5), dtype=complex)
@@ -187,12 +193,12 @@ def test_state_validation():
 
 
 def test_state_json_round_trip():
-    grid = CylinderGrid(S=2.0, N_s=16, N_t=8, k=1)
+    grid = CylinderGrid(S=2.0, N_s=16, N_t=8, k=1, T=0.25)
     rng = RNG(7)
     arr = rng.standard_normal((16, 8, 3)) + 1j * rng.standard_normal((16, 8, 3))
     state = FloerState(grid, arr)
     back = FloerState.from_json(state.to_json())
-    assert back.grid == grid
+    assert back.grid == grid and back.grid.T == 0.25
     assert np.array_equal(back.coeffs, state.coeffs)
 
 
@@ -229,19 +235,19 @@ def test_boundary_orbit_rejects_bad_inputs():
     with pytest.raises(ValueError):
         boundary_orbit(mode_point(0, 3), 16, side="middle")
     # rows of another bandwidth are caught by the solve's row-shape check
-    grid = CylinderGrid(S=4.0, N_s=20, N_t=16, k=3)
+    grid = CylinderGrid(S=4.0, N_s=20, N_t=16, k=3, T=1.0)
     rows = boundary_orbit(mode_point(0, 3), 16)
     narrow = boundary_orbit(mode_point(0, 2), 16)
     with pytest.raises(ValueError, match="boundary rows"):
-        solve_floer(potential_model(3), grid, 1.0, (narrow, rows))
+        solve_floer(potential_model(3), grid, (narrow, rows))
 
 
 def test_initial_guess_interpolates_boundaries():
     k = 2
-    grid = CylinderGrid(S=4.0, N_s=24, N_t=8, k=k)
+    grid = CylinderGrid(S=4.0, N_s=24, N_t=8, k=k, T=1.0)
     left = constant_rows(mode_point(0, k), 8)
     right = constant_rows(mode_point(1, k), 8)
-    guess = build_initial_guess(grid, left, right, build_cutoff(1.0))
+    guess = build_initial_guess(grid, left, right)
     assert np.allclose(guess.coeffs[0], left, atol=1e-15)
     assert np.allclose(guess.coeffs[-1], right, atol=1e-15)
     assert np.allclose(np.linalg.norm(guess.coeffs, axis=-1), 1.0, atol=1e-12)
@@ -254,28 +260,27 @@ def test_initial_guess_interpolates_boundaries():
 def test_residual_zero_on_free_orbit_at_T0():
     k = 3
     model = potential_model(k).with_strength(0.0)
-    grid = CylinderGrid(S=4.0, N_s=40, N_t=32, k=k)
+    grid = CylinderGrid(S=4.0, N_s=40, N_t=32, k=k, T=0.0)
     rows = boundary_orbit(mode_point(1, k), 32)
-    res = floer_residual(model, frozen_state(grid, rows), build_cutoff(0.0))
+    res = floer_residual(model, frozen_state(grid, rows))
     assert res.norm < 1e-10
 
 
 def test_residual_zero_for_constant_nonlinearity_any_T():
     k = 3
     model = ModelSpec(exponential_kernel(1.0, k), Constant(0.3), k)
-    grid = CylinderGrid(S=6.0, N_s=40, N_t=16, k=k)
     rows = boundary_orbit(mode_point(1, k), 16)
-    state = frozen_state(grid, rows)
     for T in (0.0, 0.5, 1.0, 2.0):
-        assert floer_residual(model, state, build_cutoff(T)).norm < 1e-12
+        grid = CylinderGrid(S=6.0, N_s=40, N_t=16, k=k, T=T)
+        assert floer_residual(model, frozen_state(grid, rows)).norm < 1e-12
 
 
 def test_residual_frozen_orbit_positive_and_localized():
     k = 4
     model = potential_model(k)
-    grid = CylinderGrid(S=4.0, N_s=80, N_t=16, k=k)
+    grid = CylinderGrid(S=4.0, N_s=80, N_t=16, k=k, T=1.0)
     rows = boundary_orbit(mode_point(1, k), 16)
-    res = floer_residual(model, frozen_state(grid, rows), build_cutoff(1.0))
+    res = floer_residual(model, frozen_state(grid, rows))
     assert res.norm > 1e-3
     profile = np.sum(np.abs(res.field) ** 2, axis=(1, 2))
     s = grid.s_nodes[1:-1]
@@ -286,14 +291,13 @@ def test_residual_frozen_orbit_positive_and_localized():
 def test_residual_twisted_picture_agreement():
     k = 3
     model = potential_model(k, eps=0.08)
-    grid = CylinderGrid(S=3.0, N_s=24, N_t=8, k=k)
+    grid = CylinderGrid(S=3.0, N_s=24, N_t=8, k=k, T=0.5)
     rng = RNG(11)
     arr = rng.standard_normal((24, 8, 7)) + 1j * rng.standard_normal((24, 8, 7))
     arr /= np.linalg.norm(arr, axis=-1, keepdims=True)
     state = FloerState(grid, arr)
-    cut = build_cutoff(0.5)
-    a = floer_residual(model, state, cut)
-    b = floer_residual_twisted(model, state, cut)
+    a = floer_residual(model, state)
+    b = floer_residual_twisted(model, state)
     assert abs(a.norm - b.norm) < 1e-12
     assert np.max(np.abs(a.field - b.field)) < 1e-12
 
@@ -316,16 +320,15 @@ def test_equation_on_the_node_array_is_bitwise_the_flattened_gradient(
         "quadratic": Quadratic(0.08),
     }[kind]
     model = ModelSpec(ker, density, k)
-    grid = CylinderGrid(S=3.0, N_s=24, N_t=8, k=k)
+    grid = CylinderGrid(S=3.0, N_s=24, N_t=8, k=k, T=0.5)
     rng = RNG(17)
     state = FloerState(
         grid, rng.standard_normal((24, 8, 7)) + 1j * rng.standard_normal((24, 8, 7))
     )
-    cut = build_cutoff(0.5)
-    eq = _equation(model, state, cut)
+    eq = _equation(model, state)
     monkeypatch.setattr(floer_module, "gradient_matrix", lambda model: None)
     monkeypatch.setattr(floer_module, "grad_F_many", grad_rows)
-    flat = _equation(model, state, cut)
+    flat = _equation(model, state)
     assert np.array_equal(eq.Ds, flat.Ds)
     if kind == "quadratic":
         assert np.array_equal(eq.tpart, flat.tpart)
@@ -335,10 +338,10 @@ def test_equation_on_the_node_array_is_bitwise_the_flattened_gradient(
 
 
 def test_residual_bandwidth_mismatch():
-    grid = CylinderGrid(S=3.0, N_s=20, N_t=8, k=2)
+    grid = CylinderGrid(S=3.0, N_s=20, N_t=8, k=2, T=0.0)
     state = frozen_state(grid, constant_rows(mode_point(0, 2), 8))
     with pytest.raises(ValueError):
-        floer_residual(potential_model(3), state, build_cutoff(0.0))
+        floer_residual(potential_model(3), state)
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +351,18 @@ def test_residual_bandwidth_mismatch():
 def test_energy_zero_on_free_orbit():
     k = 3
     model = potential_model(k).with_strength(0.0)
-    grid = CylinderGrid(S=4.0, N_s=40, N_t=32, k=k)
+    grid = CylinderGrid(S=4.0, N_s=40, N_t=32, k=k, T=0.0)
     rows = boundary_orbit(mode_point(2, k), 32)
-    E = floer_energy(model, frozen_state(grid, rows), build_cutoff(0.0))
+    E = floer_energy(model, frozen_state(grid, rows))
     assert E < 1e-10
 
 
 def test_energy_positive_on_frozen_orbit():
     k = 4
     model = potential_model(k)
-    grid = CylinderGrid(S=4.0, N_s=60, N_t=16, k=k)
+    grid = CylinderGrid(S=4.0, N_s=60, N_t=16, k=k, T=1.0)
     rows = boundary_orbit(mode_point(1, k), 16)
-    E = floer_energy(model, frozen_state(grid, rows), build_cutoff(1.0))
+    E = floer_energy(model, frozen_state(grid, rows))
     assert E > 1e-6
 
 
@@ -370,9 +373,9 @@ def test_energy_positive_on_frozen_orbit():
 def test_solve_free_model_zero_iterations():
     k = 3
     model = potential_model(k).with_strength(0.0)
-    grid = CylinderGrid(S=4.0, N_s=40, N_t=8, k=k)
+    grid = CylinderGrid(S=4.0, N_s=40, N_t=8, k=k, T=0.0)
     rows = boundary_orbit(mode_point(1, k), 8)
-    result = solve_floer(model, grid, 0.0, (rows, rows), tol=1e-8)
+    result = solve_floer(model, grid, (rows, rows), tol=1e-8)
     assert result.converged
     assert result.iterations == 0
     assert result.residual_norm < 1e-12
@@ -381,9 +384,9 @@ def test_solve_free_model_zero_iterations():
 
 def test_solve_hartree_matching_boundaries_is_stationary():
     model = hartree_model()
-    grid = CylinderGrid(S=4.0, N_s=40, N_t=8, k=3)
+    grid = CylinderGrid(S=4.0, N_s=40, N_t=8, k=3, T=1.0)
     rows = boundary_orbit(mode_point(1, 3), 8)
-    result = solve_floer(model, grid, 1.0, (rows, rows), tol=1e-8)
+    result = solve_floer(model, grid, (rows, rows), tol=1e-8)
     assert result.converged
     assert result.iterations == 0
     # diagonal closed form: the orbit is projectively stationary, energy 0
@@ -400,7 +403,7 @@ def test_solve_hartree_matches_per_mode_ode_oracle():
     psi2 = model.kernel.coeff_array(k) ** 2
     n = 0
     N_s, N_t, T = 48, 8, 1.0
-    grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k)
+    grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k, T=T)
     left = constant_rows(mode_point(n, k), N_t)
     delta = 1e-3
     t = np.arange(N_t) / N_t
@@ -408,10 +411,10 @@ def test_solve_hartree_matches_per_mode_ode_oracle():
     right[:, k + 1] += delta
     right[:, k - 2] += delta * np.exp(2j * np.pi * t)
     right /= np.linalg.norm(right, axis=1, keepdims=True)
-    result = solve_floer(model, grid, T, (left, right), tol=1e-10, max_iter=10)
+    result = solve_floer(model, grid, (left, right), tol=1e-10, max_iter=10)
     assert result.converged
 
-    phi = build_cutoff(T).phi(grid.s_nodes)
+    phi = grid.phi(grid.s_nodes)
 
     def ode_solution(m, p):
         lam = 2 * np.pi * p + m**2 - n**2 + phi * eps * (psi2[k + m] - psi2[k + n])
@@ -494,7 +497,7 @@ def _free_operator(op, X, adjoint=False):
 @pytest.mark.parametrize("N_s", [16, 17])
 def test_free_inverse_sweep_and_adjoint(N_s):
     k, N_t = 4, 8
-    grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k)
+    grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k, T=1.0)
     shape = (N_s - 2, N_t, grid.dim)
     rng = RNG(N_s)
 
@@ -504,7 +507,7 @@ def test_free_inverse_sweep_and_adjoint(N_s):
     V = field()
     V /= np.linalg.norm(V, axis=-1, keepdims=True)
     hessian = grad_F_tangent(quadratic_model(k), V, grid.t_nodes)
-    phi = build_cutoff(1.0).phi(grid.s_nodes)
+    phi = grid.phi(grid.s_nodes)
     lam = rng.normal(size=shape[:2]) + 1j * rng.normal(size=shape[:2])
     op = _GaussNewtonOperator(grid, V, hessian, phi, lam, 1e-3)
 
@@ -529,13 +532,13 @@ def test_step_is_horizontal(N_s):
     # the step removes each node's complex line, phase direction i V
     # included, so it moves no node along its own phase
     k, N_t = 4, 8
-    grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k)
+    grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k, T=1.0)
     shape = (N_s - 2, N_t, grid.dim)
     rng = RNG(N_s)
     V = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     V /= np.linalg.norm(V, axis=-1, keepdims=True)
     hessian = grad_F_tangent(potential_model(k), V, grid.t_nodes)
-    phi = build_cutoff(1.0).phi(grid.s_nodes)
+    phi = grid.phi(grid.s_nodes)
     lam = rng.normal(size=shape[:2]) + 1j * rng.normal(size=shape[:2])
     op = _GaussNewtonOperator(grid, V, hessian, phi, lam, 1e-3)
     delta = op.step(rng.normal(size=op.shape[1]))
@@ -547,14 +550,14 @@ def test_operator_applies_a_linear_density_without_transforms(monkeypatch):
     # for power <= 1 the Hessian is the matmul a(t) (delta @ G0), built once
     # per step, so matvec and rmatvec synthesize and analyze nothing
     k, N_s, N_t = 4, 16, 8
-    grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k)
+    grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k, T=1.0)
     rng = RNG(5)
     V = rng.normal(size=(N_s - 2, N_t, grid.dim)) + 1j * rng.normal(
         size=(N_s - 2, N_t, grid.dim)
     )
     V /= np.linalg.norm(V, axis=-1, keepdims=True)
     hessian = grad_F_tangent(potential_model(k), V, grid.t_nodes)
-    phi = build_cutoff(1.0).phi(grid.s_nodes)
+    phi = grid.phi(grid.s_nodes)
     lam = rng.normal(size=V.shape[:2]) + 1j * rng.normal(size=V.shape[:2])
     op = _GaussNewtonOperator(grid, V, hessian, phi, lam, 1e-3)
     calls = []
@@ -576,12 +579,12 @@ def test_solve_partial_result_when_budget_exhausted():
     # back the partial state with diagnostics
     k = 4
     model = potential_model(k)
-    grid = CylinderGrid(S=4.0, N_s=30, N_t=8, k=k)
+    grid = CylinderGrid(S=4.0, N_s=30, N_t=8, k=k, T=1.0)
     left = boundary_orbit(mode_point(1, k), 8, side="left")
     pair = np.zeros(2 * k + 1, dtype=np.complex128)
     pair[k + 1] = pair[k - 1] = 1.0 / math.sqrt(2.0)
     right = boundary_orbit(gauge_fix(SpectralField(k, pair)), 8, side="right")
-    result = solve_floer(model, grid, 1.0, (left, right), tol=1e-10, max_iter=2)
+    result = solve_floer(model, grid, (left, right), tol=1e-10, max_iter=2)
     assert not result.converged
     assert result.message == "iteration budget exhausted"
     assert len(result.history) == 3
@@ -603,8 +606,8 @@ def test_free_cylinder_energy_is_the_action_difference():
     right = boundary_orbit(gauge_fix(SpectralField(k, pair)), N_t, side="right")
     errors = []
     for N_s in (32, 64, 128):
-        grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k)
-        result = solve_floer(potential_model(k, eps=0.0), grid, 1.0, (left, right))
+        grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k, T=1.0)
+        result = solve_floer(potential_model(k, eps=0.0), grid, (left, right))
         assert result.converged, N_s
         errors.append(abs(result.energy - 0.5))
     assert errors[0] / errors[1] >= 3.5
@@ -623,8 +626,8 @@ def test_cylinder_to_a_continued_mode_1_converges_under_s_refinement():
     right = boundary_orbit(right_point, N_t, side="right")
     energies = []
     for N_s in (32, 64, 128):
-        grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k)
-        result = solve_floer(model, grid, 1.0, (left, right), max_iter=10)
+        grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k, T=1.0)
+        result = solve_floer(model, grid, (left, right), max_iter=10)
         assert result.converged, N_s
         assert all(row["retries"] == 0 for row in result.history), N_s
         energies.append(result.energy)
@@ -649,10 +652,10 @@ def test_solve_evaluates_each_state_once(monkeypatch):
     counted("lsmr")
     k, N_t = 4, 32
     model = potential_model(k)
-    grid = CylinderGrid(S=4.0, N_s=32, N_t=N_t, k=k)
+    grid = CylinderGrid(S=4.0, N_s=32, N_t=N_t, k=k, T=1.0)
     left = boundary_orbit(mode_point(0, k), N_t, side="left")
     right = boundary_orbit(mode_point(0, k), N_t, side="right")
-    result = solve_floer(model, grid, 1.0, (left, right), tol=1e-8)
+    result = solve_floer(model, grid, (left, right), tol=1e-8)
     assert result.converged
     assert calls["lsmr"] >= 1
     assert calls["_equation"] == 1 + calls["lsmr"]
@@ -676,17 +679,17 @@ def test_result_keeps_the_accepted_evaluation_when_damping_runs_out(monkeypatch)
     monkeypatch.setattr(floer_module, "lsmr", lsmr)
     k, N_t = 3, 8
     model = potential_model(k)
-    grid = CylinderGrid(S=4.0, N_s=24, N_t=N_t, k=k)
+    grid = CylinderGrid(S=4.0, N_s=24, N_t=N_t, k=k, T=1.0)
     left = boundary_orbit(mode_point(0, k), N_t, side="left")
     right = boundary_orbit(mode_point(0, k), N_t, side="right")
-    result = solve_floer(model, grid, 1.0, (left, right), tol=1e-12)
+    result = solve_floer(model, grid, (left, right), tol=1e-12)
     assert result.message.startswith("damping exhausted")
     assert result.iterations == 2
     assert result.iterations == len(result.history) - 1
     assert result.residual_norm == result.history[-1]["residual_norm"]
     assert result.energy == result.history[-1]["energy"]
     assert len(calls) > 2
-    fresh = _equation(model, result.state, build_cutoff(1.0))
+    fresh = _equation(model, result.state)
     for name in ("ds_v", "dt_v", "Ds", "tpart"):
         assert np.array_equal(getattr(result.equation, name), getattr(fresh, name))
     assert result.residual_norm == fresh.residual().norm
@@ -699,12 +702,14 @@ def test_result_keeps_the_accepted_evaluation_when_damping_runs_out(monkeypatch)
 def test_solve_validates_setup():
     k = 2
     model = potential_model(k)
-    grid = CylinderGrid(S=4.0, N_s=20, N_t=8, k=k)
+    grid = CylinderGrid(S=4.0, N_s=20, N_t=8, k=k, T=1.0)
     rows = constant_rows(mode_point(0, k), 8)
     with pytest.raises(ValueError):
-        solve_floer(potential_model(3), grid, 1.0, (rows, rows))
-    with pytest.raises(ValueError):
-        solve_floer(model, grid, 2.0, (rows, rows))  # support [-1,5] vs S=4
+        solve_floer(potential_model(3), grid, (rows, rows))
+    with pytest.raises(ValueError, match="cutoff support"):
+        CylinderGrid(S=4.0, N_s=20, N_t=8, k=k, T=2.0)  # support [-1,5] vs S=4
+    with pytest.raises(ValueError, match="cutoff support"):
+        CylinderGrid(S=3.0, N_s=20, N_t=8, k=k, T=1.0)  # support [-1,3] touches S=3
 
 
 # ---------------------------------------------------------------------------
@@ -718,10 +723,10 @@ def test_band_limited_confinement():
     assert cont.converged
     modes = np.abs(np.arange(-k, k + 1))
     assert np.linalg.norm(cont.final.point.coeffs[modes > 1]) < 1e-10
-    grid = CylinderGrid(S=4.0, N_s=40, N_t=8, k=k)
+    grid = CylinderGrid(S=4.0, N_s=40, N_t=8, k=k, T=1.0)
     left = boundary_orbit(mode_point(0, k), 8, side="left")
     right = boundary_orbit(cont.final.point, 8, side="right")
-    result = solve_floer(model, grid, 1.0, (left, right), tol=1e-8)
+    result = solve_floer(model, grid, (left, right), tol=1e-8)
     assert result.converged
     tail = np.abs(result.state.coeffs[:, :, modes > 1])
     assert np.max(tail) < 1e-10
@@ -757,10 +762,10 @@ def test_k_refinement_cauchy_property():
 def test_slices_constant_orbit_all_qualify():
     k = 3
     model = potential_model(k).with_strength(0.0)
-    grid = CylinderGrid(S=6.0, N_s=60, N_t=16, k=k)
+    grid = CylinderGrid(S=6.0, N_s=60, N_t=16, k=k, T=0.0)
     rows = boundary_orbit(mode_point(1, k), 16)
     state = frozen_state(grid, rows)
-    report = extract_slices(_equation(model, state, build_cutoff(0.0)), gamma_max=3)
+    report = extract_slices(_equation(model, state), gamma_max=3)
     assert [(r.gamma, r.side) for r in report] == [
         (g, side) for g in (1, 2, 3) for side in ("left", "right")
     ]
@@ -775,9 +780,9 @@ def test_slices_thresholds_follow_pi_over_gamma():
     # when value < pi / gamma (2.0 at gamma = 1 only, 0.9 up to gamma = 3)
     k = 3
     model = potential_model(k).with_strength(0.0)
-    grid = CylinderGrid(S=6.0, N_s=60, N_t=16, k=k)
+    grid = CylinderGrid(S=6.0, N_s=60, N_t=16, k=k, T=0.0)
     state = frozen_state(grid, boundary_orbit(mode_point(0, k), 16))
-    equation = _equation(model, state, build_cutoff(0.0))
+    equation = _equation(model, state)
     for value, qualifying in ((2.0, {1}), (0.9, {1, 2, 3})):
         tpart = np.zeros_like(equation.tpart)
         tpart[..., 0] = math.sqrt(value)
@@ -865,8 +870,8 @@ def test_free_ended_cylinders_find_the_periodic_orbits():
         distances = []
         for T in Ts:
             S = 2.0 * T + 3.0
-            grid = CylinderGrid(S=S, N_s=int(8 * S) + 1, N_t=N_t, k=k)  # ds = 0.25
-            result = solve_floer(model, grid, T, ends, tol=1e-8)
+            grid = CylinderGrid(S=S, N_s=int(8 * S) + 1, N_t=N_t, k=k, T=T)  # ds = 0.25
+            result = solve_floer(model, grid, ends, tol=1e-8)
             assert result.converged, (n, T)
             assert 0.0 <= result.energy <= bound, (n, T)
             row = int(np.argmin(np.abs(grid.s_nodes - T)))

@@ -9,7 +9,6 @@ import pytest
 from mpmath import mp
 
 from nlsfloer.smalldiv import (
-    ConvergentReport,
     DivisorRecord,
     Forcing,
     _divisor_exact,
@@ -208,14 +207,14 @@ def test_scan_rejects_bad_range():
 def test_rational_cf_terminates():
     rep = convergents(Fraction(3, 7), count=10)
     # fewer entries than asked, the last one exact: the expansion ended
-    assert list(rep) == [(0, 1), (1, 2), (3, 7)]
-    assert rep.entries[-1].error == 0.0
+    assert [(e.p, e.q) for e in rep] == [(0, 1), (1, 2), (3, 7)]
+    assert rep[-1].error == 0.0
 
 
 def test_decimal_string_is_exact():
     rep = convergents("0.375", count=10)
-    assert list(rep)[-1] == (3, 8)
-    assert len(rep) < 10 and rep.entries[-1].error == 0.0
+    assert (rep[-1].p, rep[-1].q) == (3, 8)
+    assert len(rep) < 10 and rep[-1].error == 0.0
 
 
 def test_golden_ratio_fibonacci():
@@ -223,18 +222,18 @@ def test_golden_ratio_fibonacci():
     rep = convergents(phi, count=10)
     fib = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
     assert len(rep) == 10
-    for i, (p, q) in enumerate(rep):
-        assert (p, q) == (fib[i + 1], fib[i])
-    assert rep.entries[-1].error > 0.0
+    for i, e in enumerate(rep):
+        assert (e.index, e.p, e.q) == (i, fib[i + 1], fib[i])
+    assert rep[-1].error > 0.0
 
 
 def test_inv_two_pi_convergents():
     x, eta = inv_two_pi(digits=50)
     rep = convergents(x, count=12, uncertainty=eta)
-    assert rep[0] == (0, 1)
-    assert rep[1] == (1, 6)
+    assert (rep[0].p, rep[0].q) == (0, 1)
+    assert (rep[1].p, rep[1].q) == (1, 6)
     assert len(rep) == 12
-    for e in rep.entries:
+    for e in rep:
         assert e.error < 1.0 / e.q**2 + 1e-18
 
 
@@ -243,7 +242,7 @@ def test_quality_bound_holds_for_floats():
     for _ in range(30):
         x = float(rng.uniform(0.01, 10.0))
         rep = convergents(x, count=8)
-        for e in rep.entries:
+        for e in rep:
             assert e.error < 1.0 / e.q**2
 
 
@@ -251,8 +250,8 @@ def test_low_precision_truncates():
     # 3 correct digits cannot certify deep convergents
     rep = convergents("0.159", count=10, uncertainty=Fraction(1, 1000))
     # [0.158, 0.160] agrees on 0; 6 and then splits on 3 or 4
-    assert list(rep) == [(0, 1), (1, 6)]
-    assert rep.entries[-1].error > 0.0
+    assert [(e.p, e.q) for e in rep] == [(0, 1), (1, 6)]
+    assert rep[-1].error > 0.0
 
 
 def test_convergents_input_validation():
