@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -170,12 +171,15 @@ def _merge_section(defaults: dict, given, path: str) -> dict:
             out[key] = _merge_section(defaults[key], value, f"{path}.{key}")
         else:
             out[key] = _check_scalar(value, defaults[key], f"{path}.{key}")
-    for key, value in defaults.items():
-        if key not in out:
-            out[key] = _merge_section(value, {}, f"{path}.{key}") if isinstance(
-                value, dict
-            ) else value
-    return out
+    # schema order, whatever order the config gives: floer_state.json
+    # stores the resolved model section as it iterates
+    return {
+        key: out[key] if key in out else (
+            _merge_section(value, {}, f"{path}.{key}") if isinstance(value, dict)
+            else value
+        )
+        for key, value in defaults.items()
+    }
 
 
 def resolve_config(raw: dict, pipeline: str) -> dict:
@@ -541,7 +545,8 @@ def _pipe_floer(cfg: dict, out: ArtifactWriter) -> dict:
             ],
         ),
     )
-    out.write("floer_state.json", result.state.to_json() + "\n")
+    state = dataclasses.replace(result.state, model=cfg["model"])
+    out.write("floer_state.json", state.to_json() + "\n")
 
     endpoint = fs_distance(result.state.coeffs[-1, 0], right_point.coeffs)
     slices = [
@@ -679,6 +684,20 @@ def _load_artifacts(paths: List[str], field: str, parse: Callable) -> list:
     return loaded
 
 
+def _first_difference(stored, own, path: str):
+    """(field path, stored value, own value) of the first differing field, else None."""
+    if not isinstance(own, dict):
+        same = type(stored) is type(own) and stored == own
+        return None if same else (path, stored, own)
+    if not isinstance(stored, dict):
+        return path, stored, own
+    for key in [*own, *(key for key in stored if key not in own)]:
+        found = _first_difference(stored.get(key), own.get(key), f"{path}.{key}")
+        if found:
+            return found
+    return None
+
+
 def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
     p = cfg["diagnose"]
     model = build_model(cfg["model"])
@@ -702,6 +721,14 @@ def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
                     f"diagnose.{field}[{i}]: {field[:-1]} bandwidth {k} "
                     f"does not match model.k = {model.k}"
                 )
+    for i, state in enumerate(states):
+        found = _first_difference(state.model, cfg["model"], "model")
+        if found:
+            field, stored, own = found
+            raise ConfigError(
+                f"diagnose.states[{i}]: state solved under {field} = "
+                f"{json.dumps(stored)}, not {json.dumps(own)}"
+            )
     for i, (path, state) in enumerate(zip(p["states"], states)):
         for alpha in p["deriv_orders"]:
             prof = normal_profile(state, ells, deriv_order=alpha)

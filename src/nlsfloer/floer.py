@@ -29,10 +29,12 @@ the free region.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lsmr
@@ -43,6 +45,8 @@ from .spectral import TWO_PI, smooth_step
 
 # ---------------------------------------------------------------------------
 # grid and state
+
+_STORED = np.dtype("<c16")  # state file coefficients: little-endian complex128
 
 
 @dataclass(frozen=True)
@@ -117,11 +121,17 @@ class FloerState:
     """Unit-norm node fields on the cylinder in the transformed picture.
 
     coeffs has shape (N_s, N_t, 2k+1); rows 0 and N_s-1 are the prescribed
-    boundary orbits.
+    boundary orbits.  model is the resolved ``model`` config section the
+    state was solved under, as the CLI stores it (None when not recorded).
+
+    The JSON form stores coeffs as one base64 string of its little-endian
+    complex128 bytes in C order, so a round trip keeps every bit, signed
+    zeros included.
     """
 
     grid: CylinderGrid
     coeffs: np.ndarray
+    model: Optional[dict] = None
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
@@ -141,16 +151,24 @@ class FloerState:
     def to_json(self) -> str:
         g = self.grid
         grid = {"S": g.S, "N_s": g.N_s, "N_t": g.N_t, "k": g.k, "T": g.T}
-        coeffs = np.stack([self.coeffs.real, self.coeffs.imag], axis=-1)
-        return json.dumps({"grid": grid, "coeffs": coeffs.tolist()})
+        coeffs = base64.b64encode(np.ascontiguousarray(self.coeffs, _STORED).tobytes())
+        return json.dumps(
+            {"grid": grid, "model": self.model, "coeffs": coeffs.decode("ascii")}
+        )
 
     @staticmethod
     def from_json(text: str) -> "FloerState":
         payload = json.loads(text)
         g = payload["grid"]
         grid = CylinderGrid(S=g["S"], N_s=g["N_s"], N_t=g["N_t"], k=g["k"], T=g["T"])
-        arr = np.array(payload["coeffs"], dtype=np.float64)
-        return FloerState(grid, arr[..., 0] + 1j * arr[..., 1])
+        raw = base64.b64decode(payload["coeffs"], validate=True)
+        coeffs = np.frombuffer(raw, dtype=_STORED)
+        shape = (grid.N_s, grid.N_t, grid.dim)
+        if coeffs.size != math.prod(shape):
+            raise ValueError(
+                f"coeffs holds {coeffs.size} complex numbers, the grid {shape}"
+            )
+        return FloerState(grid, coeffs.reshape(shape).copy(), payload["model"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command line pipelines: config handling, artifacts, determinism."""
 
 import ast
+import base64
 import hashlib
 import json
 import math
@@ -82,6 +83,15 @@ def test_wrong_type_reports_path(tmp_path, capsys):
     rc = main(["divisors", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "divisors.m_max" in capsys.readouterr().err
+
+
+def test_resolved_sections_follow_the_schema_order():
+    # floer_state.json stores the resolved model section in this order, so
+    # configs that list the same fields in another order store the same bytes
+    given = {"kernel": {"rate": 2.0}, "k": 6, "kind": "potential"}
+    model = resolve_config({"model": given}, "floer")["model"]
+    assert list(model) == list(cli_module.MODEL_DEFAULTS)
+    assert list(model["kernel"]) == list(cli_module.MODEL_DEFAULTS["kernel"])
 
 
 def test_pipeline_selector_mismatch(tmp_path, capsys):
@@ -801,26 +811,96 @@ def test_diagnose_rejects_a_state_without_T(tmp_path, capsys):
 def test_diagnose_rejects_a_malformed_artifact(tmp_path, capsys, field):
     # a well-formed state next to a malformed point: every file is read
     # before the first state artifact is written
+    model = {"kind": "potential", "eps": 0.0, "k": 3}
     state = tmp_path / "state.json"
-    grid = CylinderGrid(S=2.0, N_s=16, N_t=8, k=3, T=0.0)
-    state.write_text(FloerState(grid, np.ones((16, 8, 7))).to_json())
+    state.write_text(hand_built_state(model))
     bad = tmp_path / "bad.json"
     bad.write_text("{}" if field == "states" else '{"entries": [{}]}')
     paths = {"states": [str(state)], "points": []}
     paths[field] = [str(bad)]
-    cfg = write_config(
-        tmp_path,
-        {"pipeline": "diagnose", "model": {"kind": "potential", "eps": 0.0, "k": 3},
-         "diagnose": paths},
-    )
+    assert_diagnose_refuses(tmp_path, capsys, model, paths, f"diagnose.{field}[0]")
+
+
+def hand_built_state(model):
+    """A k = 3 state file whose section is the resolved model config."""
+    grid = CylinderGrid(S=2.0, N_s=16, N_t=8, k=3, T=0.0)
+    section = resolve_config({"model": model}, "simulate")["model"]
+    return FloerState(grid, np.ones((16, 8, 7)), section).to_json()
+
+
+def assert_diagnose_refuses(tmp_path, capsys, model, paths, *names):
+    """diagnose exits 2 naming each of names, and writes only its manifest."""
+    cfg = write_config(tmp_path, {"pipeline": "diagnose", "model": model,
+                                  "diagnose": paths}, name="dg.json")
     out = tmp_path / "o"
     rc = main(["diagnose", "--config", cfg, "--out", str(out)])
     assert rc == 2
-    assert f"diagnose.{field}[0]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert all(name in err for name in names), err
     manifest = read_manifest(str(out))
     assert manifest["status"] == "config-error"
     assert manifest["artifacts"] == []
     assert os.listdir(out) == ["manifest.json"]
+
+
+def _list_coeffs(payload):
+    # the former encoding: [re, im] pairs nested per node and mode
+    C = FloerState.from_json(json.dumps(payload)).coeffs
+    return np.stack([C.real, C.imag], axis=-1).tolist()
+
+
+def _short_coeffs(payload):
+    return base64.b64encode(base64.b64decode(payload["coeffs"])[:-16]).decode()
+
+
+@pytest.mark.parametrize(
+    "encode",
+    [_list_coeffs, lambda payload: "not base64!", _short_coeffs],
+    ids=["list", "not_base64", "one_short"],
+)
+def test_diagnose_refuses_a_state_in_another_encoding(tmp_path, capsys, encode):
+    model = {"kind": "potential", "eps": 0.0, "k": 3}
+    payload = json.loads(hand_built_state(model))
+    payload["coeffs"] = encode(payload)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    assert_diagnose_refuses(tmp_path, capsys, model, {"states": [str(path)]},
+                            "diagnose.states[0]: malformed artifact")
+
+
+@pytest.fixture(scope="module")
+def benchmark_state(tmp_path_factory):
+    """floer_state.json of the benchmark's k = 4 cylinder (32 x 32)."""
+    tmp = tmp_path_factory.mktemp("k4")
+    cfg = write_config(tmp, {
+        "pipeline": "floer",
+        "floer": {"N_s": 32, "N_t": 32, "tol": 1e-6, "continuation_steps": 30},
+    })
+    assert main(["floer", "--config", cfg, "--out", str(tmp / "o")]) == 0
+    return tmp / "o" / "floer_state.json"
+
+
+def test_floer_state_file_round_trips_exactly(benchmark_state):
+    text = benchmark_state.read_text()
+    state = FloerState.from_json(text)
+    assert state.to_json() + "\n" == text
+    # the end rows hold -0.0 imaginary parts, which the file keeps
+    imag = state.coeffs.imag
+    assert np.any((imag == 0) & np.signbit(imag))
+    assert state.model == resolve_config({}, "floer")["model"]
+
+
+@pytest.mark.parametrize("model, field", [
+    ({"eps": 0.1}, "model.eps = 0.05, not 0.1"),
+    ({"kernel": {"type": "exponential", "rate": 2.0}},
+     "model.kernel.rate = 1.0, not 2.0"),
+    ({"modulated": True}, "model.modulated = false, not true"),
+], ids=["eps", "kernel_rate", "modulated"])
+def test_diagnose_refuses_a_state_solved_under_another_model(
+        tmp_path, capsys, benchmark_state, model, field):
+    assert_diagnose_refuses(tmp_path, capsys, model,
+                            {"states": [str(benchmark_state)]},
+                            "diagnose.states[0]", field)
 
 
 def test_diagnose_runs_on_stored_artifacts(tmp_path):
