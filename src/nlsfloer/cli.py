@@ -2,7 +2,8 @@
 
 Each subcommand reads one JSON config, runs a single pipeline, and
 writes analysis-ready CSV/JSON artifacts plus a run manifest into the
-output directory.  Artifacts are deterministic: the same config and
+output directory.  Every artifact format is defined here; the numeric
+modules write no files.  Artifacts are deterministic: the same config and
 seed produce byte-identical files.  The manifest records the tool
 version, a timestamp, the fully resolved config, the seed, a sha256
 digest per artifact and the library versions and CPU count of the
@@ -15,8 +16,8 @@ lost finiteness, or an array too large to allocate), 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import base64
 import contextlib
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -36,6 +37,7 @@ import scipy
 
 from . import __version__
 from .diagnostics import (
+    DELTA_SET,
     distinctness_report,
     gradient_monitor,
     integrate_density,
@@ -43,6 +45,8 @@ from .diagnostics import (
 )
 from .dynamics import (
     ContinuationResult,
+    PathEntry,
+    ProjectivePoint,
     continue_fixed_point,
     evolve,
     fs_distance,
@@ -189,9 +193,7 @@ def resolve_config(raw: dict, pipeline: str) -> dict:
     if pipeline not in PIPELINES:
         raise ConfigError(f"pipeline: unknown pipeline {pipeline!r}")
     section = pipeline.replace("-", "_")
-    allowed = {"pipeline", "seed", "model"} | {
-        p.replace("-", "_") for p in PIPELINES
-    }
+    allowed = {"pipeline", "seed", "model", section}
     for key in raw:
         if key not in allowed:
             raise ConfigError(f"{key}: unknown field")
@@ -215,6 +217,8 @@ def resolve_config(raw: dict, pipeline: str) -> dict:
         raise ConfigError(f"model.kind: expected one of {', '.join(KINDS)}")
     if model["k"] < 0:
         raise ConfigError("model.k: bandwidth must be nonnegative")
+    if model["kind"] == "potential" and model["k"] < 1:
+        raise ConfigError("model.k: potential kind needs bandwidth >= 1")
     if model["kernel"]["type"] not in KERNEL_TYPES:
         raise ConfigError(
             f"model.kernel.type: expected one of {', '.join(KERNEL_TYPES)}"
@@ -334,8 +338,6 @@ def build_model(cfg: dict) -> ModelSpec:
         kernel = band_limited_kernel(kernel_cfg["ell"], k)
 
     if cfg["kind"] == "potential":
-        if k < 1:
-            raise ConfigError("model.k: potential kind needs bandwidth >= 1")
         nl = Potential(cfg["eps"], cosine_field(k))
     else:
         nl = {"constant": Constant, "hartree": Hartree, "quadratic": Quadratic}[
@@ -391,6 +393,72 @@ def _csv(header: List[str], rows: List[List[str]]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(r) for r in rows)
     return "\n".join(lines) + "\n"
+
+
+def state_json(state: FloerState, model: dict) -> str:
+    """floer_state.json: the grid, the model section the state was solved
+    under, and coeffs as one base64 string of their little-endian complex128
+    bytes in C order, so a round trip keeps every bit, signed zeros included."""
+    g = state.grid
+    grid = {"S": g.S, "N_s": g.N_s, "N_t": g.N_t, "k": g.k, "T": g.T}
+    coeffs = base64.b64encode(np.ascontiguousarray(state.coeffs, "<c16").tobytes())
+    payload = {"grid": grid, "model": model, "coeffs": coeffs.decode("ascii")}
+    return json.dumps(payload) + "\n"
+
+
+def read_state(text: str):
+    """(FloerState, model section) of a floer_state.json."""
+    payload = json.loads(text)
+    g = payload["grid"]
+    grid = CylinderGrid(S=g["S"], N_s=g["N_s"], N_t=g["N_t"], k=g["k"], T=g["T"])
+    raw = base64.b64decode(payload["coeffs"], validate=True)
+    coeffs = np.frombuffer(raw, "<c16")
+    shape = (grid.N_s, grid.N_t, grid.dim)
+    if coeffs.size != math.prod(shape):
+        raise ValueError(f"coeffs holds {coeffs.size} complex numbers, grid {shape}")
+    return FloerState(grid, coeffs.reshape(shape).copy()), payload["model"]
+
+
+def points_json(result: ContinuationResult) -> str:
+    """fixed_point_n<n>.json: the path of one continuation, entry by entry."""
+    entries = [
+        {"eps": e.eps, "phase": e.phase, "residual": e.residual,
+         "iterations": e.iterations, "gauge_index": e.point.gauge_index,
+         "coeffs": [[float(z.real), float(z.imag)] for z in e.point.coeffs]}
+        for e in result.entries
+    ]
+    payload = {"n": result.n, "k": result.k, "converged": result.converged,
+               "message": result.message, "entries": entries}
+    return json.dumps(payload, indent=1) + "\n"
+
+
+def read_points(text: str) -> ContinuationResult:
+    """The path a fixed_point_n<n>.json stores; every entry must parse."""
+    d = json.loads(text)
+    entries = []
+    for e in d["entries"]:
+        coeffs = np.array([complex(re, im) for re, im in e["coeffs"]], np.complex128)
+        point = ProjectivePoint(d["k"], coeffs, e["gauge_index"])
+        entries.append(
+            PathEntry(e["eps"], point, e["phase"], e["residual"], e["iterations"]))
+    return ContinuationResult(
+        d["n"], d["k"], entries, d["converged"], d.get("message", ""))
+
+
+def decay_csv(prof) -> str:
+    """A DecayProfile's rows: ell, alpha, norm, then norm*ell^delta per delta."""
+    header = ["ell", "alpha", "norm"] + [
+        f"norm_times_ell_{d:g}".replace(".", "_") for d in DELTA_SET]
+    return _csv(header, [
+        [str(int(ell)), str(prof.deriv_order), _fmt(norm), *map(_fmt, weighted)]
+        for ell, norm, weighted in zip(prof.ell_values, prof.norms, prof.weighted)])
+
+
+def distances_csv(rep) -> str:
+    """A DistinctnessReport's square distance matrix with i,j indices."""
+    header = ["i"] + [f"d{j}" for j in range(len(rep.distances))]
+    rows = [[str(i), *map(_fmt, row)] for i, row in enumerate(rep.distances)]
+    return _csv(header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +547,7 @@ def _pipe_fixed_points(cfg: dict, out: ArtifactWriter) -> dict:
             itertools.repeat(p["tol"]), itertools.repeat(p["steps"]))
         for n, (result, seconds) in zip(modes, results):
             entry = result.final
-            out.write(f"fixed_point_n{n}.json", result.to_json() + "\n")
+            out.write(f"fixed_point_n{n}.json", points_json(result))
             summaries.append(
                 {
                     "n": n,
@@ -502,7 +570,7 @@ def _pipe_fixed_points(cfg: dict, out: ArtifactWriter) -> dict:
     rep = None
     if len(points) >= 2:
         rep = distinctness_report(points)
-        out.write("distances.csv", rep.to_csv())
+        out.write("distances.csv", distances_csv(rep))
         print(f"fixed-points: min pairwise distance {rep.min_offdiag:.4f}")
     summary = {
         "modes": summaries,
@@ -545,8 +613,7 @@ def _pipe_floer(cfg: dict, out: ArtifactWriter) -> dict:
             ],
         ),
     )
-    state = dataclasses.replace(result.state, model=cfg["model"])
-    out.write("floer_state.json", state.to_json() + "\n")
+    out.write("floer_state.json", state_json(result.state, cfg["model"]))
 
     endpoint = fs_distance(result.state.coeffs[-1, 0], right_point.coeffs)
     slices = [
@@ -704,12 +771,10 @@ def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
     ells = range(p["ell_min"], (p["ell_max"] or model.k) + 1)
     monitors = []
 
-    states = _load_artifacts(p["states"], "states", FloerState.from_json)
+    loaded = _load_artifacts(p["states"], "states", read_state)
+    states = [state for state, _ in loaded]
     points = _load_artifacts(
-        p["points"],
-        "points",
-        lambda text: ContinuationResult.from_json(text).final.point,
-    )
+        p["points"], "points", lambda text: read_points(text).final.point)
     bandwidths = {
         "states": [state.grid.k for state in states],
         "points": [point.k for point in points],
@@ -721,8 +786,8 @@ def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
                     f"diagnose.{field}[{i}]: {field[:-1]} bandwidth {k} "
                     f"does not match model.k = {model.k}"
                 )
-    for i, state in enumerate(states):
-        found = _first_difference(state.model, cfg["model"], "model")
+    for i, (_, section) in enumerate(loaded):
+        found = _first_difference(section, cfg["model"], "model")
         if found:
             field, stored, own = found
             raise ConfigError(
@@ -732,7 +797,7 @@ def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
     for i, (path, state) in enumerate(zip(p["states"], states)):
         for alpha in p["deriv_orders"]:
             prof = normal_profile(state, ells, deriv_order=alpha)
-            out.write(f"state{i}_decay_alpha{alpha}.csv", prof.to_csv())
+            out.write(f"state{i}_decay_alpha{alpha}.csv", decay_csv(prof))
         rep = gradient_monitor(state, model)
         monitors.append(
             {
@@ -746,14 +811,14 @@ def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
     for i, point in enumerate(points):
         for alpha in p["deriv_orders"]:
             prof = normal_profile(point, ells, deriv_order=alpha)
-            out.write(f"point{i}_decay_alpha{alpha}.csv", prof.to_csv())
+            out.write(f"point{i}_decay_alpha{alpha}.csv", decay_csv(prof))
 
     if monitors:
         out.write("monitors.json", _json_text(monitors))
     flagged = []
     if len(points) >= 2:
         rep = distinctness_report(points, threshold=p["threshold"])
-        out.write("distances.csv", rep.to_csv())
+        out.write("distances.csv", distances_csv(rep))
         flagged = [list(pair) for pair in rep.flagged]
     summary = {
         "states": len(p["states"]),

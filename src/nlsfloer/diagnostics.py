@@ -59,17 +59,6 @@ class DecayProfile:
         if np.any(self.norms < 0.0):
             raise ValueError("tail norms must be nonnegative")
 
-    def to_csv(self) -> str:
-        """Rows ell, alpha, norm, then one norm*ell^delta column per delta."""
-        cols = ",".join(
-            f"norm_times_ell_{d:g}".replace(".", "_") for d in DELTA_SET
-        )
-        lines = [f"ell,alpha,norm,{cols}"]
-        for i, ell in enumerate(self.ell_values):
-            w = ",".join(f"{v:.17e}" for v in self.weighted[i])
-            lines.append(f"{int(ell)},{self.deriv_order},{self.norms[i]:.17e},{w}")
-        return "\n".join(lines) + "\n"
-
 
 def _tail_norms(coeffs: np.ndarray, k: int, ells: np.ndarray, alpha: int) -> np.ndarray:
     """Weighted tail mass of (..., dim) coefficient data per cutoff level.
@@ -170,15 +159,6 @@ class DistinctnessReport:
         P = self.distances.shape[0]
         mask = ~np.eye(P, dtype=bool)
         return float(np.min(self.distances[mask]))
-
-    def to_csv(self) -> str:
-        """Square distance matrix with i,j row/column indices."""
-        P = self.distances.shape[0]
-        lines = ["i," + ",".join(f"d{j}" for j in range(P))]
-        for i in range(P):
-            row = ",".join(f"{v:.17e}" for v in self.distances[i])
-            lines.append(f"{i},{row}")
-        return "\n".join(lines) + "\n"
 
 
 def distinctness_report(

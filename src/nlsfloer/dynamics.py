@@ -19,7 +19,6 @@ real axis, and distances are Fubini-Study angles.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -388,8 +387,8 @@ class ContinuationResult:
     entries: list
     converged: bool
     message: str = ""
-    # not in to_json: corrector calls (failed ones too), their iterations,
-    # flows and line-search backtracks
+    # corrector calls (failed ones too), their iterations, flows and
+    # line-search backtracks
     attempts: int = 0
     corrector_iterations: int = 0
     flows: int = 0
@@ -399,53 +398,6 @@ class ContinuationResult:
     @property
     def final(self) -> PathEntry:
         return self.entries[-1]
-
-    def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "k": self.k,
-            "converged": self.converged,
-            "message": self.message,
-            "entries": [
-                {
-                    "eps": e.eps,
-                    "phase": e.phase,
-                    "residual": e.residual,
-                    "iterations": e.iterations,
-                    "gauge_index": e.point.gauge_index,
-                    "coeffs": [
-                        [float(z.real), float(z.imag)] for z in e.point.coeffs
-                    ],
-                }
-                for e in self.entries
-            ],
-        }
-        return json.dumps(payload, indent=1)
-
-    @staticmethod
-    def from_json(text: str) -> "ContinuationResult":
-        d = json.loads(text)
-        entries = []
-        for e in d["entries"]:
-            coeffs = np.array(
-                [complex(re, im) for re, im in e["coeffs"]], dtype=np.complex128
-            )
-            entries.append(
-                PathEntry(
-                    eps=e["eps"],
-                    point=ProjectivePoint(d["k"], coeffs, e["gauge_index"]),
-                    phase=e["phase"],
-                    residual=e["residual"],
-                    iterations=e["iterations"],
-                )
-            )
-        return ContinuationResult(
-            n=d["n"],
-            k=d["k"],
-            entries=entries,
-            converged=d["converged"],
-            message=d.get("message", ""),
-        )
 
 
 def _pair_seeds(point: ProjectivePoint) -> list:

@@ -29,12 +29,9 @@ the free region.
 
 from __future__ import annotations
 
-import base64
-import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lsmr
@@ -45,8 +42,6 @@ from .spectral import TWO_PI, smooth_step
 
 # ---------------------------------------------------------------------------
 # grid and state
-
-_STORED = np.dtype("<c16")  # state file coefficients: little-endian complex128
 
 
 @dataclass(frozen=True)
@@ -121,17 +116,11 @@ class FloerState:
     """Unit-norm node fields on the cylinder in the transformed picture.
 
     coeffs has shape (N_s, N_t, 2k+1); rows 0 and N_s-1 are the prescribed
-    boundary orbits.  model is the resolved ``model`` config section the
-    state was solved under, as the CLI stores it (None when not recorded).
-
-    The JSON form stores coeffs as one base64 string of its little-endian
-    complex128 bytes in C order, so a round trip keeps every bit, signed
-    zeros included.
+    boundary orbits.
     """
 
     grid: CylinderGrid
     coeffs: np.ndarray
-    model: Optional[dict] = None
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
@@ -147,28 +136,6 @@ class FloerState:
         if np.any(norms == 0):
             raise ValueError("node field with zero norm")
         return self.coeffs / norms
-
-    def to_json(self) -> str:
-        g = self.grid
-        grid = {"S": g.S, "N_s": g.N_s, "N_t": g.N_t, "k": g.k, "T": g.T}
-        coeffs = base64.b64encode(np.ascontiguousarray(self.coeffs, _STORED).tobytes())
-        return json.dumps(
-            {"grid": grid, "model": self.model, "coeffs": coeffs.decode("ascii")}
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "FloerState":
-        payload = json.loads(text)
-        g = payload["grid"]
-        grid = CylinderGrid(S=g["S"], N_s=g["N_s"], N_t=g["N_t"], k=g["k"], T=g["T"])
-        raw = base64.b64decode(payload["coeffs"], validate=True)
-        coeffs = np.frombuffer(raw, dtype=_STORED)
-        shape = (grid.N_s, grid.N_t, grid.dim)
-        if coeffs.size != math.prod(shape):
-            raise ValueError(
-                f"coeffs holds {coeffs.size} complex numbers, the grid {shape}"
-            )
-        return FloerState(grid, coeffs.reshape(shape).copy(), payload["model"])
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,20 @@ def reference_continuation(
     return ContinuationResult(n, model.k, entries, True)
 
 
+def continuation_bits(result: ContinuationResult) -> tuple:
+    """Every field a points file stores, each float as its exact hex spelling.
+
+    Two continuations with equal bits store byte-identical points files;
+    the comparison also tells -0.0 from 0.0.
+    """
+    entries = [
+        (float(e.eps).hex(), float(e.phase).hex(), float(e.residual).hex(),
+         e.iterations, e.point.gauge_index, e.point.coeffs.tobytes())
+        for e in result.entries
+    ]
+    return result.n, result.k, result.converged, result.message, entries
+
+
 def reference_divisors_csv(report) -> str:
     """divisors.csv from a DivisorReport, one value at a time.
 

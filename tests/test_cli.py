@@ -19,8 +19,19 @@ import scipy
 
 import nlsfloer.cli as cli_module
 import nlsfloer.floer as floer_module
-from nlsfloer.cli import build_model, main, resolve_config
-from nlsfloer.dynamics import continue_fixed_point, fs_distance
+from nlsfloer.cli import (
+    build_model,
+    decay_csv,
+    distances_csv,
+    main,
+    points_json,
+    read_points,
+    read_state,
+    resolve_config,
+    state_json,
+)
+from nlsfloer.diagnostics import distinctness_report, normal_profile
+from nlsfloer.dynamics import continue_fixed_point, fs_distance, mode_point
 from nlsfloer.floer import (
     CylinderGrid,
     FloerState,
@@ -28,7 +39,9 @@ from nlsfloer.floer import (
     boundary_orbit,
     extract_slices,
 )
+from nlsfloer.model import Hartree, ModelSpec, exponential_kernel
 from nlsfloer.smalldiv import divisor_scan
+from nlsfloer.spectral import SpectralField
 
 from reference import reference_divisors_csv
 
@@ -74,6 +87,16 @@ def test_unknown_field_reports_path(tmp_path, capsys):
     rc = main(["divisors", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "divisors.mmax" in capsys.readouterr().err
+
+
+def test_config_holds_only_its_own_pipeline_section(tmp_path, capsys):
+    # another pipeline's section would be dropped unchecked
+    cfg = write_config(tmp_path, {"pipeline": "divisors",
+                                  "floer": {"N_s": 3, "bogus": 1}, "hofer": "notadict"})
+    rc = main(["divisors", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config error: floer: unknown field" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_wrong_type_reports_path(tmp_path, capsys):
@@ -156,6 +179,8 @@ def test_invalid_mode_rejected_before_running(tmp_path, capsys):
          "model.kernel.rate"),
         # diagnose reads T from each stored state
         ("diagnose", {"states": ["s.json"], "T": 1.0}, "diagnose.T"),
+        # the potential needs a mode besides 0
+        ("hofer", {"model": {"k": 0}}, "model.k"),
     ],
 )
 def test_out_of_range_field_is_named(tmp_path, capsys, pipeline, section, field):
@@ -485,7 +510,34 @@ def test_fixed_points_workers_write_the_in_process_bytes(tmp_path, model_cfg):
     p = resolved["fixed_points"]
     for n in (0, 1):
         result = continue_fixed_point(model, n, tol=p["tol"], steps=p["steps"])
-        assert (out / f"fixed_point_n{n}.json").read_text() == result.to_json() + "\n"
+        assert (out / f"fixed_point_n{n}.json").read_text() == points_json(result)
+
+
+def test_points_file_holds_the_path_and_no_work_counts(tmp_path):
+    # attempts, flows and backtracks vary with the worker schedule and the
+    # corrector's retries; the hashed points file leaves them out
+    body = {"pipeline": "fixed-points", "model": {"k": 2},
+            "fixed_points": {"modes": [0, 1], "steps": 20}}
+    out = tmp_path / "o"
+    assert main(["fixed-points", "--config", write_config(tmp_path, body),
+                 "--out", str(out)]) == 0
+    for n in (0, 1):
+        stored = json.loads((out / f"fixed_point_n{n}.json").read_text())
+        assert list(stored) == ["n", "k", "converged", "message", "entries"]
+        for entry in stored["entries"]:
+            assert list(entry) == ["eps", "phase", "residual", "iterations",
+                                   "gauge_index", "coeffs"]
+
+
+def test_continuation_roundtrip_json():
+    model = ModelSpec(exponential_kernel(1.0, 4), Hartree(0.1), 4)
+    out = continue_fixed_point(model, n=1, steps=100)
+    assert out.converged
+    back = read_points(points_json(out))
+    assert back.n == out.n
+    assert back.converged
+    assert len(back.entries) == len(out.entries)
+    assert np.allclose(back.final.point.coeffs, out.final.point.coeffs)
 
 
 def test_fixed_points_stops_at_the_first_stalled_mode(tmp_path, monkeypatch, capsys):
@@ -597,7 +649,7 @@ def test_floer_connects_distinct_orbits(tmp_path):
     assert summary["message"] == "converged"
     assert summary["residual_norm"] < 1e-6
     # the end rows are the boundary orbits, pinned by the solve
-    C = FloerState.from_json((out / "floer_state.json").read_text()).coeffs
+    C = read_state((out / "floer_state.json").read_text())[0].coeffs
 
     def farthest(row, orbit):
         return max(map(fs_distance, row, orbit))
@@ -618,7 +670,7 @@ def test_floer_right_end_takes_mode_0_in_one_strength_step(tmp_path, capsys, mod
         out = tmp_path / f"n{n}"
         assert main(["floer", "--config", write_config(tmp_path, body),
                      "--out", str(out)]) == 0
-        C = FloerState.from_json((out / "floer_state.json").read_text()).coeffs
+        C = read_state((out / "floer_state.json").read_text())[0].coeffs
         model = build_model(resolve_config(body, "floer")["model"])
         end = continue_fixed_point(model, n, steps=30).final.point
         if n == 0:
@@ -672,7 +724,7 @@ def slice_rows_from_scratch(payload, state_path):
     """floer_slices.csv rows recomputed by one fresh evaluation of the state."""
     resolved = resolve_config(payload, "floer")
     p = resolved["floer"]
-    state = FloerState.from_json(state_path.read_text())
+    state, _ = read_state(state_path.read_text())
     equation = _equation(build_model(resolved["model"]), state)
     return ["gamma,side,s,criterion,distance,count"] + [
         f"{r.gamma},{r.side},{r.s:.17e},{r.criterion:.17e},{r.distance:.17e},{r.count}"
@@ -792,9 +844,9 @@ def test_diagnose_evaluates_a_state_at_its_own_cutoff(tmp_path):
 
 
 def test_diagnose_rejects_a_state_without_T(tmp_path, capsys):
-    state = json.loads(FloerState(
+    state = json.loads(state_json(FloerState(
         CylinderGrid(S=2.0, N_s=16, N_t=8, k=3, T=0.0), np.ones((16, 8, 7))
-    ).to_json())
+    ), None))
     del state["grid"]["T"]
     path = tmp_path / "state.json"
     path.write_text(json.dumps(state))
@@ -825,7 +877,7 @@ def hand_built_state(model):
     """A k = 3 state file whose section is the resolved model config."""
     grid = CylinderGrid(S=2.0, N_s=16, N_t=8, k=3, T=0.0)
     section = resolve_config({"model": model}, "simulate")["model"]
-    return FloerState(grid, np.ones((16, 8, 7)), section).to_json()
+    return state_json(FloerState(grid, np.ones((16, 8, 7))), section)
 
 
 def assert_diagnose_refuses(tmp_path, capsys, model, paths, *names):
@@ -845,7 +897,7 @@ def assert_diagnose_refuses(tmp_path, capsys, model, paths, *names):
 
 def _list_coeffs(payload):
     # the former encoding: [re, im] pairs nested per node and mode
-    C = FloerState.from_json(json.dumps(payload)).coeffs
+    C = read_state(json.dumps(payload))[0].coeffs
     return np.stack([C.real, C.imag], axis=-1).tolist()
 
 
@@ -882,12 +934,26 @@ def benchmark_state(tmp_path_factory):
 
 def test_floer_state_file_round_trips_exactly(benchmark_state):
     text = benchmark_state.read_text()
-    state = FloerState.from_json(text)
-    assert state.to_json() + "\n" == text
+    state, model = read_state(text)
+    assert state_json(state, model) == text
     # the end rows hold -0.0 imaginary parts, which the file keeps
     imag = state.coeffs.imag
     assert np.any((imag == 0) & np.signbit(imag))
-    assert state.model == resolve_config({}, "floer")["model"]
+    assert model == resolve_config({}, "floer")["model"]
+
+
+def test_state_json_round_trip():
+    # every bit survives, signed zeros included: array_equal ignores them
+    grid = CylinderGrid(S=2.0, N_s=16, N_t=8, k=1, T=0.25)
+    rng = np.random.default_rng(7)
+    arr = rng.standard_normal((16, 8, 3)) + 1j * rng.standard_normal((16, 8, 3))
+    arr[0].imag = -0.0
+    arr[-1, :, 1] = complex(-0.0, 0.0)
+    state = FloerState(grid, arr)
+    back, model = read_state(state_json(state, {"k": 1}))
+    assert back.grid == grid and back.grid.T == 0.25 and model == {"k": 1}
+    assert back.coeffs.tobytes() == state.coeffs.tobytes()
+    assert back.coeffs.flags.writeable
 
 
 @pytest.mark.parametrize("model, field", [
@@ -947,3 +1013,25 @@ def test_diagnose_runs_on_stored_artifacts(tmp_path):
     assert decay[0].startswith("ell,alpha,norm")
     assert (dg_out / "distances.csv").exists()
     assert (dg_out / "monitors.json").exists()
+
+
+def test_profile_csv_round_trip():
+    rng = np.random.default_rng(3)
+    field = SpectralField(5, rng.standard_normal(11) + 1j * rng.standard_normal(11))
+    prof = normal_profile(field, range(0, 6), deriv_order=2)
+    text = decay_csv(prof)
+    lines = text.strip().split("\n")
+    assert lines[0].startswith("ell,alpha,norm,norm_times_ell_1")
+    assert len(lines) == 1 + prof.ell_values.size
+    cells = lines[2].split(",")
+    assert int(cells[0]) == int(prof.ell_values[1])
+    assert int(cells[1]) == 2
+    assert abs(float(cells[2]) - prof.norms[1]) == 0.0
+
+
+def test_report_csv():
+    rep = distinctness_report([mode_point(0, 3), mode_point(1, 3)])
+    lines = distances_csv(rep).strip().split("\n")
+    assert lines[0] == "i,d0,d1"
+    assert len(lines) == 3
+    assert abs(float(lines[1].split(",")[2]) - np.pi / 2.0) < 1e-12

@@ -3,8 +3,10 @@
 Every top-level module that a file under src/ imports, other than the
 standard library and the package itself, must be one of pyproject.toml's
 runtime dependencies, and every runtime dependency must be imported.
-Inside the package each module imports only the layers beneath it, and
-scipy only where the cylinder solve and the CLI manifest need it.
+Inside the package each module imports only the layers beneath it,
+scipy only where the cylinder solve and the CLI manifest need it, and
+json and base64 only in the CLI, which owns every artifact format: the
+numeric modules write no files.
 """
 
 import ast
@@ -28,6 +30,7 @@ BENEATH = {name: set(CHAIN[:i]) for i, name in enumerate(CHAIN)}
 BENEATH["smalldiv"] = {"spectral"}
 BENEATH["cli"] = set(CHAIN) | {"smalldiv"}
 SCIPY_IMPORTERS = {"floer", "cli"}
+FORMAT_MODULES = {"json", "base64"}
 
 
 def _imports(path):
@@ -92,6 +95,12 @@ def test_each_module_imports_only_the_layers_beneath_it():
 def test_only_floer_and_cli_import_scipy():
     importers = {name for name, (_, tops) in _modules().items() if "scipy" in tops}
     assert importers <= SCIPY_IMPORTERS
+
+
+def test_only_cli_imports_json_or_base64():
+    importers = {name for name, (_, tops) in _modules().items()
+                 if tops & FORMAT_MODULES}
+    assert importers <= {"cli"}
 
 
 def test_smalldiv_import_loads_no_scipy_and_no_upper_layer():

@@ -120,18 +120,6 @@ def test_profile_validation():
         normal_profile(u.coeffs, [1, 2])
 
 
-def test_profile_csv_round_trip():
-    prof = normal_profile(random_field(5, RNG(3)), range(0, 6), deriv_order=2)
-    text = prof.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("ell,alpha,norm,norm_times_ell_1")
-    assert len(lines) == 1 + prof.ell_values.size
-    cells = lines[2].split(",")
-    assert int(cells[0]) == int(prof.ell_values[1])
-    assert int(cells[1]) == 2
-    assert abs(float(cells[2]) - prof.norms[1]) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # normal_profile on cylinder states
 
@@ -298,16 +286,11 @@ def test_report_symmetric_zero_diagonal_phase_invariant():
     assert np.allclose(rep.distances, rep2.distances, atol=1e-12)
 
 
-def test_report_validation_and_csv():
+def test_report_validation():
     with pytest.raises(ValueError):
         distinctness_report([mode_point(0, 3)])
     with pytest.raises(ValueError):
         distinctness_report([mode_point(0, 3), mode_point(1, 3)], threshold=-1.0)
-    rep = distinctness_report([mode_point(0, 3), mode_point(1, 3)])
-    lines = rep.to_csv().strip().split("\n")
-    assert lines[0] == "i,d0,d1"
-    assert len(lines) == 3
-    assert abs(float(lines[1].split(",")[2]) - np.pi / 2.0) < 1e-12
 
 
 def test_continued_family_pairwise_distant():
