@@ -46,10 +46,10 @@ from .diagnostics import (
 from .dynamics import (
     ContinuationResult,
     PathEntry,
-    ProjectivePoint,
     continue_fixed_point,
     evolve,
     fs_distance,
+    gauge_mode,
     mode_point,
 )
 from .floer import (
@@ -75,6 +75,7 @@ from .model import (
     mode_squares,
 )
 from .smalldiv import convergents, divisor_scan, inv_two_pi
+from .spectral import SpectralField
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -193,7 +194,9 @@ def resolve_config(raw: dict, pipeline: str) -> dict:
     if pipeline not in PIPELINES:
         raise ConfigError(f"pipeline: unknown pipeline {pipeline!r}")
     section = pipeline.replace("-", "_")
-    allowed = {"pipeline", "seed", "model", section}
+    allowed = {"pipeline", "seed", section}
+    if section != "divisors":  # the divisor scan reads no model
+        allowed.add("model")
     for key in raw:
         if key not in allowed:
             raise ConfigError(f"{key}: unknown field")
@@ -212,7 +215,18 @@ def resolve_config(raw: dict, pipeline: str) -> dict:
     ):
         raise ConfigError("seed: expected integer in [0, 2^64)")
 
-    model = _merge_section(MODEL_DEFAULTS, raw.get("model"), "model")
+    resolved = {"pipeline": pipeline, "seed": seed}
+    if "model" in allowed:
+        resolved["model"] = _resolve_model(raw.get("model"))
+    params = _merge_section(PIPELINE_DEFAULTS[section], raw.get(section), section)
+    _validate_params(section, params, resolved.get("model"))
+    resolved[section] = params
+    return resolved
+
+
+def _resolve_model(given) -> dict:
+    """The model section with its defaults applied, validated."""
+    model = _merge_section(MODEL_DEFAULTS, given, "model")
     if model["kind"] not in KINDS:
         raise ConfigError(f"model.kind: expected one of {', '.join(KINDS)}")
     if model["k"] < 0:
@@ -224,7 +238,7 @@ def resolve_config(raw: dict, pipeline: str) -> dict:
             f"model.kernel.type: expected one of {', '.join(KERNEL_TYPES)}"
         )
     unread = "ell" if model["kernel"]["type"] == "exponential" else "rate"
-    if unread in ((raw.get("model") or {}).get("kernel") or {}):
+    if unread in ((given or {}).get("kernel") or {}):
         raise ConfigError(
             f"model.kernel.{unread}: not read by the {model['kernel']['type']} kernel"
         )
@@ -232,12 +246,7 @@ def resolve_config(raw: dict, pipeline: str) -> dict:
         raise ConfigError("model.kernel.rate: decay rate must be positive")
     if model["kernel"]["ell"] < 0:
         raise ConfigError("model.kernel.ell: support radius must be nonnegative")
-
-    params = _merge_section(
-        PIPELINE_DEFAULTS[section], raw.get(section), section
-    )
-    _validate_params(section, params, model)
-    return {"pipeline": pipeline, "seed": seed, "model": model, section: params}
+    return model
 
 
 def _validate_params(section: str, p: dict, model: dict):
@@ -423,7 +432,7 @@ def points_json(result: ContinuationResult) -> str:
     """fixed_point_n<n>.json: the path of one continuation, entry by entry."""
     entries = [
         {"eps": e.eps, "phase": e.phase, "residual": e.residual,
-         "iterations": e.iterations, "gauge_index": e.point.gauge_index,
+         "iterations": e.iterations, "gauge_index": gauge_mode(e.point.coeffs),
          "coeffs": [[float(z.real), float(z.imag)] for z in e.point.coeffs]}
         for e in result.entries
     ]
@@ -433,24 +442,29 @@ def points_json(result: ContinuationResult) -> str:
 
 
 def read_points(text: str) -> ContinuationResult:
-    """The path a fixed_point_n<n>.json stores; every entry must parse."""
+    """The path a fixed_point_n<n>.json stores; every entry must parse, and
+    its gauge_index must be the int gauge_mode of its coefficients."""
     d = json.loads(text)
     entries = []
-    for e in d["entries"]:
+    for j, e in enumerate(d["entries"]):
         coeffs = np.array([complex(re, im) for re, im in e["coeffs"]], np.complex128)
-        point = ProjectivePoint(d["k"], coeffs, e["gauge_index"])
+        point = SpectralField(d["k"], coeffs)
+        stored, mode = e["gauge_index"], gauge_mode(coeffs)
+        if type(stored) is not int or stored != mode:
+            raise ValueError(f"entries[{j}]: gauge_index {stored!r}, gauge mode {mode}")
         entries.append(
             PathEntry(e["eps"], point, e["phase"], e["residual"], e["iterations"]))
     return ContinuationResult(
         d["n"], d["k"], entries, d["converged"], d.get("message", ""))
 
 
-def decay_csv(prof) -> str:
-    """A DecayProfile's rows: ell, alpha, norm, then norm*ell^delta per delta."""
+def decay_csv(prof, alpha: int) -> str:
+    """A DecayProfile's rows at derivative order alpha: ell, alpha, norm, then
+    norm*ell^delta per delta."""
     header = ["ell", "alpha", "norm"] + [
         f"norm_times_ell_{d:g}".replace(".", "_") for d in DELTA_SET]
     return _csv(header, [
-        [str(int(ell)), str(prof.deriv_order), _fmt(norm), *map(_fmt, weighted)]
+        [str(int(ell)), str(alpha), _fmt(norm), *map(_fmt, weighted)]
         for ell, norm, weighted in zip(prof.ell_values, prof.norms, prof.weighted)])
 
 
@@ -495,8 +509,9 @@ def _pipe_simulate(cfg: dict, out: ArtifactWriter) -> dict:
         "simulate.csv",
         _csv(["time", "l2_norm", "l2_drift", "closed_form_error"], rows),
     )
+    kind = cfg["model"]["kind"]
     summary = {
-        "kind": model.nonlinearity.label(),
+        "kind": f"time_modulated({kind})" if cfg["model"]["modulated"] else kind,
         "n0": p["n0"],
         "steps": seg_steps * p["samples"],
         "max_drift": max_drift,
@@ -711,12 +726,12 @@ def _pipe_galerkin(cfg: dict, out: ArtifactWriter) -> dict:
     p = cfg["galerkin"]
     model = build_model(cfg["model"])
     rows = []
-    reports = []
+    grad_gaps = []
     for k in p["k_values"]:
         rep = galerkin_gap(model, k, p["R"], samples=p["samples"], seed=cfg["seed"])
-        reports.append(rep)
+        grad_gaps.append(rep.grad_gap)
         rows.append(
-            [str(rep.k), _fmt(rep.R), str(rep.samples), str(rep.seed),
+            [str(k), _fmt(p["R"]), str(p["samples"]), str(cfg["seed"]),
              _fmt(rep.f_gap), _fmt(rep.grad_gap), _fmt(rep.conv_bound)]
         )
         print(f"galerkin: k={k} grad gap {rep.grad_gap:.6e}")
@@ -724,10 +739,7 @@ def _pipe_galerkin(cfg: dict, out: ArtifactWriter) -> dict:
         "galerkin.csv",
         _csv(["k", "R", "samples", "seed", "f_gap", "grad_gap", "conv_bound"], rows),
     )
-    summary = {
-        "k_values": [r.k for r in reports],
-        "grad_gaps": [r.grad_gap for r in reports],
-    }
+    summary = {"k_values": p["k_values"], "grad_gaps": grad_gaps}
     out.write("galerkin_summary.json", _json_text(summary))
     return summary
 
@@ -797,7 +809,7 @@ def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
     for i, (path, state) in enumerate(zip(p["states"], states)):
         for alpha in p["deriv_orders"]:
             prof = normal_profile(state, ells, deriv_order=alpha)
-            out.write(f"state{i}_decay_alpha{alpha}.csv", decay_csv(prof))
+            out.write(f"state{i}_decay_alpha{alpha}.csv", decay_csv(prof, alpha))
         rep = gradient_monitor(state, model)
         monitors.append(
             {
@@ -811,7 +823,7 @@ def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
     for i, point in enumerate(points):
         for alpha in p["deriv_orders"]:
             prof = normal_profile(point, ells, deriv_order=alpha)
-            out.write(f"point{i}_decay_alpha{alpha}.csv", decay_csv(prof))
+            out.write(f"point{i}_decay_alpha{alpha}.csv", decay_csv(prof, alpha))
 
     if monitors:
         out.write("monitors.json", _json_text(monitors))

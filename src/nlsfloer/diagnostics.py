@@ -51,13 +51,6 @@ class DecayProfile:
     ell_values: np.ndarray
     norms: np.ndarray
     weighted: np.ndarray
-    deriv_order: int
-
-    def __post_init__(self):
-        if np.any(np.diff(self.ell_values) <= 0):
-            raise ValueError("cutoff levels must be strictly increasing")
-        if np.any(self.norms < 0.0):
-            raise ValueError("tail norms must be nonnegative")
 
 
 def _tail_norms(coeffs: np.ndarray, k: int, ells: np.ndarray, alpha: int) -> np.ndarray:
@@ -110,9 +103,7 @@ def normal_profile(
 
     norms = _tail_norms(coeffs, k, ells, deriv_order)
     weighted = norms[:, None] * ells.astype(np.float64)[:, None] ** np.array(DELTA_SET)
-    return DecayProfile(
-        ell_values=ells, norms=norms, weighted=weighted, deriv_order=deriv_order
-    )
+    return DecayProfile(ell_values=ells, norms=norms, weighted=weighted)
 
 
 # ---------------------------------------------------------------------------

@@ -102,44 +102,38 @@ def evolve(
 # projective representatives
 
 
-@dataclass
-class ProjectivePoint(SpectralField):
-    """Unit-norm field with a pinned gauge.
+def gauge_mode(coeffs: np.ndarray) -> int:
+    """The mode whose coefficient a representative's gauge makes real positive.
 
-    The coefficient at gauge_index (a mode number) is real and positive;
-    among the largest-modulus coefficients the gauge prefers the lowest
-    |n| and then the nonnegative one.
+    The gauge is read off the coefficients, bandwidth (size - 1) / 2: among
+    the largest-modulus coefficients it prefers the lowest |n| and then the
+    nonnegative one.
     """
-
-    gauge_index: int
-
-
-def _gauge_mode(coeffs: np.ndarray, k: int) -> int:
     mag = np.abs(coeffs)
     top = mag.max()
     if top == 0.0:
         raise ValueError("cannot gauge the zero field")
+    k = (coeffs.size - 1) // 2
     modes = np.arange(-k, k + 1)
     tied = modes[mag >= top * (1.0 - 1e-12)]
     tied = sorted(tied, key=lambda n: (abs(n), 0 if n >= 0 else 1))
     return int(tied[0])
 
 
-def gauge_fix(u: SpectralField) -> ProjectivePoint:
-    """Normalize and rotate so the gauge coefficient is real positive."""
+def gauge_fix(u: SpectralField) -> SpectralField:
+    """Normalize and rotate so the gauge_mode coefficient is real positive."""
     s = u.l2()
     if s == 0.0:
         raise ValueError("cannot gauge the zero field")
     c = u.coeffs / s
-    n_star = _gauge_mode(c, u.k)
-    pivot = c[n_star + u.k]
-    c = c * np.exp(-1j * np.angle(pivot))
+    g = gauge_mode(c) + u.k
+    c = c * np.exp(-1j * np.angle(c[g]))
     # kill the residual imaginary part left by rounding
-    c[n_star + u.k] = abs(c[n_star + u.k])
-    return ProjectivePoint(u.k, c, n_star)
+    c[g] = abs(c[g])
+    return SpectralField(u.k, c)
 
 
-def mode_point(n: int, k: int) -> ProjectivePoint:
+def mode_point(n: int, k: int) -> SpectralField:
     """The free single-mode state: unit coefficient at mode n.
 
     On the grid this is (2pi)^(-1/2) exp(i n x).
@@ -148,7 +142,7 @@ def mode_point(n: int, k: int) -> ProjectivePoint:
         raise ValueError("mode outside bandwidth")
     c = np.zeros(2 * k + 1, dtype=np.complex128)
     c[n + k] = 1.0
-    return ProjectivePoint(k, c, n)
+    return SpectralField(k, c)
 
 
 def fs_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -185,7 +179,7 @@ def fixed_point_residual(model: ModelSpec, p: SpectralField, steps: int = 400) -
 
 @dataclass
 class FixedPointResult:
-    point: ProjectivePoint
+    point: SpectralField
     phase: float
     residual: float
     converged: bool
@@ -260,7 +254,7 @@ def newton_fixed_point(
     pair circle of the free map drifts at a ratio near 0.995.
     """
     p0 = gauge_fix(guess)
-    g_idx = p0.gauge_index + p0.k
+    g_idx = gauge_mode(p0.coeffs) + p0.k
     dim = 2 * p0.k + 1
     m2 = 2 * dim
     rows = []  # the batch rows of each evolve_many call
@@ -374,7 +368,7 @@ def newton_fixed_point(
 @dataclass
 class PathEntry:
     eps: float
-    point: ProjectivePoint
+    point: SpectralField
     phase: float
     residual: float
     iterations: int
@@ -400,7 +394,7 @@ class ContinuationResult:
         return self.entries[-1]
 
 
-def _pair_seeds(point: ProjectivePoint) -> list:
+def _pair_seeds(point: SpectralField) -> list:
     """Reflection-symmetrized retry predictors for a stalled corrector.
 
     The free time-one map has equal eigenphases on every +-n mode pair, so

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lsmr
 
-from .dynamics import ProjectivePoint, fs_distance
+from .dynamics import fs_distance, gauge_mode
 from .model import ModelSpec, grad_F_many, grad_F_tangent, gradient_matrix, mode_squares
-from .spectral import TWO_PI, smooth_step
+from .spectral import TWO_PI, SpectralField, smooth_step
 
 # ---------------------------------------------------------------------------
 # grid and state
@@ -142,10 +142,10 @@ class FloerState:
 # boundary orbits and guesses
 
 
-def boundary_orbit(point: ProjectivePoint, N_t: int, side: str = "right") -> np.ndarray:
+def boundary_orbit(point: SpectralField, N_t: int, side: str = "right") -> np.ndarray:
     """Transformed-picture orbit rows of a fixed point at the t nodes.
 
-    Gauge aligned at the point's pivot mode n, the transformed free orbit
+    Gauge aligned at the point's gauge_mode n, the transformed free orbit
     carries mode m with phase rate n^2 - m^2.  Those rates are not
     2 pi-commensurate, so sampling them directly would leak across every
     discrete frequency bin and the spectral t-derivative of the rows
@@ -165,7 +165,7 @@ def boundary_orbit(point: ProjectivePoint, N_t: int, side: str = "right") -> np.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    rates = (float(point.gauge_index**2) - mode_squares(point.k)) / TWO_PI
+    rates = (float(gauge_mode(point.coeffs) ** 2) - mode_squares(point.k)) / TWO_PI
     p_star = np.ceil(rates) if side == "right" else np.floor(rates)
     t = np.arange(N_t, dtype=np.float64)[:, None] / N_t
     c = point.coeffs / np.linalg.norm(point.coeffs)

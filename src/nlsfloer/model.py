@@ -170,13 +170,6 @@ class Density:
     def with_strength(self, strength: float) -> "Density":
         return replace(self, strength=strength)
 
-    def label(self) -> str:
-        if self.V is not None:
-            name = "potential"
-        else:
-            name = ("constant", "hartree", "quadratic")[self.power]
-        return f"time_modulated({name})" if self.modulated else name
-
 
 def Constant(c: float = 1.0) -> Density:
     return Density(c, 0)
@@ -373,10 +366,6 @@ def free_phases(k: int, t: float) -> np.ndarray:
 
 @dataclass
 class GapReport:
-    k: int
-    R: float
-    samples: int
-    seed: int
     f_gap: float
     grad_gap: float
     conv_bound: float
@@ -409,15 +398,7 @@ def galerkin_gap(
         f_gap = max(f_gap, abs(df[0]))
         dg = grad_F_many(model, c, t) - grad_F_many(trunc, c, t)
         grad_gap = max(grad_gap, float(np.linalg.norm(dg)))
-    return GapReport(
-        k=k,
-        R=R,
-        samples=samples,
-        seed=seed,
-        f_gap=f_gap,
-        grad_gap=grad_gap,
-        conv_bound=R * model.kernel.l2_tail(k),
-    )
+    return GapReport(f_gap, grad_gap, R * model.kernel.l2_tail(k))
 
 
 # ---------------------------------------------------------------------------

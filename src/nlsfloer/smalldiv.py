@@ -29,7 +29,6 @@ class DivisorRecord:
     """Nearest multiple of 2*pi to q = m^2 - n^2."""
 
     m: int
-    n: int
     p_star: int
     value: float
 
@@ -73,7 +72,7 @@ def _divisor_exact(q: int) -> tuple[int, float]:
 def divisor(m: int, n: int) -> DivisorRecord:
     """Distance of m^2 - n^2 to the nearest multiple of 2*pi."""
     p, value = _divisor_exact(int(m) * int(m) - int(n) * int(n))
-    return DivisorRecord(m=int(m), n=int(n), p_star=p, value=value)
+    return DivisorRecord(m=int(m), p_star=p, value=value)
 
 
 @dataclass
@@ -88,7 +87,6 @@ class ScanReport:
     envelope value >= v0 * (m/m0)^worst_exponent over the whole scan.
     """
 
-    n: int
     records: list
     fitted_c: float
     worst_exponent: float
@@ -112,7 +110,7 @@ def divisor_scan(m_max: int, n: int = 0) -> ScanReport:
     running_min = np.minimum.accumulate(values)
     is_record = values < np.concatenate([[math.inf], running_min[:-1]])
     records = [
-        DivisorRecord(int(ms[i]), n, int(p_stars[i]), float(values[i]))
+        DivisorRecord(int(ms[i]), int(p_stars[i]), float(values[i]))
         for i in np.nonzero(is_record)[0]
     ]
 
@@ -125,7 +123,6 @@ def divisor_scan(m_max: int, n: int = 0) -> ScanReport:
         )
         worst = min(worst, slope)
     return ScanReport(
-        n=n,
         records=records,
         fitted_c=fitted_c,
         worst_exponent=worst,

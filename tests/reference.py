@@ -17,6 +17,7 @@ from nlsfloer.dynamics import (
     evolve_many,
     fixed_point_residual,
     gauge_fix,
+    gauge_mode,
     mode_point,
 )
 from nlsfloer.floer import (
@@ -211,7 +212,7 @@ def reference_newton(
     package's, so the two must agree bit for bit.
     """
     p0 = gauge_fix(guess)
-    g_idx = p0.gauge_index + p0.k
+    g_idx = gauge_mode(p0.coeffs) + p0.k
     dim = 2 * p0.k + 1
     m2 = 2 * dim
 
@@ -325,7 +326,7 @@ def continuation_bits(result: ContinuationResult) -> tuple:
     """
     entries = [
         (float(e.eps).hex(), float(e.phase).hex(), float(e.residual).hex(),
-         e.iterations, e.point.gauge_index, e.point.coeffs.tobytes())
+         e.iterations, gauge_mode(e.point.coeffs), e.point.coeffs.tobytes())
         for e in result.entries
     ]
     return result.n, result.k, result.converged, result.message, entries

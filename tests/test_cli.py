@@ -31,7 +31,7 @@ from nlsfloer.cli import (
     state_json,
 )
 from nlsfloer.diagnostics import distinctness_report, normal_profile
-from nlsfloer.dynamics import continue_fixed_point, fs_distance, mode_point
+from nlsfloer.dynamics import continue_fixed_point, fs_distance, gauge_mode, mode_point
 from nlsfloer.floer import (
     CylinderGrid,
     FloerState,
@@ -79,7 +79,27 @@ def test_empty_config_validates_without_computing(tmp_path, capsys):
     report = json.loads(captured[: captured.rindex("}") + 1])
     assert report["pipeline"] == "divisors"
     assert report["divisors"]["m_max"] == 2000
-    assert report["model"]["kind"] == "potential"
+
+
+def test_divisors_takes_no_model_section(tmp_path, capsys):
+    # the divisor scan reads no model: a given section is refused, and the
+    # dry run and the manifest record none
+    body = {"pipeline": "divisors", "model": {"kind": "quadratic", "eps": 7.0},
+            "divisors": {"m_max": 20}}
+    out = tmp_path / "o"
+    rc = main(["divisors", "--config", write_config(tmp_path, body), "--out", str(out)])
+    assert rc == 2
+    assert "config error: model: unknown field" in capsys.readouterr().err
+    assert not out.exists()
+    empty = write_config(tmp_path, {}, name="empty.json")
+    assert main(["divisors", "--config", empty, "--out", str(out)]) == 0
+    captured = capsys.readouterr().out
+    report = json.loads(captured[: captured.rindex("}") + 1])
+    assert set(report) == {"pipeline", "seed", "divisors"}
+    del body["model"]
+    assert main(["divisors", "--config", write_config(tmp_path, body),
+                 "--out", str(out)]) == 0
+    assert "model" not in read_manifest(str(out))["config"]
 
 
 def test_unknown_field_reports_path(tmp_path, capsys):
@@ -184,13 +204,13 @@ def test_invalid_mode_rejected_before_running(tmp_path, capsys):
     ],
 )
 def test_out_of_range_field_is_named(tmp_path, capsys, pipeline, section, field):
-    # a "model" entry in section goes to the model section
+    # a "model" entry in section goes to the model section; divisors has none
     section = dict(section)
     model = {"k": 3, **section.pop("model", {})}
-    cfg = write_config(
-        tmp_path,
-        {"pipeline": pipeline, "model": model, pipeline.replace("-", "_"): section},
-    )
+    body = {"pipeline": pipeline, pipeline.replace("-", "_"): section}
+    if pipeline != "divisors":
+        body["model"] = model
+    cfg = write_config(tmp_path, body)
     rc = main([pipeline, "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert f"config error: {field}:" in capsys.readouterr().err
@@ -465,6 +485,42 @@ def test_simulate_summary_reports_the_steps_taken(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     summary = json.loads((out / "simulate_summary.json").read_text())
     assert summary["steps"] == 12
+
+
+@pytest.mark.parametrize("kind, modulated, name", [
+    ("constant", False, "constant"),
+    ("hartree", False, "hartree"),
+    ("quadratic", False, "quadratic"),
+    ("potential", False, "potential"),
+    ("constant", True, "time_modulated(constant)"),
+    ("hartree", True, "time_modulated(hartree)"),
+    ("quadratic", True, "time_modulated(quadratic)"),
+    ("potential", True, "time_modulated(potential)"),
+])
+def test_simulate_summary_names_the_configured_kind(tmp_path, kind, modulated, name):
+    body = {"pipeline": "simulate",
+            "model": {"kind": kind, "k": 2, "modulated": modulated},
+            "simulate": {"steps": 4, "samples": 2}}
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", write_config(tmp_path, body),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "simulate_summary.json").read_text())["kind"] == name
+
+
+@pytest.mark.parametrize("flag, seed", [([], 5), (["--seed", "11"], 11)],
+                         ids=["config_seed", "seed_flag"])
+def test_galerkin_csv_records_the_configured_run(tmp_path, flag, seed):
+    body = {"pipeline": "galerkin", "seed": 5, "model": {"kind": "hartree", "k": 4},
+            "galerkin": {"k_values": [3, 1], "R": 0.5, "samples": 3}}
+    out = tmp_path / "o"
+    assert main(["galerkin", "--config", write_config(tmp_path, body),
+                 "--out", str(out), *flag]) == 0
+    header, *rows = (out / "galerkin.csv").read_text().strip().split("\n")
+    rows = [dict(zip(header.split(","), row.split(","))) for row in rows]
+    assert [(int(r["k"]), float(r["R"]), int(r["samples"]), int(r["seed"]))
+            for r in rows] == [(3, 0.5, 3, seed), (1, 0.5, 3, seed)]
+    summary = json.loads((out / "galerkin_summary.json").read_text())
+    assert summary["k_values"] == [3, 1]
 
 
 def test_fixed_points_pipeline_emits_points_and_distances(tmp_path, capsys):
@@ -895,6 +951,53 @@ def assert_diagnose_refuses(tmp_path, capsys, model, paths, *names):
     assert os.listdir(out) == ["manifest.json"]
 
 
+@pytest.fixture(scope="module")
+def n1_path(tmp_path_factory):
+    """fixed_point_n1.json at k = 4, whose gauge switches between +1 and -1."""
+    tmp = tmp_path_factory.mktemp("n1")
+    cfg = write_config(tmp, {"pipeline": "fixed-points", "model": {"k": 4},
+                             "fixed_points": {"modes": [1], "steps": 30}})
+    assert main(["fixed-points", "--config", cfg, "--out", str(tmp / "o")]) == 0
+    return tmp / "o" / "fixed_point_n1.json"
+
+
+def test_points_file_stores_the_gauge_mode_of_each_entry(n1_path):
+    entries = json.loads(n1_path.read_text())["entries"]
+    assert {e["gauge_index"] for e in entries} == {1, -1}
+    for e in entries:
+        coeffs = np.array([complex(re, im) for re, im in e["coeffs"]])
+        assert e["gauge_index"] == gauge_mode(coeffs)
+
+
+@pytest.mark.parametrize("sign, stored", [
+    (1, None), (1, "x"), (1, True), (1, 1.0), (1, 7), (1, -1), (-1, 1),
+], ids=["null", "string", "bool", "float", "outside_band", "plus_as_minus",
+        "minus_as_plus"])
+def test_diagnose_refuses_a_point_whose_gauge_is_not_its_gauge_mode(
+        tmp_path, capsys, n1_path, sign, stored):
+    # true and 1.0 equal a +1 gauge in value, not in type
+    payload = json.loads(n1_path.read_text())
+    entries = payload["entries"]
+    j = max(i for i, e in enumerate(entries) if e["gauge_index"] == sign)
+    entries[j]["gauge_index"] = stored
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(payload))
+    assert_diagnose_refuses(tmp_path, capsys, {"k": 4}, {"points": [str(path)]},
+                            "diagnose.points[0]: malformed artifact",
+                            f"entries[{j}]: gauge_index")
+
+
+@pytest.mark.parametrize("beside", [False, True], ids=["alone", "beside_another"])
+def test_diagnose_refuses_a_zero_point(tmp_path, capsys, n1_path, beside):
+    payload = json.loads(n1_path.read_text())
+    payload["entries"][-1]["coeffs"] = [[0.0, 0.0]] * 9
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(payload))
+    points = [str(path), str(n1_path)] if beside else [str(path)]
+    assert_diagnose_refuses(tmp_path, capsys, {"k": 4}, {"points": points},
+                            "diagnose.points[0]: malformed artifact", "zero field")
+
+
 def _list_coeffs(payload):
     # the former encoding: [re, im] pairs nested per node and mode
     C = read_state(json.dumps(payload))[0].coeffs
@@ -1019,7 +1122,7 @@ def test_profile_csv_round_trip():
     rng = np.random.default_rng(3)
     field = SpectralField(5, rng.standard_normal(11) + 1j * rng.standard_normal(11))
     prof = normal_profile(field, range(0, 6), deriv_order=2)
-    text = decay_csv(prof)
+    text = decay_csv(prof, 2)
     lines = text.strip().split("\n")
     assert lines[0].startswith("ell,alpha,norm,norm_times_ell_1")
     assert len(lines) == 1 + prof.ell_values.size

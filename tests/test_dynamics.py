@@ -7,7 +7,6 @@ import pytest
 
 import nlsfloer.dynamics as dynamics
 from nlsfloer.dynamics import (
-    ProjectivePoint,
     _fd_batch,
     continue_fixed_point,
     evolve,
@@ -16,6 +15,7 @@ from nlsfloer.dynamics import (
     free_flow,
     fs_distance,
     gauge_fix,
+    gauge_mode,
     mode_point,
     newton_fixed_point,
 )
@@ -219,7 +219,7 @@ def test_gauge_fix_normalizes_and_rotates():
     c[k + 1] = 2.0j
     c[k - 1] = 0.1
     p = gauge_fix(SpectralField(k, c))
-    assert p.gauge_index == 1
+    assert gauge_mode(p.coeffs) == 1
     assert abs(np.linalg.norm(p.coeffs) - 1.0) < 1e-15
     assert p.coeffs[k + 1].imag == 0.0
     assert p.coeffs[k + 1].real > 0
@@ -231,7 +231,38 @@ def test_gauge_tie_prefers_small_nonnegative_mode():
     c[k + 1] = 1.0
     c[k - 1] = 1.0
     p = gauge_fix(SpectralField(k, c))
-    assert p.gauge_index == 1
+    assert gauge_mode(p.coeffs) == 1
+
+
+def _made_real_positive(p):
+    """The modes of p's coefficients that are exactly real and positive."""
+    real = (p.coeffs.imag == 0.0) & (p.coeffs.real > 0.0)
+    return (np.flatnonzero(real) - p.k).tolist()
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_gauge_mode_is_the_mode_gauge_fix_made_real(k):
+    # a random field has one exactly real coefficient after gauge_fix: the
+    # pivot it rotated, at the largest modulus
+    rng = RNG(40 + k)
+    for _ in range(8):
+        u = SpectralField(k, 3.0 * random_unit(k, rng).coeffs)
+        p = gauge_fix(u)
+        assert _made_real_positive(p) == [gauge_mode(p.coeffs)]
+        assert gauge_mode(p.coeffs) == int(np.argmax(np.abs(u.coeffs))) - k
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gauge_mode_breaks_a_pm_n_tie_toward_plus_n(n):
+    k = 3
+    c = 0.2 * random_unit(k, RNG(n)).coeffs
+    c[k + n], c[k - n] = np.exp(0.3j), np.exp(2.1j)
+    p = gauge_fix(SpectralField(k, c))
+    assert _made_real_positive(p) == [gauge_mode(p.coeffs)] == [n]
+    # a -n coefficient larger beyond the tie tolerance takes the gauge
+    c[k - n] *= 1.0 + 1e-9
+    p = gauge_fix(SpectralField(k, c))
+    assert _made_real_positive(p) == [gauge_mode(p.coeffs)] == [-n]
 
 
 def test_fs_distance_bounds_and_phase_invariance():

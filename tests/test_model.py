@@ -315,9 +315,9 @@ def test_gap_shrinks_with_truncation_order():
     reps = [galerkin_gap(model, kk, R=1.0, samples=12, seed=3) for kk in (2, 4, 6)]
     grads = [r.grad_gap for r in reps]
     assert grads[0] > grads[1] > grads[2] > 0
-    for r in reps:
+    for kk, r in zip((2, 4, 6), reps):
         assert r.conv_bound == pytest.approx(
-            1.0 * model.kernel.l2_tail(r.k), rel=1e-12
+            1.0 * model.kernel.l2_tail(kk), rel=1e-12
         )
 
 

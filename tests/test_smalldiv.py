@@ -190,7 +190,7 @@ def test_scan_records_are_the_running_minimum_loop(n):
         if value < best:
             best = value
             is_record[i] = True
-            records.append(DivisorRecord(int(m), n, int(p), float(value)))
+            records.append(DivisorRecord(int(m), int(p), float(value)))
     assert np.array_equal(rep.is_record, is_record)
     assert rep.records == records
 
