@@ -82,6 +82,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+UNIT_TOL = 1e-12  # the |norm - 1| a stored node or point may have; written: 2.2e-16
+
 class ConfigError(Exception):
     """Invalid configuration; the message starts with the field path."""
 
@@ -156,11 +158,9 @@ def _check_scalar(value, default, path):
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected string, got {_type_name(value)}")
         return value
-    if isinstance(default, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: expected list, got {_type_name(value)}")
-        return value
-    raise ConfigError(f"{path}: unsupported value type {_type_name(value)}")
+    if not isinstance(value, list):  # every other default is a list
+        raise ConfigError(f"{path}: expected list, got {_type_name(value)}")
+    return value
 
 
 def _merge_section(defaults: dict, given, path: str) -> dict:
@@ -187,8 +187,9 @@ def _merge_section(defaults: dict, given, path: str) -> dict:
     }
 
 
-def resolve_config(raw: dict, pipeline: str) -> dict:
-    """Apply defaults and validate; raises ConfigError with a field path."""
+def resolve_config(raw: dict, pipeline: str, seed: Optional[int] = None) -> dict:
+    """Apply defaults, a given seed over the config's, and validate; raises
+    ConfigError with a field path."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config root: expected object, got {_type_name(raw)}")
     if pipeline not in PIPELINES:
@@ -201,15 +202,12 @@ def resolve_config(raw: dict, pipeline: str) -> dict:
         if key not in allowed:
             raise ConfigError(f"{key}: unknown field")
     declared = raw.get("pipeline")
-    if declared is not None:
-        if not isinstance(declared, str) or declared not in PIPELINES:
-            raise ConfigError(f"pipeline: expected one of {', '.join(PIPELINES)}")
-        if declared != pipeline:
-            raise ConfigError(
-                f"pipeline: config selects {declared!r} but the "
-                f"{pipeline!r} subcommand was invoked"
-            )
-    seed = raw.get("seed", 0)
+    if declared is not None and declared != pipeline:
+        raise ConfigError(
+            f"pipeline: config selects {declared!r} but the "
+            f"{pipeline!r} subcommand was invoked"
+        )
+    seed = raw.get("seed", 0) if seed is None else seed
     if isinstance(seed, bool) or not isinstance(seed, int) or not (
         0 <= seed < 2**64
     ):
@@ -280,21 +278,18 @@ def _validate_params(section: str, p: dict, model: dict):
         positive("tol", p["tol"])
         positive("steps", p["steps"])
     elif section == "floer":
-        positive("T", p["T"], strict=False)
         positive("tol", p["tol"])
         positive("max_iter", p["max_iter"])
         positive("gamma_max", p["gamma_max"])
         positive("continuation_steps", p["continuation_steps"])
-        if p["S"] <= 2.0 * p["T"] + 1.0:
-            raise ConfigError("floer.S: need S > 2T + 1 to fit the cutoff")
-        if p["N_s"] < 16:
-            raise ConfigError("floer.N_s: need N_s >= 16")
-        if p["N_t"] < 8:
-            raise ConfigError("floer.N_t: need N_t >= 8")
         for name in ("n_left", "n_right"):
             if abs(p[name]) > model["k"]:
                 raise ConfigError(f"floer.{name}: mode outside the model bandwidth")
-        s = CylinderGrid(p["S"], p["N_s"], p["N_t"], model["k"], p["T"]).s_nodes[1:-1]
+        try:  # the grid owns the window rules; its messages start with the field
+            grid = CylinderGrid(p["S"], p["N_s"], p["N_t"], model["k"], p["T"])
+        except ValueError as exc:
+            raise ConfigError(f"floer.{exc}") from exc
+        s = grid.s_nodes[1:-1]
         for gamma, side, lo, hi in slice_windows(p["T"], p["gamma_max"]):
             if not np.any((s >= lo) & (s <= hi)):
                 raise ConfigError(
@@ -416,15 +411,21 @@ def state_json(state: FloerState, model: dict) -> str:
 
 
 def read_state(text: str):
-    """(FloerState, model section) of a floer_state.json."""
+    """(FloerState, model section) of a floer_state.json.  The grid's k must
+    be the section's, and every node a unit vector to within UNIT_TOL."""
     payload = json.loads(text)
     g = payload["grid"]
     grid = CylinderGrid(S=g["S"], N_s=g["N_s"], N_t=g["N_t"], k=g["k"], T=g["T"])
+    if g["k"] != payload["model"]["k"]:
+        raise ValueError(f"grid.k {g['k']}, model.k {payload['model']['k']!r}")
     raw = base64.b64decode(payload["coeffs"], validate=True)
     coeffs = np.frombuffer(raw, "<c16")
     shape = (grid.N_s, grid.N_t, grid.dim)
     if coeffs.size != math.prod(shape):
         raise ValueError(f"coeffs holds {coeffs.size} complex numbers, grid {shape}")
+    off = np.abs(np.linalg.norm(coeffs.reshape(-1, grid.dim), axis=-1) - 1.0).max()
+    if not off <= UNIT_TOL:
+        raise ValueError(f"a node's norm is off 1 by {off:.3e}")
     return FloerState(grid, coeffs.reshape(shape).copy()), payload["model"]
 
 
@@ -442,8 +443,9 @@ def points_json(result: ContinuationResult) -> str:
 
 
 def read_points(text: str) -> ContinuationResult:
-    """The path a fixed_point_n<n>.json stores; every entry must parse, and
-    its gauge_index must be the int gauge_mode of its coefficients."""
+    """The path a fixed_point_n<n>.json stores.  Each entry must be what
+    gauge_fix returns: norm 1 to within UNIT_TOL, the gauge_mode coefficient
+    real positive, and gauge_index that mode as an int."""
     d = json.loads(text)
     entries = []
     for j, e in enumerate(d["entries"]):
@@ -452,6 +454,11 @@ def read_points(text: str) -> ContinuationResult:
         stored, mode = e["gauge_index"], gauge_mode(coeffs)
         if type(stored) is not int or stored != mode:
             raise ValueError(f"entries[{j}]: gauge_index {stored!r}, gauge mode {mode}")
+        gauge = complex(coeffs[mode + d["k"]])
+        if not (gauge.imag == 0.0 and gauge.real > 0.0):
+            raise ValueError(f"entries[{j}]: gauge coefficient {gauge!r} is not > 0")
+        if not abs(point.l2() - 1.0) <= UNIT_TOL:
+            raise ValueError(f"entries[{j}]: norm {point.l2()!r}, not 1")
         entries.append(
             PathEntry(e["eps"], point, e["phase"], e["residual"], e["iterations"]))
     return ContinuationResult(
@@ -711,12 +718,12 @@ def _pipe_hofer(cfg: dict, out: ArtifactWriter) -> dict:
         "estimate": report.estimate,
         "max_value": report.max_value,
         "min_value": report.min_value,
-        "sufficient_gate": report.sufficient_gate,
-        "sup_f_bound": report.sup_f_bound,
+        "sufficient_gate": model.smallness_gate(),
+        "sup_f_bound": model.sup_f_bound(),
         "all_converged": report.all_converged,
     }
     out.write("hofer_summary.json", _json_text(summary))
-    print(f"hofer: estimate {report.estimate:g} gate {report.sufficient_gate}")
+    print(f"hofer: estimate {report.estimate:g} gate {summary['sufficient_gate']}")
     if not report.all_converged:
         raise NumericError("hofer extremization of F_0 failed to converge")
     return summary
@@ -784,20 +791,12 @@ def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
     monitors = []
 
     loaded = _load_artifacts(p["states"], "states", read_state)
-    states = [state for state, _ in loaded]
     points = _load_artifacts(
         p["points"], "points", lambda text: read_points(text).final.point)
-    bandwidths = {
-        "states": [state.grid.k for state in states],
-        "points": [point.k for point in points],
-    }
-    for field, ks in bandwidths.items():
-        for i, k in enumerate(ks):
-            if k != model.k:
-                raise ConfigError(
-                    f"diagnose.{field}[{i}]: {field[:-1]} bandwidth {k} "
-                    f"does not match model.k = {model.k}"
-                )
+    for i, point in enumerate(points):  # a state's k is its model section's
+        if point.k != model.k:
+            raise ConfigError(f"diagnose.points[{i}]: point bandwidth {point.k} "
+                              f"does not match model.k = {model.k}")
     for i, (_, section) in enumerate(loaded):
         found = _first_difference(section, cfg["model"], "model")
         if found:
@@ -806,7 +805,7 @@ def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
                 f"diagnose.states[{i}]: state solved under {field} = "
                 f"{json.dumps(stored)}, not {json.dumps(own)}"
             )
-    for i, (path, state) in enumerate(zip(p["states"], states)):
+    for i, (path, (state, _)) in enumerate(zip(p["states"], loaded)):
         for alpha in p["deriv_orders"]:
             prof = normal_profile(state, ells, deriv_order=alpha)
             out.write(f"state{i}_decay_alpha{alpha}.csv", decay_csv(prof, alpha))
@@ -923,15 +922,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CONFIG
 
     try:
-        resolved = resolve_config(raw, args.pipeline)
+        resolved = resolve_config(raw, args.pipeline, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.seed is not None:
-        if not (0 <= args.seed < 2**64):
-            print("seed: expected integer in [0, 2^64)", file=sys.stderr)
-            return EXIT_CONFIG
-        resolved["seed"] = args.seed
 
     if raw == {}:
         # An empty config is a validation dry run: report the defaults

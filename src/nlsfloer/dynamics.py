@@ -438,8 +438,6 @@ def continue_fixed_point(
     caught on a degenerate pair circle over to the seeded retries quickly
     is the corrector's contraction monitor, after its first step.
     """
-    if abs(n) > model.k:
-        raise ValueError("mode outside model bandwidth")
     target = model.nonlinearity.strength
     sched = np.linspace(0.0, target, 2 if n == 0 else 11).tolist() if target else [0.0]
 

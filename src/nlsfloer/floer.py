@@ -50,6 +50,7 @@ class CylinderGrid:
 
     phi switches the coupling on over [-1, 2T + 1]; the window must hold
     that support strictly inside, so both end rows sit in the free region.
+    Each rule's message starts with the field at fault.
     """
 
     S: float
@@ -60,15 +61,15 @@ class CylinderGrid:
 
     def __post_init__(self):
         if self.N_s < 16:
-            raise ValueError("need N_s >= 16")
+            raise ValueError("N_s: need N_s >= 16")
         if self.N_t < 8:
-            raise ValueError("need N_t >= 8")
+            raise ValueError("N_t: need N_t >= 8")
         if self.T < 0:
-            raise ValueError("T must be nonnegative")
+            raise ValueError("T: the cutoff T must be nonnegative")
         if self.S <= 2.0 * self.T + 1.0:
-            raise ValueError("window must contain the cutoff support [-1, 2T+1]")
+            raise ValueError("S: window must contain the cutoff support [-1, 2T+1]")
         if self.k < 0:
-            raise ValueError("bandwidth must be nonnegative")
+            raise ValueError("k: bandwidth must be nonnegative")
 
     def phi(self, s) -> np.ndarray:
         """Switching profile: 0 off [-1, 2T+1], 1 on [0, 2T], ramps of width 1.
@@ -457,9 +458,6 @@ def solve_floer(
     set-up and first evaluation.
     """
     start = time.perf_counter()
-    if model.k != grid.k:
-        raise ValueError("model bandwidth must match the grid")
-
     guess = build_initial_guess(grid, boundary[0], boundary[1])
     phi = grid.phi(grid.s_nodes)
     eq = _equation(model, FloerState(grid, guess.normalized()))

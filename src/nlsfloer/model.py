@@ -415,8 +415,6 @@ class HoferReport:
     estimate: float
     max_value: float
     min_value: float
-    sufficient_gate: bool
-    sup_f_bound: float
     all_converged: bool
 
 
@@ -431,7 +429,7 @@ def _extremize_on_sphere(model, sign, starts, rng):
     basis = np.eye(dim, dtype=np.complex128)
     fb = sign * eval_F_many(model, basis, 0.0)
     order = np.argsort(fb)[::-1]
-    cand = [basis[i] for i in order[: max(2, starts // 2)]]
+    cand = [basis[i] for i in order[: min(starts, max(2, starts // 2))]]
     while len(cand) < starts:
         z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         cand.append(z / np.linalg.norm(z))
@@ -487,7 +485,5 @@ def hofer_norm(model: ModelSpec, starts: int = 8, seed: int = 0) -> HoferReport:
         estimate=fmax + neg_fmin,
         max_value=fmax,
         min_value=-neg_fmin,
-        sufficient_gate=model.smallness_gate(),
-        sup_f_bound=model.sup_f_bound(),
         all_converged=c1 and c2,
     )

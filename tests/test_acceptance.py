@@ -240,13 +240,12 @@ def test_criterion_06_hofer_closed_form_and_gate():
 
     ker = exponential_kernel(1.0, 4)
     w_max = ker.l2() ** 2
-    below = hofer_norm(ModelSpec(ker, Hartree(0.12 / w_max), 4))
-    above = hofer_norm(ModelSpec(ker, Hartree(0.13 / w_max), 4))
-    assert below.sufficient_gate and below.sup_f_bound < 0.125
-    assert not above.sufficient_gate and above.sup_f_bound >= 0.125
+    below = ModelSpec(ker, Hartree(0.12 / w_max), 4)
+    above = ModelSpec(ker, Hartree(0.13 / w_max), 4)
+    assert below.smallness_gate() and below.sup_f_bound() < 0.125
+    assert not above.smallness_gate() and above.sup_f_bound() >= 0.125
     for m in catalog(4):
-        r = hofer_norm(m)
-        assert r.sufficient_gate == (r.sup_f_bound < 0.125)
+        assert m.smallness_gate() == (m.sup_f_bound() < 0.125)
     print(
         f"criterion 6: hartree estimate {rep.estimate:.6f} vs closed form "
         f"{expected:.6f}, gate tracks the 1/8 bound"

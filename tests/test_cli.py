@@ -217,6 +217,132 @@ def test_out_of_range_field_is_named(tmp_path, capsys, pipeline, section, field)
     assert not (tmp_path / "o").exists()
 
 
+# one row per config rule, and one per field a shared rule guards: the
+# command (subcommand and flags), the raw config and the field path named
+CONFIG_ERRORS = [
+    # _check_scalar: each default's type, and finite numbers
+    ("hofer", {"model": {"modulated": 1}}, "model.modulated"),
+    ("hofer", {"hofer": {"starts": 2.0}}, "hofer.starts"),
+    ("hofer", {"model": {"eps": "small"}}, "model.eps"),
+    ("hofer", {"model": {"eps": math.inf}}, "model.eps"),
+    ("hofer", {"model": {"kind": 3}}, "model.kind"),
+    ("galerkin", {"galerkin": {"k_values": 4}}, "galerkin.k_values"),
+    # _merge_section: sections are objects of known fields
+    ("hofer", {"hofer": [8]}, "hofer"),
+    ("hofer", {"model": {"kernel": "exponential"}}, "model.kernel"),
+    ("hofer", {"hofer": {"start": 8}}, "hofer.start"),
+    ("hofer", {"model": {"kernel": {"width": 1}}}, "model.kernel.width"),
+    # resolve_config: the root, its keys, the declared pipeline and the seed
+    ("hofer", [], "config root"),
+    ("hofer --seed 3", [], "config root"),
+    ("hofer", {"floer": {}}, "floer"),
+    ("hofer", {"pipeline": "floer"}, "pipeline"),
+    ("hofer", {"pipeline": 3}, "pipeline"),
+    ("hofer", {"pipeline": "nope"}, "pipeline"),
+    ("hofer", {"seed": -1}, "seed"),
+    ("hofer", {"seed": 2**64}, "seed"),
+    ("hofer", {"seed": True}, "seed"),
+    ("hofer", {"seed": 1.0}, "seed"),
+    ("hofer --seed -1", {}, "seed"),
+    ("hofer --seed 18446744073709551616", {"hofer": {}}, "seed"),
+    ("hofer --seed -1", {"hofer": {"starts": 0}}, "seed"),
+    # _resolve_model
+    ("hofer", {"model": {"kind": "cubic"}}, "model.kind"),
+    ("hofer", {"model": {"k": -1}}, "model.k"),
+    ("hofer", {"model": {"kind": "hartree", "k": -1}}, "model.k"),
+    ("hofer", {"model": {"k": 0}}, "model.k"),
+    ("hofer", {"model": {"kernel": {"type": "gaussian"}}}, "model.kernel.type"),
+    ("hofer", {"model": {"kernel": {"ell": 3}}}, "model.kernel.ell"),
+    ("hofer", {"model": {"kernel": {"type": "band_limited", "rate": 2.0}}},
+     "model.kernel.rate"),
+    ("hofer", {"model": {"kernel": {"rate": 0.0}}}, "model.kernel.rate"),
+    ("hofer", {"model": {"kernel": {"type": "band_limited", "ell": -1}}},
+     "model.kernel.ell"),
+    # _validate_params, pipeline by pipeline
+    ("simulate", {"simulate": {"steps": 0}}, "simulate.steps"),
+    ("simulate", {"simulate": {"samples": 0}}, "simulate.samples"),
+    ("simulate", {"simulate": {"t_final": -1.0}}, "simulate.t_final"),
+    ("simulate", {"simulate": {"n0": 5}}, "simulate.n0"),
+    ("fixed-points", {"fixed_points": {"modes": []}}, "fixed_points.modes"),
+    ("fixed-points", {"fixed_points": {"modes": [0, 1.0]}}, "fixed_points.modes[1]"),
+    ("fixed-points", {"fixed_points": {"modes": [True]}}, "fixed_points.modes[0]"),
+    ("fixed-points", {"fixed_points": {"modes": [0, -5]}}, "fixed_points.modes[1]"),
+    ("fixed-points", {"fixed_points": {"modes": [1, 1]}}, "fixed_points.modes[1]"),
+    ("fixed-points", {"fixed_points": {"tol": 0.0}}, "fixed_points.tol"),
+    ("fixed-points", {"fixed_points": {"steps": 0}}, "fixed_points.steps"),
+    ("floer", {"floer": {"tol": 0.0}}, "floer.tol"),
+    ("floer", {"floer": {"max_iter": 0}}, "floer.max_iter"),
+    ("floer", {"floer": {"gamma_max": 0}}, "floer.gamma_max"),
+    ("floer", {"floer": {"continuation_steps": 0}}, "floer.continuation_steps"),
+    ("floer", {"floer": {"n_left": 5}}, "floer.n_left"),
+    ("floer", {"floer": {"n_right": -5}}, "floer.n_right"),
+    ("floer", {"floer": {"N_s": 15}}, "floer.N_s"),
+    ("floer", {"floer": {"N_t": 7}}, "floer.N_t"),
+    ("floer", {"floer": {"T": -0.5}}, "floer.T"),
+    ("floer", {"floer": {"S": 3.0}}, "floer.S"),
+    ("floer", {"floer": {"gamma_max": 2}}, "floer.gamma_max"),
+    ("divisors", {"divisors": {"m_max": 0}}, "divisors.m_max"),
+    ("divisors", {"divisors": {"m_max": 3, "n": -3}}, "divisors.m_max"),
+    ("divisors", {"divisors": {"m_max": 20_000_000}}, "divisors.m_max"),
+    ("divisors", {"divisors": {"convergent_count": 0}}, "divisors.convergent_count"),
+    ("hofer", {"hofer": {"starts": 0}}, "hofer.starts"),
+    ("galerkin", {"galerkin": {"k_values": []}}, "galerkin.k_values"),
+    ("galerkin", {"galerkin": {"k_values": [2, -1]}}, "galerkin.k_values[1]"),
+    ("galerkin", {"galerkin": {"k_values": [2.0]}}, "galerkin.k_values[0]"),
+    ("galerkin", {"galerkin": {"R": 0.0}}, "galerkin.R"),
+    ("galerkin", {"galerkin": {"samples": 0}}, "galerkin.samples"),
+    ("diagnose", {"diagnose": {"states": [3]}}, "diagnose.states[0]"),
+    ("diagnose", {"diagnose": {"points": ["a.json", None]}}, "diagnose.points[1]"),
+    ("diagnose", {"diagnose": {}}, "diagnose.states"),
+    ("diagnose", {"diagnose": {"states": ["s.json"], "ell_min": -1}},
+     "diagnose.ell_min"),
+    ("diagnose", {"diagnose": {"states": ["s.json"], "ell_max": 9}},
+     "diagnose.ell_max"),
+    ("diagnose", {"diagnose": {"states": ["s.json"], "ell_max": -1}},
+     "diagnose.ell_max"),
+    ("diagnose", {"diagnose": {"states": ["s.json"], "ell_min": 3, "ell_max": 2}},
+     "diagnose.ell_min"),
+    ("diagnose", {"diagnose": {"states": ["s.json"], "ell_min": 5}},
+     "diagnose.ell_min"),
+    ("diagnose", {"diagnose": {"states": ["s.json"], "threshold": 0.0}},
+     "diagnose.threshold"),
+    ("diagnose", {"diagnose": {"states": ["s.json"], "deriv_orders": [3]}},
+     "diagnose.deriv_orders[0]"),
+    ("diagnose", {"diagnose": {"states": ["s.json"], "deriv_orders": [0, 0]}},
+     "diagnose.deriv_orders[1]"),
+]
+
+
+@pytest.mark.parametrize("command, raw, field", CONFIG_ERRORS)
+def test_every_config_rule_exits_2_naming_its_field(tmp_path, capsys, command, raw,
+                                                    field):
+    pipeline, *flags = command.split()
+    out = tmp_path / "o"
+    rc = main([pipeline, "--config", write_config(tmp_path, raw), "--out", str(out),
+               *flags])
+    assert rc == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_config_rule_table_keeps_up_with_the_rules():
+    # every raise and every positive(...) rule of the config checks needs a
+    # row above; a new rule without one fails here
+    source = ast.parse(open(cli_module.__file__, encoding="utf-8").read())
+    checks = ("_check_scalar", "_merge_section", "resolve_config", "_resolve_model",
+              "_validate_params")
+    functions = [node for node in source.body
+                 if isinstance(node, ast.FunctionDef) and node.name in checks]
+    assert len(functions) == len(checks)
+    rules = [
+        node for func in functions for node in ast.walk(func)
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "ConfigError"
+        or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "positive"
+    ]
+    assert len(CONFIG_ERRORS) >= len(rules)
+
+
 def _subscripts(tree, var):
     """The (key, node) of each var["key"] subscript in a tree."""
     for node in ast.walk(tree):
@@ -930,10 +1056,11 @@ def test_diagnose_rejects_a_malformed_artifact(tmp_path, capsys, field):
 
 
 def hand_built_state(model):
-    """A k = 3 state file whose section is the resolved model config."""
+    """A k = 3 state file of unit nodes whose section is the resolved model
+    config."""
     grid = CylinderGrid(S=2.0, N_s=16, N_t=8, k=3, T=0.0)
     section = resolve_config({"model": model}, "simulate")["model"]
-    return state_json(FloerState(grid, np.ones((16, 8, 7))), section)
+    return state_json(FloerState(grid, np.full((16, 8, 7), 7 ** -0.5)), section)
 
 
 def assert_diagnose_refuses(tmp_path, capsys, model, paths, *names):
@@ -964,6 +1091,7 @@ def n1_path(tmp_path_factory):
 def test_points_file_stores_the_gauge_mode_of_each_entry(n1_path):
     entries = json.loads(n1_path.read_text())["entries"]
     assert {e["gauge_index"] for e in entries} == {1, -1}
+    read_points(n1_path.read_text())  # every entry is the representative
     for e in entries:
         coeffs = np.array([complex(re, im) for re, im in e["coeffs"]])
         assert e["gauge_index"] == gauge_mode(coeffs)
@@ -996,6 +1124,41 @@ def test_diagnose_refuses_a_zero_point(tmp_path, capsys, n1_path, beside):
     points = [str(path), str(n1_path)] if beside else [str(path)]
     assert_diagnose_refuses(tmp_path, capsys, {"k": 4}, {"points": points},
                             "diagnose.points[0]: malformed artifact", "zero field")
+
+
+@pytest.mark.parametrize("factor, reason", [(2.0, "norm 2.0, not 1"),
+                                            (1j, "gauge coefficient 1j")],
+                         ids=["doubled", "times_i"])
+def test_diagnose_refuses_a_point_that_is_not_its_representative(
+        tmp_path, capsys, n1_path, factor, reason):
+    # a scaled or rotated copy has the same gauge_mode, but gauge_fix returns
+    # a unit vector whose gauge_mode coefficient is real positive
+    payload = json.loads(n1_path.read_text())
+    for e in payload["entries"]:
+        scaled = (factor * complex(*z) for z in e["coeffs"])
+        e["coeffs"] = [[w.real, w.imag] for w in scaled]
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(payload))
+    assert_diagnose_refuses(tmp_path, capsys, {"k": 4}, {"points": [str(path)]},
+                            "diagnose.points[0]: malformed artifact",
+                            f"entries[0]: {reason}")
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda payload: payload.update(coeffs=base64.b64encode(
+        2 * np.frombuffer(base64.b64decode(payload["coeffs"]), "<c16")).decode()),
+     "a node's norm is off 1 by 1.000e+00"),
+    (lambda payload: payload["model"].update(k=4), "grid.k 3, model.k 4"),
+], ids=["doubled", "model_k"])
+def test_diagnose_refuses_a_state_that_is_not_a_unit_state_of_its_model(
+        tmp_path, capsys, edit, reason):
+    model = {"kind": "potential", "eps": 0.0, "k": 3}
+    payload = json.loads(hand_built_state(model))
+    edit(payload)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    assert_diagnose_refuses(tmp_path, capsys, model, {"states": [str(path)]},
+                            "diagnose.states[0]: malformed artifact", reason)
 
 
 def _list_coeffs(payload):
@@ -1052,6 +1215,10 @@ def test_state_json_round_trip():
     arr = rng.standard_normal((16, 8, 3)) + 1j * rng.standard_normal((16, 8, 3))
     arr[0].imag = -0.0
     arr[-1, :, 1] = complex(-0.0, 0.0)
+    # unit nodes, as read_state wants; real divisions keep the signed zeros
+    norms = np.linalg.norm(arr, axis=-1, keepdims=True)
+    arr.real /= norms
+    arr.imag /= norms
     state = FloerState(grid, arr)
     back, model = read_state(state_json(state, {"k": 1}))
     assert back.grid == grid and back.grid.T == 0.25 and model == {"k": 1}

@@ -365,6 +365,23 @@ def test_hofer_extremizes_once_each_way(starts, monkeypatch):
     assert rep.estimate == rep.max_value - rep.min_value
 
 
+@pytest.mark.parametrize("starts", [1, 2, 3, 8])
+def test_hofer_descends_from_as_many_starts_as_asked(starts, monkeypatch):
+    # the constant density's F is constant on the sphere, so each start
+    # stops at its first gradient: one grad_F_many call per start, each way
+    calls = []
+    grad = model_module.grad_F_many
+
+    def counted(*args):
+        calls.append(args)
+        return grad(*args)
+
+    monkeypatch.setattr(model_module, "grad_F_many", counted)
+    rep = hofer_norm(ModelSpec(exponential_kernel(1.0, 3), Constant(0.3), 3), starts)
+    assert rep.all_converged
+    assert len(calls) == 2 * starts
+
+
 def test_hofer_matches_hermitian_eigenvalues():
     # for power 1 the functional is F(u) = 1/2 Re<u, u @ G0> with G0 the
     # gradient's matrix, so its extremes on the sphere are half G0's extreme
