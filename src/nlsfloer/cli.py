@@ -75,7 +75,7 @@ from .model import (
     mode_squares,
 )
 from .smalldiv import convergents, divisor_scan, inv_two_pi
-from .spectral import SpectralField
+from .spectral import bandwidth
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -192,8 +192,6 @@ def resolve_config(raw: dict, pipeline: str, seed: Optional[int] = None) -> dict
     ConfigError with a field path."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config root: expected object, got {_type_name(raw)}")
-    if pipeline not in PIPELINES:
-        raise ConfigError(f"pipeline: unknown pipeline {pipeline!r}")
     section = pipeline.replace("-", "_")
     allowed = {"pipeline", "seed", section}
     if section != "divisors":  # the divisor scan reads no model
@@ -429,40 +427,49 @@ def read_state(text: str):
     return FloerState(grid, coeffs.reshape(shape).copy()), payload["model"]
 
 
-def points_json(result: ContinuationResult) -> str:
-    """fixed_point_n<n>.json: the path of one continuation, entry by entry."""
+def points_json(result: ContinuationResult, n: int) -> str:
+    """fixed_point_n<n>.json: the path of the continuation of mode n, entry
+    by entry."""
     entries = [
         {"eps": e.eps, "phase": e.phase, "residual": e.residual,
-         "iterations": e.iterations, "gauge_index": gauge_mode(e.point.coeffs),
-         "coeffs": [[float(z.real), float(z.imag)] for z in e.point.coeffs]}
+         "iterations": e.iterations, "gauge_index": gauge_mode(e.point),
+         "coeffs": [[float(z.real), float(z.imag)] for z in e.point]}
         for e in result.entries
     ]
-    payload = {"n": result.n, "k": result.k, "converged": result.converged,
-               "message": result.message, "entries": entries}
+    payload = {"n": n, "k": bandwidth(result.final.point),
+               "converged": result.converged, "message": result.message,
+               "entries": entries}
     return json.dumps(payload, indent=1) + "\n"
 
 
 def read_points(text: str) -> ContinuationResult:
-    """The path a fixed_point_n<n>.json stores.  Each entry must be what
-    gauge_fix returns: norm 1 to within UNIT_TOL, the gauge_mode coefficient
-    real positive, and gauge_index that mode as an int."""
+    """The path a fixed_point_n<n>.json stores.  n must be a mode of the
+    file's bandwidth k, and each entry hold 2k+1 finite coefficients that
+    are what gauge_fix returns: norm 1 to within UNIT_TOL, the gauge_mode
+    coefficient real positive, and gauge_index that mode as an int."""
     d = json.loads(text)
+    k = d["k"]
+    if type(d["n"]) is not int or not abs(d["n"]) <= k:
+        raise ValueError(f"n {d['n']!r} is no mode of bandwidth {k!r}")
     entries = []
     for j, e in enumerate(d["entries"]):
-        coeffs = np.array([complex(re, im) for re, im in e["coeffs"]], np.complex128)
-        point = SpectralField(d["k"], coeffs)
-        stored, mode = e["gauge_index"], gauge_mode(coeffs)
+        point = np.array([complex(re, im) for re, im in e["coeffs"]], np.complex128)
+        if point.shape != (2 * k + 1,):
+            raise ValueError(f"entries[{j}]: {point.size} coefficients at k {k}")
+        if not np.all(np.isfinite(point)):
+            raise ValueError(f"entries[{j}]: a coefficient is not finite")
+        stored, mode = e["gauge_index"], gauge_mode(point)
         if type(stored) is not int or stored != mode:
             raise ValueError(f"entries[{j}]: gauge_index {stored!r}, gauge mode {mode}")
-        gauge = complex(coeffs[mode + d["k"]])
+        gauge = complex(point[mode + k])
         if not (gauge.imag == 0.0 and gauge.real > 0.0):
             raise ValueError(f"entries[{j}]: gauge coefficient {gauge!r} is not > 0")
-        if not abs(point.l2() - 1.0) <= UNIT_TOL:
-            raise ValueError(f"entries[{j}]: norm {point.l2()!r}, not 1")
+        norm = float(np.linalg.norm(point))
+        if not abs(norm - 1.0) <= UNIT_TOL:
+            raise ValueError(f"entries[{j}]: norm {norm!r}, not 1")
         entries.append(
             PathEntry(e["eps"], point, e["phase"], e["residual"], e["iterations"]))
-    return ContinuationResult(
-        d["n"], d["k"], entries, d["converged"], d.get("message", ""))
+    return ContinuationResult(entries, d["converged"], d.get("message", ""))
 
 
 def decay_csv(prof, alpha: int) -> str:
@@ -486,7 +493,7 @@ def distances_csv(rep) -> str:
 # pipelines
 
 
-def _pipe_simulate(cfg: dict, out: ArtifactWriter) -> dict:
+def _pipe_simulate(cfg: dict, out: ArtifactWriter) -> None:
     p = cfg["simulate"]
     model = build_model(cfg["model"])
     u0 = mode_point(p["n0"], model.k)
@@ -494,7 +501,7 @@ def _pipe_simulate(cfg: dict, out: ArtifactWriter) -> dict:
 
     times = np.linspace(0.0, p["t_final"], p["samples"] + 1)
     seg_steps = max(1, int(math.ceil(p["steps"] / p["samples"])))
-    l2_0 = u0.l2()
+    l2_0 = float(np.linalg.norm(u0))
     u = u0
     rows = []
     max_drift = 0.0
@@ -503,15 +510,16 @@ def _pipe_simulate(cfg: dict, out: ArtifactWriter) -> dict:
     for j, t in enumerate(times):
         if j > 0:
             u = evolve(model, u, float(times[j - 1]), float(t), seg_steps)
-        drift = abs(u.l2() - l2_0)
+        l2 = float(np.linalg.norm(u))
+        drift = abs(l2 - l2_0)
         max_drift = max(max_drift, drift)
         if is_hartree:
-            expect = u0.coeffs * np.exp(-1j * omega * t)
-            cf_err = float(np.max(np.abs(u.coeffs - expect)))
+            expect = u0 * np.exp(-1j * omega * t)
+            cf_err = float(np.max(np.abs(u - expect)))
             max_cf_err = max(max_cf_err, cf_err)
         else:
             cf_err = float("nan")
-        rows.append([_fmt(t), _fmt(u.l2()), _fmt(drift), _fmt(cf_err)])
+        rows.append([_fmt(t), _fmt(l2), _fmt(drift), _fmt(cf_err)])
     out.write(
         "simulate.csv",
         _csv(["time", "l2_norm", "l2_drift", "closed_form_error"], rows),
@@ -528,7 +536,6 @@ def _pipe_simulate(cfg: dict, out: ArtifactWriter) -> dict:
     print(f"simulate: kind={summary['kind']} max drift {max_drift:.3e}")
     if is_hartree:
         print(f"simulate: closed-form error {max_cf_err:.3e}")
-    return summary
 
 
 def _continue_timed(model: ModelSpec, n: int, tol: float, steps: int):
@@ -548,7 +555,7 @@ def _counts(result, seconds: float) -> str:
     )
 
 
-def _pipe_fixed_points(cfg: dict, out: ArtifactWriter) -> dict:
+def _pipe_fixed_points(cfg: dict, out: ArtifactWriter) -> None:
     p = cfg["fixed_points"]
     model = build_model(cfg["model"])
     modes = p["modes"]
@@ -569,7 +576,7 @@ def _pipe_fixed_points(cfg: dict, out: ArtifactWriter) -> dict:
             itertools.repeat(p["tol"]), itertools.repeat(p["steps"]))
         for n, (result, seconds) in zip(modes, results):
             entry = result.final
-            out.write(f"fixed_point_n{n}.json", points_json(result))
+            out.write(f"fixed_point_n{n}.json", points_json(result, n))
             summaries.append(
                 {
                     "n": n,
@@ -600,10 +607,9 @@ def _pipe_fixed_points(cfg: dict, out: ArtifactWriter) -> dict:
         "flagged_pairs": [list(pair) for pair in rep.flagged] if rep else [],
     }
     out.write("fixed_points_summary.json", _json_text(summary))
-    return summary
 
 
-def _pipe_floer(cfg: dict, out: ArtifactWriter) -> dict:
+def _pipe_floer(cfg: dict, out: ArtifactWriter) -> None:
     p = cfg["floer"]
     model = build_model(cfg["model"])
     grid = CylinderGrid(S=p["S"], N_s=p["N_s"], N_t=p["N_t"], k=model.k, T=p["T"])
@@ -637,7 +643,7 @@ def _pipe_floer(cfg: dict, out: ArtifactWriter) -> dict:
     )
     out.write("floer_state.json", state_json(result.state, cfg["model"]))
 
-    endpoint = fs_distance(result.state.coeffs[-1, 0], right_point.coeffs)
+    endpoint = fs_distance(result.state.coeffs[-1, 0], right_point)
     slices = [
         [str(r.gamma), r.side, _fmt(r.s), _fmt(r.criterion), _fmt(r.distance),
          str(r.count)]
@@ -666,10 +672,9 @@ def _pipe_floer(cfg: dict, out: ArtifactWriter) -> dict:
         print(f"floer: {capped} Gauss-Newton steps hit the LSMR iteration cap")
     if not result.converged:
         raise NumericError(f"cylinder solve stalled: {result.message}")
-    return summary
 
 
-def _pipe_divisors(cfg: dict, out: ArtifactWriter) -> dict:
+def _pipe_divisors(cfg: dict, out: ArtifactWriter) -> None:
     p = cfg["divisors"]
     report = divisor_scan(p["m_max"], p["n"])
     columns = (report.ms, report.qs, report.p_stars, report.values, report.is_record)
@@ -707,10 +712,9 @@ def _pipe_divisors(cfg: dict, out: ArtifactWriter) -> dict:
         f"divisors: scanned m<={p['m_max']} records {len(report.records)} "
         f"fitted_c {report.fitted_c:.6e} worst exponent {report.worst_exponent:.3f}"
     )
-    return summary
 
 
-def _pipe_hofer(cfg: dict, out: ArtifactWriter) -> dict:
+def _pipe_hofer(cfg: dict, out: ArtifactWriter) -> None:
     p = cfg["hofer"]
     model = build_model(cfg["model"])
     report = hofer_norm(model, p["starts"], cfg["seed"])
@@ -726,10 +730,9 @@ def _pipe_hofer(cfg: dict, out: ArtifactWriter) -> dict:
     print(f"hofer: estimate {report.estimate:g} gate {summary['sufficient_gate']}")
     if not report.all_converged:
         raise NumericError("hofer extremization of F_0 failed to converge")
-    return summary
 
 
-def _pipe_galerkin(cfg: dict, out: ArtifactWriter) -> dict:
+def _pipe_galerkin(cfg: dict, out: ArtifactWriter) -> None:
     p = cfg["galerkin"]
     model = build_model(cfg["model"])
     rows = []
@@ -748,7 +751,6 @@ def _pipe_galerkin(cfg: dict, out: ArtifactWriter) -> dict:
     )
     summary = {"k_values": p["k_values"], "grad_gaps": grad_gaps}
     out.write("galerkin_summary.json", _json_text(summary))
-    return summary
 
 
 def _read_text(path: str) -> str:
@@ -784,7 +786,7 @@ def _first_difference(stored, own, path: str):
     return None
 
 
-def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
+def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> None:
     p = cfg["diagnose"]
     model = build_model(cfg["model"])
     ells = range(p["ell_min"], (p["ell_max"] or model.k) + 1)
@@ -794,9 +796,9 @@ def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
     points = _load_artifacts(
         p["points"], "points", lambda text: read_points(text).final.point)
     for i, point in enumerate(points):  # a state's k is its model section's
-        if point.k != model.k:
-            raise ConfigError(f"diagnose.points[{i}]: point bandwidth {point.k} "
-                              f"does not match model.k = {model.k}")
+        if bandwidth(point) != model.k:
+            raise ConfigError(f"diagnose.points[{i}]: point bandwidth "
+                              f"{bandwidth(point)} does not match model.k = {model.k}")
     for i, (_, section) in enumerate(loaded):
         found = _first_difference(section, cfg["model"], "model")
         if found:
@@ -842,10 +844,9 @@ def _pipe_diagnose(cfg: dict, out: ArtifactWriter) -> dict:
         f"diagnose: states={len(p['states'])} points={len(p['points'])} "
         f"artifacts={len(out.entries)}"
     )
-    return summary
 
 
-PIPELINE_FUNCS: Dict[str, Callable[[dict, ArtifactWriter], dict]] = {
+PIPELINE_FUNCS: Dict[str, Callable[[dict, ArtifactWriter], None]] = {
     "simulate": _pipe_simulate,
     "fixed-points": _pipe_fixed_points,
     "floer": _pipe_floer,

@@ -26,7 +26,7 @@ import numpy as np
 from .dynamics import fs_distance
 from .floer import FloerState, _dt_spectral, _equation
 from .model import ModelSpec, mode_squares
-from .spectral import SpectralField
+from .spectral import bandwidth
 
 # Weight exponents delta used for the norm * ell^delta columns.  The
 # decay statements under test concern delta up to 3, so the set is fixed
@@ -70,7 +70,7 @@ def _tail_norms(coeffs: np.ndarray, k: int, ells: np.ndarray, alpha: int) -> np.
 
 
 def normal_profile(
-    data: Union[SpectralField, FloerState],
+    data: Union[np.ndarray, FloerState],
     ell_range: Iterable[int],
     deriv_order: int = 0,
 ) -> DecayProfile:
@@ -88,16 +88,12 @@ def normal_profile(
     if ells.size == 0:
         raise ValueError("need at least one cutoff level")
 
+    coeffs = data
     if isinstance(data, FloerState):
-        k = data.grid.k
         coeffs = data.coeffs
         for _ in range(deriv_order):
             coeffs = _dt_spectral(coeffs)
-    elif isinstance(data, SpectralField):
-        k = data.k
-        coeffs = data.coeffs
-    else:
-        raise TypeError("expected a SpectralField or a FloerState")
+    k = bandwidth(coeffs)
     if ells[0] < 0 or ells[-1] > k:
         raise ValueError(f"cutoff levels must lie in [0, {k}]")
 
@@ -153,7 +149,7 @@ class DistinctnessReport:
 
 
 def distinctness_report(
-    points: Sequence[SpectralField],
+    points: Sequence[np.ndarray],
     threshold: float = 1e-3,
 ) -> DistinctnessReport:
     """Full fs_distance matrix of a family, flagging pairs under threshold.
@@ -171,7 +167,7 @@ def distinctness_report(
     flagged: List[Tuple[int, int]] = []
     for i in range(P):
         for j in range(i + 1, P):
-            d = fs_distance(points[i].coeffs, points[j].coeffs)
+            d = fs_distance(points[i], points[j])
             D[i, j] = D[j, i] = d
             if d < threshold:
                 flagged.append((i, j))

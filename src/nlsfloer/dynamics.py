@@ -26,12 +26,12 @@ from typing import Optional
 import numpy as np
 
 from .model import GradientStage, ModelSpec, free_phases
-from .spectral import TWO_PI, SpectralField
+from .spectral import TWO_PI, bandwidth
 
 
-def free_flow(u: SpectralField, t: float) -> SpectralField:
+def free_flow(u: np.ndarray, t: float) -> np.ndarray:
     """Exact free propagator, diagonal phases exp(-i n^2 t)."""
-    return SpectralField(u.k, u.coeffs * free_phases(u.k, t))
+    return u * free_phases(bandwidth(u), t)
 
 
 # ---------------------------------------------------------------------------
@@ -87,15 +87,15 @@ def evolve_many(
 
 
 def evolve(
-    model: ModelSpec, u: SpectralField, t0: float, t1: float, steps: int = 400
-) -> SpectralField:
+    model: ModelSpec, u: np.ndarray, t0: float, t1: float, steps: int = 400
+) -> np.ndarray:
     """Strang split-step propagation of a single field at the model bandwidth."""
-    out = evolve_many(model, u.coeffs[np.newaxis], t0, t1, steps)[0]
+    out = evolve_many(model, u[np.newaxis], t0, t1, steps)[0]
     if not np.all(np.isfinite(out)):
         raise ArithmeticError(
             f"propagation from t = {t0:.6g} to {t1:.6g} lost finiteness"
         )
-    return SpectralField(model.k, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -105,35 +105,31 @@ def evolve(
 def gauge_mode(coeffs: np.ndarray) -> int:
     """The mode whose coefficient a representative's gauge makes real positive.
 
-    The gauge is read off the coefficients, bandwidth (size - 1) / 2: among
-    the largest-modulus coefficients it prefers the lowest |n| and then the
-    nonnegative one.
+    The gauge is read off the coefficients: among the largest-modulus
+    coefficients it prefers the lowest |n| and then the nonnegative one.
     """
     mag = np.abs(coeffs)
     top = mag.max()
     if top == 0.0:
         raise ValueError("cannot gauge the zero field")
-    k = (coeffs.size - 1) // 2
+    k = bandwidth(coeffs)
     modes = np.arange(-k, k + 1)
     tied = modes[mag >= top * (1.0 - 1e-12)]
     tied = sorted(tied, key=lambda n: (abs(n), 0 if n >= 0 else 1))
     return int(tied[0])
 
 
-def gauge_fix(u: SpectralField) -> SpectralField:
+def gauge_fix(u: np.ndarray) -> np.ndarray:
     """Normalize and rotate so the gauge_mode coefficient is real positive."""
-    s = u.l2()
-    if s == 0.0:
-        raise ValueError("cannot gauge the zero field")
-    c = u.coeffs / s
-    g = gauge_mode(c) + u.k
+    g = gauge_mode(u) + bandwidth(u)
+    c = u / np.linalg.norm(u)
     c = c * np.exp(-1j * np.angle(c[g]))
     # kill the residual imaginary part left by rounding
     c[g] = abs(c[g])
-    return SpectralField(u.k, c)
+    return c
 
 
-def mode_point(n: int, k: int) -> SpectralField:
+def mode_point(n: int, k: int) -> np.ndarray:
     """The free single-mode state: unit coefficient at mode n.
 
     On the grid this is (2pi)^(-1/2) exp(i n x).
@@ -142,7 +138,7 @@ def mode_point(n: int, k: int) -> SpectralField:
         raise ValueError("mode outside bandwidth")
     c = np.zeros(2 * k + 1, dtype=np.complex128)
     c[n + k] = 1.0
-    return SpectralField(k, c)
+    return c
 
 
 def fs_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -168,9 +164,9 @@ def fs_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0)))
 
 
-def fixed_point_residual(model: ModelSpec, p: SpectralField, steps: int = 400) -> float:
+def fixed_point_residual(model: ModelSpec, p: np.ndarray, steps: int = 400) -> float:
     """Fubini-Study distance between p and its image under the time-one map."""
-    return fs_distance(evolve(model, p, 0.0, 1.0, steps).coeffs, p.coeffs)
+    return fs_distance(evolve(model, p, 0.0, 1.0, steps), p)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +175,7 @@ def fixed_point_residual(model: ModelSpec, p: SpectralField, steps: int = 400) -
 
 @dataclass
 class FixedPointResult:
-    point: SpectralField
+    point: np.ndarray
     phase: float
     residual: float
     converged: bool
@@ -213,7 +209,7 @@ def _fd_batch(c: np.ndarray) -> np.ndarray:
 
 def newton_fixed_point(
     model: ModelSpec,
-    guess: SpectralField,
+    guess: np.ndarray,
     phase_guess: Optional[float] = None,
     tol: float = 1e-10,
     max_iter: int = 150,
@@ -254,8 +250,8 @@ def newton_fixed_point(
     pair circle of the free map drifts at a ratio near 0.995.
     """
     p0 = gauge_fix(guess)
-    g_idx = gauge_mode(p0.coeffs) + p0.k
-    dim = 2 * p0.k + 1
+    g_idx = gauge_mode(p0) + bandwidth(p0)
+    dim = p0.size
     m2 = 2 * dim
     rows = []  # the batch rows of each evolve_many call
 
@@ -269,7 +265,7 @@ def newton_fixed_point(
             raise ArithmeticError("the corrector's difference flow lost finiteness")
         return out
 
-    c = p0.coeffs.copy()
+    c = p0.copy()
     if jac_rows is None:
         jac_rows = difference_flow(c)
     a = phase_guess
@@ -312,8 +308,8 @@ def newton_fixed_point(
         if carry:  # its first row is the full step
             batch = _fd_batch(trials[0])
         elif ahead:  # one strength per row, the full step's then the next attempt's
-            start = gauge_fix(gauge_fix(SpectralField(p0.k, trials[0])))
-            batch = np.concatenate([trials[:1], _fd_batch(start.coeffs)])
+            start = gauge_fix(gauge_fix(trials[0]))
+            batch = np.concatenate([trials[:1], _fd_batch(start)])
             column = np.full((len(batch), 1), next_strength)
             column[0] = model.nonlinearity.strength
             batch_model = model.with_strength(column)
@@ -344,7 +340,7 @@ def newton_fixed_point(
             break
 
     converged = rnorm <= tol
-    point = gauge_fix(SpectralField(p0.k, c))
+    point = gauge_fix(c)
     if not converged and not message:
         message = f"iteration limit reached at residual {rnorm:.3e}"
     return FixedPointResult(
@@ -368,7 +364,7 @@ def newton_fixed_point(
 @dataclass
 class PathEntry:
     eps: float
-    point: SpectralField
+    point: np.ndarray
     phase: float
     residual: float
     iterations: int
@@ -376,8 +372,6 @@ class PathEntry:
 
 @dataclass
 class ContinuationResult:
-    n: int
-    k: int
     entries: list
     converged: bool
     message: str = ""
@@ -394,7 +388,7 @@ class ContinuationResult:
         return self.entries[-1]
 
 
-def _pair_seeds(point: SpectralField) -> list:
+def _pair_seeds(c: np.ndarray) -> list:
     """Reflection-symmetrized retry predictors for a stalled corrector.
 
     The free time-one map has equal eigenphases on every +-n mode pair, so
@@ -403,13 +397,12 @@ def _pair_seeds(point: SpectralField) -> list:
     reflection-respecting perturbation lie near the symmetric and
     antisymmetric combinations; starting there skips the drift.
     """
-    c = point.coeffs
     r = c[::-1].copy()
     seeds = []
     for combo in (c + r, c - r):
         s = np.linalg.norm(combo)
         if s > 1e-8:
-            seeds.append(gauge_fix(SpectralField(point.k, combo / s)))
+            seeds.append(gauge_fix(combo / s))
     return seeds
 
 
@@ -447,13 +440,13 @@ def continue_fixed_point(
 
     # the free state is exact at strength 0; record it with its residual.  Its
     # flow also carries the first attempt's difference batch, at sched[1].
-    batch, column = point.coeffs[np.newaxis], np.zeros((1, 1))
+    batch, column = point[np.newaxis], np.zeros((1, 1))
     if len(sched) > 1:
-        batch = np.concatenate([batch, _fd_batch(gauge_fix(point).coeffs)])
+        batch = np.concatenate([batch, _fd_batch(gauge_fix(point))])
         column = np.full((len(batch), 1), sched[1])
         column[0] = 0.0
     out = evolve_many(model.with_strength(column), batch, 0.0, 1.0, steps)
-    entries.append(PathEntry(0.0, point, phase, fs_distance(out[0], point.coeffs), 0))
+    entries.append(PathEntry(0.0, point, phase, fs_distance(out[0], point), 0))
     carried = out[1:] if np.all(np.isfinite(out)) else None
 
     corrector = dict(tol=tol, max_iter=CORRECTOR_ITERS, steps=steps)
@@ -503,7 +496,7 @@ def continue_fixed_point(
                 if depth > MAX_BISECT:
                     msg = (f"corrector failed at strength {hi:.6g} after "
                            f"{MAX_BISECT} bisections: {result.message}")
-                    return ContinuationResult(n, model.k, entries, False, msg, **totals)
+                    return ContinuationResult(entries, False, msg, **totals)
                 hi = 0.5 * (lo + hi)
 
-    return ContinuationResult(n, model.k, entries, True, **totals)
+    return ContinuationResult(entries, True, **totals)

@@ -38,7 +38,7 @@ from scipy.sparse.linalg import LinearOperator, lsmr
 
 from .dynamics import fs_distance, gauge_mode
 from .model import ModelSpec, grad_F_many, grad_F_tangent, gradient_matrix, mode_squares
-from .spectral import TWO_PI, SpectralField, smooth_step
+from .spectral import TWO_PI, bandwidth, smooth_step
 
 # ---------------------------------------------------------------------------
 # grid and state
@@ -143,7 +143,7 @@ class FloerState:
 # boundary orbits and guesses
 
 
-def boundary_orbit(point: SpectralField, N_t: int, side: str = "right") -> np.ndarray:
+def boundary_orbit(point: np.ndarray, N_t: int, side: str = "right") -> np.ndarray:
     """Transformed-picture orbit rows of a fixed point at the t nodes.
 
     Gauge aligned at the point's gauge_mode n, the transformed free orbit
@@ -166,10 +166,10 @@ def boundary_orbit(point: SpectralField, N_t: int, side: str = "right") -> np.nd
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    rates = (float(gauge_mode(point.coeffs) ** 2) - mode_squares(point.k)) / TWO_PI
+    rates = (float(gauge_mode(point) ** 2) - mode_squares(bandwidth(point))) / TWO_PI
     p_star = np.ceil(rates) if side == "right" else np.floor(rates)
     t = np.arange(N_t, dtype=np.float64)[:, None] / N_t
-    c = point.coeffs / np.linalg.norm(point.coeffs)
+    c = point / np.linalg.norm(point)
     return c[None, :] * np.exp(1j * TWO_PI * p_star[None, :] * t)
 
 

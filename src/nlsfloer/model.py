@@ -39,8 +39,8 @@ import numpy as np
 from .spectral import (
     ROOT_2PI,
     TWO_PI,
-    SpectralField,
     analyze_many,
+    bandwidth,
     synthesize_many,
 )
 
@@ -53,16 +53,13 @@ from .spectral import (
 class KernelSpec:
     """Even, real, nonnegative convolution kernel given by psi^(n).
 
-    Coefficients are stored for n = -k_max..k_max like a SpectralField.
+    Coefficients are stored for n = -k_max..k_max, k_max = bandwidth(psi_hat).
     """
 
-    k_max: int
     psi_hat: np.ndarray
 
     def __post_init__(self):
         self.psi_hat = np.asarray(self.psi_hat, dtype=float)
-        if self.psi_hat.shape != (2 * self.k_max + 1,):
-            raise ValueError("psi_hat must have length 2*k_max+1")
         if not np.all(np.isfinite(self.psi_hat)):
             raise ValueError("kernel coefficients must be finite")
         if np.any(self.psi_hat < 0):
@@ -72,9 +69,10 @@ class KernelSpec:
 
     def coeff_array(self, k: int) -> np.ndarray:
         """psi^(n) for n = -k..k, zero beyond the stored band."""
+        k_max = bandwidth(self.psi_hat)
         out = np.zeros(2 * k + 1)
-        m = min(k, self.k_max)
-        out[k - m : k + m + 1] = self.psi_hat[self.k_max - m : self.k_max + m + 1]
+        m = min(k, k_max)
+        out[k - m : k + m + 1] = self.psi_hat[k_max - m : k_max + m + 1]
         return out
 
     def l2(self) -> float:
@@ -82,27 +80,28 @@ class KernelSpec:
 
     def l2_tail(self, k: int) -> float:
         """L2 norm of psi - psi^k, the modes beyond |n| = k."""
-        n = np.arange(-self.k_max, self.k_max + 1)
+        k_max = bandwidth(self.psi_hat)
+        n = np.arange(-k_max, k_max + 1)
         return float(np.linalg.norm(self.psi_hat[np.abs(n) > k]))
 
 
 def exponential_kernel(rate: float, k_max: int) -> KernelSpec:
     n = np.arange(-k_max, k_max + 1)
-    return KernelSpec(k_max, np.exp(-rate * np.abs(n)))
+    return KernelSpec(np.exp(-rate * np.abs(n)))
 
 
 def band_limited_kernel(ell: int, k_max: Optional[int] = None) -> KernelSpec:
     if k_max is None:
         k_max = ell
     n = np.arange(-k_max, k_max + 1)
-    return KernelSpec(k_max, (np.abs(n) <= ell).astype(float))
+    return KernelSpec((np.abs(n) <= ell).astype(float))
 
 
 def truncate_kernel(kernel: KernelSpec, k: int) -> KernelSpec:
     """Drop the modes |n| > k.  Truncation only ever removes mass."""
     if k < 0:
         raise ValueError("truncation order must be nonnegative")
-    return KernelSpec(k, kernel.coeff_array(k))
+    return KernelSpec(kernel.coeff_array(k))
 
 
 # ---------------------------------------------------------------------------
@@ -113,16 +112,17 @@ def truncate_kernel(kernel: KernelSpec, k: int) -> KernelSpec:
 class Density:
     """f(w, x, t) = strength * a(t) * V(x) * w**power.
 
-    w is the smoothed intensity |u * psi|^2 >= 0.  V is a real band-limited
-    multiplier (None for V = 1) and a(t) = 1 + cos(2pi t) when modulated,
-    1 otherwise, so every density is 1-periodic in t.  f takes the values v
-    of V on the model's quadrature grid (see ModelSpec), or 1.0.  strength
-    may be an (M, 1) column, one strength per row of a batch.
+    w is the smoothed intensity |u * psi|^2 >= 0.  V holds the coefficients
+    of a real band-limited multiplier (None for V = 1) and a(t) =
+    1 + cos(2pi t) when modulated, 1 otherwise, so every density is
+    1-periodic in t.  f takes the values v of V on the model's quadrature
+    grid (see ModelSpec), or 1.0.  strength may be an (M, 1) column, one
+    strength per row of a batch.
     """
 
     strength: float
     power: int
-    V: Optional[SpectralField] = None
+    V: Optional[np.ndarray] = None
     modulated: bool = False
 
     def __post_init__(self):
@@ -131,8 +131,8 @@ class Density:
         if self.V is not None:
             if self.power != 1:
                 raise ValueError("a multiplier V needs power 1")
-            rev = np.conj(self.V.coeffs[::-1])
-            if not np.allclose(self.V.coeffs, rev, rtol=0, atol=1e-13):
+            rev = np.conj(self.V[::-1])
+            if not np.allclose(self.V, rev, rtol=0, atol=1e-13):
                 raise ValueError("potential multiplier must be real-valued")
 
     @property
@@ -163,7 +163,7 @@ class Density:
         # sup|V| <= (2pi)^(-1/2) * sum |V^(n)|, exact for single-harmonic V.
         v_bound = 1.0
         if self.V is not None:
-            v_bound = float(np.sum(np.abs(self.V.coeffs))) / ROOT_2PI
+            v_bound = float(np.sum(np.abs(self.V))) / ROOT_2PI
         a_bound = 2 if self.modulated else 1
         return a_bound * abs(self.strength) * v_bound * w_max**self.power
 
@@ -184,7 +184,7 @@ def Quadratic(eps: float) -> Density:
     return Density(eps, 2)
 
 
-def Potential(eps: float, V: SpectralField) -> Density:
+def Potential(eps: float, V: np.ndarray) -> Density:
     """f = eps * V(x) * w for a real band-limited multiplier V."""
     return Density(eps, 1, V)
 
@@ -194,13 +194,13 @@ def TimeModulated(base: Density) -> Density:
     return replace(base, modulated=True)
 
 
-def cosine_field(k: int = 1) -> SpectralField:
-    """The multiplier V(x) = cos x as a spectral field."""
+def cosine_field(k: int = 1) -> np.ndarray:
+    """The coefficients of the multiplier V(x) = cos x at bandwidth k."""
     if k < 1:
         raise ValueError("need bandwidth >= 1 for cos x")
     c = np.zeros(2 * k + 1, dtype=np.complex128)
     c[k - 1] = c[k + 1] = ROOT_2PI / 2.0
-    return SpectralField(k, c)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +227,7 @@ class ModelSpec:
         V = self.nonlinearity.V
         self._v = 1.0
         if V is not None:
-            self._v = synthesize_many(V.coeffs[np.newaxis, :], V.k, self._N)[0].real
+            self._v = synthesize_many(V[np.newaxis, :], bandwidth(V), self._N)[0].real
 
     @property
     def quad_points(self) -> int:

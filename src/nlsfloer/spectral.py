@@ -5,8 +5,9 @@ Conventions used throughout the package:
     u(x) = (2pi)^(-1/2) * sum_{|n|<=k} c_n exp(i n x)
 
 so the L2 norm of u over [0, 2pi] equals the l2 norm of the coefficient
-vector exactly.  A bandwidth-k field stores the 2k+1 coefficients in the
-order n = -k, ..., k.  Collocation grids are uniform, x_j = 2pi j / N, and
+vector exactly.  A bandwidth-k field is a complex128 array of its 2k+1
+coefficients in the order n = -k, ..., k, so the array fixes k, which
+bandwidth reads.  Collocation grids are uniform, x_j = 2pi j / N, and
 analysis/synthesis are exact inverses of each other whenever N >= 2k+1.
 
 Convolution acts diagonally on coefficients: (u * psi)^(n) = u^(n) psi^(n),
@@ -17,7 +18,6 @@ cylinder cutoff and the small-divisor forcing windows are built from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,27 +26,12 @@ TWO_PI = 2.0 * math.pi
 ROOT_2PI = math.sqrt(TWO_PI)
 
 
-@dataclass
-class SpectralField:
-    """Coefficients c_n, n = -k..k, of a band-limited field."""
-
-    k: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.k < 0:
-            raise ValueError("bandwidth must be nonnegative")
-        if self.coeffs.shape != (2 * self.k + 1,):
-            raise ValueError(
-                f"expected {2 * self.k + 1} coefficients for bandwidth {self.k}, "
-                f"got shape {self.coeffs.shape}"
-            )
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("coefficients must be finite")
-
-    def l2(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+def bandwidth(coeffs: np.ndarray) -> int:
+    """The bandwidth k of coefficients whose last axis holds the 2k+1 modes."""
+    size = np.shape(coeffs)[-1]
+    if size % 2 == 0:
+        raise ValueError(f"{size} coefficients are no bandwidth's 2k+1")
+    return (size - 1) // 2
 
 
 def synthesize_many(

@@ -31,8 +31,8 @@ from nlsfloer.model import ModelSpec, grad_F_many, mode_squares
 from nlsfloer.spectral import (
     ROOT_2PI,
     TWO_PI,
-    SpectralField,
     analyze_many,
+    bandwidth,
     smooth_step,
     synthesize_many,
 )
@@ -55,14 +55,14 @@ def grid_nodes(N: int) -> np.ndarray:
     return TWO_PI * np.arange(N) / N
 
 
-def synthesize(u: SpectralField, N: int) -> GridField:
+def synthesize(u: np.ndarray, N: int) -> GridField:
     """Evaluate u on the N-point uniform grid; N >= 2k+1 (synthesize_many)."""
-    return GridField(N, synthesize_many(u.coeffs, u.k, N))
+    return GridField(N, synthesize_many(u, bandwidth(u), N))
 
 
-def analyze(g: GridField, k: int) -> SpectralField:
+def analyze(g: GridField, k: int) -> np.ndarray:
     """Project grid samples onto 2k+1 Fourier modes; N >= 2k+1 (analyze_many)."""
-    return SpectralField(k, analyze_many(g.values, k))
+    return analyze_many(g.values, k)
 
 
 def _smooth_step_slope(y) -> np.ndarray:
@@ -197,7 +197,7 @@ def reference_evolve(
 
 def reference_newton(
     model: ModelSpec,
-    guess: SpectralField,
+    guess: np.ndarray,
     phase_guess=None,
     tol: float = 1e-10,
     max_iter: int = 150,
@@ -212,8 +212,8 @@ def reference_newton(
     package's, so the two must agree bit for bit.
     """
     p0 = gauge_fix(guess)
-    g_idx = gauge_mode(p0.coeffs) + p0.k
-    dim = 2 * p0.k + 1
+    g_idx = gauge_mode(p0) + bandwidth(p0)
+    dim = p0.size
     m2 = 2 * dim
 
     def difference_flow(cc):
@@ -232,7 +232,7 @@ def reference_newton(
         return r
 
     units = np.kron(np.eye(dim), [[1.0], [1j]])
-    c = p0.coeffs.copy()
+    c = p0.copy()
     fd = difference_flow(c)
     a = phase_guess
     if a is None:
@@ -283,7 +283,7 @@ def reference_newton(
     if not converged and not message:
         message = f"iteration limit reached at residual {rnorm:.3e}"
     return FixedPointResult(
-        point=gauge_fix(SpectralField(p0.k, c)),
+        point=gauge_fix(c),
         phase=_wrap_phase(a),
         residual=rnorm,
         converged=converged,
@@ -315,7 +315,7 @@ def reference_continuation(
         assert res.converged, f"strength {eps}: {res.message}"
         point, phase = res.point, res.phase
         entries.append(PathEntry(eps, point, phase, res.residual, res.iterations))
-    return ContinuationResult(n, model.k, entries, True)
+    return ContinuationResult(entries, True)
 
 
 def continuation_bits(result: ContinuationResult) -> tuple:
@@ -326,10 +326,10 @@ def continuation_bits(result: ContinuationResult) -> tuple:
     """
     entries = [
         (float(e.eps).hex(), float(e.phase).hex(), float(e.residual).hex(),
-         e.iterations, gauge_mode(e.point.coeffs), e.point.coeffs.tobytes())
+         e.iterations, gauge_mode(e.point), e.point.tobytes())
         for e in result.entries
     ]
-    return result.n, result.k, result.converged, result.message, entries
+    return result.converged, result.message, entries
 
 
 def reference_divisors_csv(report) -> str:

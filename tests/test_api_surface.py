@@ -18,6 +18,10 @@ that no call overrides is a constant.
 A field of a package dataclass must be read as an attribute,
 ``obj.field``, in src/, demos/ or perfbench/: a field that only the tests
 read is an echo of an input or a flag that no caller acts on.
+
+A coefficient array's bandwidth is read off its last axis by
+spectral.bandwidth alone: no other code in src/ computes (x - 1) // 2, and
+a .k attribute is read only off a model or a grid.
 """
 
 import ast
@@ -202,3 +206,40 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
         if not any(_sets(call, parameter, position) for call in calls.get(name, []))
     ]
     assert never_set == []
+
+
+# the package types that carry a bandwidth k; a coefficient array carries its
+# own, the length 2k+1 of its last axis, which spectral.bandwidth reads
+K_OWNERS = {"model": "ModelSpec", "grid": "CylinderGrid", "g": "CylinderGrid"}
+
+
+def _is_constant(node, value):
+    return isinstance(node, ast.Constant) and node.value == value
+
+
+def _k_reader(node, cls):
+    """Whether a .k read is off a model or a grid: a name or attribute so
+    called, or self inside one of those classes."""
+    receiver = node.value
+    name = getattr(receiver, "id", None) or getattr(receiver, "attr", None)
+    return name in K_OWNERS or name == "self" and cls in K_OWNERS.values()
+
+
+def test_bandwidth_is_read_off_the_coefficient_axis_in_one_place():
+    found = []
+    for module, body in _package_modules():
+        for top in body:
+            cls = top.name if isinstance(top, ast.ClassDef) else None
+            if module == "spectral" and getattr(top, "name", None) == "bandwidth":
+                continue
+            for node in ast.walk(top):
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+                        and isinstance(node.left, ast.BinOp)
+                        and isinstance(node.left.op, ast.Sub)
+                        and _is_constant(node.left.right, 1)
+                        and _is_constant(node.right, 2)):
+                    found.append(f"{module}: {ast.unparse(node)}")
+                if (isinstance(node, ast.Attribute) and node.attr == "k"
+                        and not _k_reader(node, cls)):
+                    found.append(f"{module}: {ast.unparse(node)}")
+    assert found == []

@@ -41,7 +41,6 @@ from nlsfloer.floer import (
 )
 from nlsfloer.model import Hartree, ModelSpec, exponential_kernel
 from nlsfloer.smalldiv import divisor_scan
-from nlsfloer.spectral import SpectralField
 
 from reference import reference_divisors_csv
 
@@ -692,7 +691,7 @@ def test_fixed_points_workers_write_the_in_process_bytes(tmp_path, model_cfg):
     p = resolved["fixed_points"]
     for n in (0, 1):
         result = continue_fixed_point(model, n, tol=p["tol"], steps=p["steps"])
-        assert (out / f"fixed_point_n{n}.json").read_text() == points_json(result)
+        assert (out / f"fixed_point_n{n}.json").read_text() == points_json(result, n)
 
 
 def test_points_file_holds_the_path_and_no_work_counts(tmp_path):
@@ -715,11 +714,12 @@ def test_continuation_roundtrip_json():
     model = ModelSpec(exponential_kernel(1.0, 4), Hartree(0.1), 4)
     out = continue_fixed_point(model, n=1, steps=100)
     assert out.converged
-    back = read_points(points_json(out))
-    assert back.n == out.n
+    text = points_json(out, 1)
+    assert (json.loads(text)["n"], json.loads(text)["k"]) == (1, 4)
+    back = read_points(text)
     assert back.converged
     assert len(back.entries) == len(out.entries)
-    assert np.allclose(back.final.point.coeffs, out.final.point.coeffs)
+    assert np.allclose(back.final.point, out.final.point)
 
 
 def test_fixed_points_stops_at_the_first_stalled_mode(tmp_path, monkeypatch, capsys):
@@ -856,7 +856,7 @@ def test_floer_right_end_takes_mode_0_in_one_strength_step(tmp_path, capsys, mod
         model = build_model(resolve_config(body, "floer")["model"])
         end = continue_fixed_point(model, n, steps=30).final.point
         if n == 0:
-            assert fs_distance(C[-1, 0], end.coeffs) <= 1e-12
+            assert fs_distance(C[-1, 0], end) <= 1e-12
         else:
             assert np.array_equal(C[-1], boundary_orbit(end, 16, side="right"))
         lines = [ln for ln in capsys.readouterr().out.splitlines()
@@ -1144,6 +1144,21 @@ def test_diagnose_refuses_a_point_that_is_not_its_representative(
                             f"entries[0]: {reason}")
 
 
+@pytest.mark.parametrize("edit", [
+    lambda coeffs: coeffs.pop(),
+    lambda coeffs: coeffs[0].__setitem__(0, math.nan),
+], ids=["one_short", "nan"])
+def test_diagnose_refuses_a_point_that_is_not_2k_plus_1_finite_coefficients(
+        tmp_path, capsys, n1_path, edit):
+    # the file's k fixes the length; json writes and reads NaN
+    payload = json.loads(n1_path.read_text())
+    edit(payload["entries"][-1]["coeffs"])
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(payload))
+    assert_diagnose_refuses(tmp_path, capsys, {"k": 4}, {"points": [str(path)]},
+                            "diagnose.points[0]: malformed artifact")
+
+
 @pytest.mark.parametrize("edit, reason", [
     (lambda payload: payload.update(coeffs=base64.b64encode(
         2 * np.frombuffer(base64.b64decode(payload["coeffs"]), "<c16")).decode()),
@@ -1287,7 +1302,7 @@ def test_diagnose_runs_on_stored_artifacts(tmp_path):
 
 def test_profile_csv_round_trip():
     rng = np.random.default_rng(3)
-    field = SpectralField(5, rng.standard_normal(11) + 1j * rng.standard_normal(11))
+    field = rng.standard_normal(11) + 1j * rng.standard_normal(11)
     prof = normal_profile(field, range(0, 6), deriv_order=2)
     text = decay_csv(prof, 2)
     lines = text.strip().split("\n")

@@ -31,7 +31,6 @@ from nlsfloer.model import (
     cosine_field,
     exponential_kernel,
 )
-from nlsfloer.spectral import SpectralField
 
 RNG = np.random.default_rng
 
@@ -41,8 +40,7 @@ def potential_model(k=4, eps=0.05):
 
 
 def random_field(k, rng):
-    c = rng.standard_normal(2 * k + 1) + 1j * rng.standard_normal(2 * k + 1)
-    return SpectralField(k, c)
+    return rng.standard_normal(2 * k + 1) + 1j * rng.standard_normal(2 * k + 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -86,7 +84,7 @@ def test_field_profile_matches_explicit_sum():
             acc = 0.0
             for n in range(-k, k + 1):
                 if abs(n) > ell:
-                    acc += abs(u.coeffs[n + k]) ** 2 * (1.0 + n * n) ** alpha
+                    acc += abs(u[n + k]) ** 2 * (1.0 + n * n) ** alpha
             assert abs(prof.norms[i] - math.sqrt(acc)) < 1e-13
 
 
@@ -116,8 +114,8 @@ def test_profile_validation():
         normal_profile(u, [])
     with pytest.raises(ValueError):
         normal_profile(u, [1, 2], deriv_order=3)
-    with pytest.raises(TypeError):
-        normal_profile(u.coeffs, [1, 2])
+    with pytest.raises(ValueError):  # an even length is no bandwidth's 2k+1
+        normal_profile(u[1:], [1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +187,7 @@ def test_monitor_constant_state_has_zero_sup_ds():
     k, N_t = 3, 8
     model = potential_model(k)
     grid = CylinderGrid(S=2.0, N_s=24, N_t=N_t, k=k, T=0.0)
-    rows = np.tile(mode_point(0, k).coeffs, (N_t, 1)).astype(np.complex128)
+    rows = np.tile(mode_point(0, k), (N_t, 1)).astype(np.complex128)
     state = FloerState(grid, np.broadcast_to(rows[None], (24, N_t, grid.dim)).copy())
     rep = gradient_monitor(state, model)
     assert rep["sup_ds"] == 0.0
@@ -280,7 +278,7 @@ def test_report_symmetric_zero_diagonal_phase_invariant():
     rep = distinctness_report(pts)
     assert np.allclose(rep.distances, rep.distances.T, atol=0)
     assert np.all(np.diag(rep.distances) == 0.0)
-    rotated = [SpectralField(4, np.exp(1j * rng.uniform(0, 2 * np.pi)) * p.coeffs)
+    rotated = [np.exp(1j * rng.uniform(0, 2 * np.pi)) * p
                for p in pts]
     rep2 = distinctness_report(rotated)
     assert np.allclose(rep.distances, rep2.distances, atol=1e-12)

@@ -30,7 +30,7 @@ from nlsfloer.model import (
     cosine_field,
     exponential_kernel,
 )
-from nlsfloer.spectral import SpectralField
+from nlsfloer.spectral import bandwidth
 from reference import (
     continuation_bits,
     reference_continuation,
@@ -43,7 +43,7 @@ RNG = np.random.default_rng
 
 def random_unit(k, rng):
     c = rng.standard_normal(2 * k + 1) + 1j * rng.standard_normal(2 * k + 1)
-    return SpectralField(k, c / np.linalg.norm(c))
+    return c / np.linalg.norm(c)
 
 
 def hartree_model(k=6, eps=0.1):
@@ -68,7 +68,7 @@ def test_free_flow_phases():
     t = 0.7
     v = free_flow(u, t)
     n = np.arange(-k, k + 1).astype(float)
-    assert np.max(np.abs(v.coeffs - u.coeffs * np.exp(-1j * n**2 * t))) < 1e-15
+    assert np.max(np.abs(v - u * np.exp(-1j * n**2 * t))) < 1e-15
 
 
 def test_free_flow_period():
@@ -76,7 +76,7 @@ def test_free_flow_period():
     k = 4
     u = random_unit(k, RNG(1))
     v = free_flow(u, 2 * math.pi)
-    assert np.max(np.abs(v.coeffs - u.coeffs)) < 1e-12
+    assert np.max(np.abs(v - u)) < 1e-12
 
 
 def test_hartree_evolution_is_exact_diagonal():
@@ -89,7 +89,7 @@ def test_hartree_evolution_is_exact_diagonal():
     v = evolve(model, u, 0.0, t, steps=7)
     n = np.arange(-k, k + 1).astype(float)
     omega = n**2 + eps * np.exp(-2.0 * np.abs(n))
-    assert np.max(np.abs(v.coeffs - u.coeffs * np.exp(-1j * omega * t))) < 1e-12
+    assert np.max(np.abs(v - u * np.exp(-1j * omega * t))) < 1e-12
 
 
 def test_evolution_preserves_norm():
@@ -99,7 +99,7 @@ def test_evolution_preserves_norm():
                   ModelSpec(exponential_kernel(1.0, 6), TimeModulated(Quadratic(0.05)), 6)):
         u = random_unit(model.k, rng)
         v = evolve(model, u, 0.0, 1.0, steps=200)
-        assert abs(v.l2() - 1.0) < 1e-8
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-8
 
 
 def test_splitting_order_two():
@@ -110,7 +110,7 @@ def test_splitting_order_two():
     errs = []
     for steps in (50, 100, 200):
         v = evolve(model, u, 0.0, 1.0, steps=steps)
-        errs.append(np.linalg.norm(v.coeffs - ref.coeffs))
+        errs.append(np.linalg.norm(v - ref))
     r1 = errs[0] / errs[1]
     r2 = errs[1] / errs[2]
     assert 3.3 < r1 < 4.7
@@ -123,11 +123,11 @@ def test_evolve_many_matches_single():
     potential = ModelSpec(exponential_kernel(1.0, 4), Potential(0.05, cosine_field(4)), 4)
     for model in (quadratic_model(), potential):
         fields = [random_unit(model.k, rng) for _ in range(4)]
-        batch = np.stack([f.coeffs for f in fields])
+        batch = np.stack([f for f in fields])
         out = evolve_many(model, batch, 0.0, 0.4, steps=40)
         for row, f in zip(out, fields):
             v = evolve(model, f, 0.0, 0.4, steps=40)
-            assert np.max(np.abs(row - v.coeffs)) < 1e-14
+            assert np.max(np.abs(row - v)) < 1e-14
 
 
 @pytest.mark.parametrize("k, rows", [(4, 28), (12, 60)])
@@ -218,11 +218,11 @@ def test_gauge_fix_normalizes_and_rotates():
     c = np.zeros(2 * k + 1, dtype=complex)
     c[k + 1] = 2.0j
     c[k - 1] = 0.1
-    p = gauge_fix(SpectralField(k, c))
-    assert gauge_mode(p.coeffs) == 1
-    assert abs(np.linalg.norm(p.coeffs) - 1.0) < 1e-15
-    assert p.coeffs[k + 1].imag == 0.0
-    assert p.coeffs[k + 1].real > 0
+    p = gauge_fix(c)
+    assert gauge_mode(p) == 1
+    assert abs(np.linalg.norm(p) - 1.0) < 1e-15
+    assert p[k + 1].imag == 0.0
+    assert p[k + 1].real > 0
 
 
 def test_gauge_tie_prefers_small_nonnegative_mode():
@@ -230,14 +230,14 @@ def test_gauge_tie_prefers_small_nonnegative_mode():
     c = np.zeros(2 * k + 1, dtype=complex)
     c[k + 1] = 1.0
     c[k - 1] = 1.0
-    p = gauge_fix(SpectralField(k, c))
-    assert gauge_mode(p.coeffs) == 1
+    p = gauge_fix(c)
+    assert gauge_mode(p) == 1
 
 
 def _made_real_positive(p):
     """The modes of p's coefficients that are exactly real and positive."""
-    real = (p.coeffs.imag == 0.0) & (p.coeffs.real > 0.0)
-    return (np.flatnonzero(real) - p.k).tolist()
+    real = (p.imag == 0.0) & (p.real > 0.0)
+    return (np.flatnonzero(real) - bandwidth(p)).tolist()
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])
@@ -246,23 +246,23 @@ def test_gauge_mode_is_the_mode_gauge_fix_made_real(k):
     # pivot it rotated, at the largest modulus
     rng = RNG(40 + k)
     for _ in range(8):
-        u = SpectralField(k, 3.0 * random_unit(k, rng).coeffs)
+        u = 3.0 * random_unit(k, rng)
         p = gauge_fix(u)
-        assert _made_real_positive(p) == [gauge_mode(p.coeffs)]
-        assert gauge_mode(p.coeffs) == int(np.argmax(np.abs(u.coeffs))) - k
+        assert _made_real_positive(p) == [gauge_mode(p)]
+        assert gauge_mode(p) == int(np.argmax(np.abs(u))) - k
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_gauge_mode_breaks_a_pm_n_tie_toward_plus_n(n):
     k = 3
-    c = 0.2 * random_unit(k, RNG(n)).coeffs
+    c = 0.2 * random_unit(k, RNG(n))
     c[k + n], c[k - n] = np.exp(0.3j), np.exp(2.1j)
-    p = gauge_fix(SpectralField(k, c))
-    assert _made_real_positive(p) == [gauge_mode(p.coeffs)] == [n]
+    p = gauge_fix(c)
+    assert _made_real_positive(p) == [gauge_mode(p)] == [n]
     # a -n coefficient larger beyond the tie tolerance takes the gauge
     c[k - n] *= 1.0 + 1e-9
-    p = gauge_fix(SpectralField(k, c))
-    assert _made_real_positive(p) == [gauge_mode(p.coeffs)] == [-n]
+    p = gauge_fix(c)
+    assert _made_real_positive(p) == [gauge_mode(p)] == [-n]
 
 
 def test_fs_distance_bounds_and_phase_invariance():
@@ -270,22 +270,22 @@ def test_fs_distance_bounds_and_phase_invariance():
     rng = RNG(9)
     u = random_unit(k, rng)
     v = random_unit(k, rng)
-    d = fs_distance(u.coeffs, v.coeffs)
+    d = fs_distance(u, v)
     assert 0.0 <= d <= math.pi / 2 + 1e-12
-    w = np.exp(0.7j) * u.coeffs
-    assert fs_distance(u.coeffs, w) < 1e-7
-    assert abs(d - fs_distance(v.coeffs, u.coeffs)) < 1e-14
+    w = np.exp(0.7j) * u
+    assert fs_distance(u, w) < 1e-7
+    assert abs(d - fs_distance(v, u)) < 1e-14
 
 
 def test_fs_distance_orthogonal_points():
     k = 2
-    assert abs(fs_distance(mode_point(0, k).coeffs, mode_point(1, k).coeffs)
+    assert abs(fs_distance(mode_point(0, k), mode_point(1, k))
                - math.pi / 2) < 1e-12
 
 
 def test_fs_distance_mixed_bandwidths():
     with pytest.raises(ValueError, match="shapes"):
-        fs_distance(mode_point(1, 2).coeffs, mode_point(1, 5).coeffs)
+        fs_distance(mode_point(1, 2), mode_point(1, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ def test_newton_quadratic_perturbs_mode():
     res = newton_fixed_point(model, mode_point(1, 5), steps=200)
     assert res.converged
     assert res.residual < 1e-10
-    assert fs_distance(res.point.coeffs, mode_point(1, 5).coeffs) < 0.2
+    assert fs_distance(res.point, mode_point(1, 5)) < 0.2
 
 
 def test_newton_fails_fast_when_drifting_on_a_pair_circle():
@@ -382,7 +382,7 @@ def test_newton_carries_the_next_strengths_difference_batch(monkeypatch):
     assert res.converged
     assert rows == [19, 19, 20]
     fresh = evolve_many(
-        potential_model(4, 0.01), _fd_batch(gauge_fix(res.point).coeffs), 0.0, 1.0, 30
+        potential_model(4, 0.01), _fd_batch(gauge_fix(res.point)), 0.0, 1.0, 30
     )
     assert np.array_equal(res.next_rows, fresh)
     # handed on, they are the next attempt's first Jacobian: no flow of its own
@@ -394,7 +394,7 @@ def test_newton_carries_the_next_strengths_difference_batch(monkeypatch):
         potential_model(4, 0.01), res.point, res.phase, steps=30, max_iter=25
     )
     assert rows[3:] == [19, 1] + [19, 19, 1]
-    assert np.array_equal(nxt.point.coeffs, plain.point.coeffs)
+    assert np.array_equal(nxt.point, plain.point)
     assert (nxt.phase, nxt.residual) == (plain.phase, plain.residual)
     assert nxt.next_rows is None
 
@@ -405,7 +405,7 @@ def test_newton_rejected_full_step_makes_its_own_difference_flow(monkeypatch):
     # own 7-row difference batch; later full steps are taken
     rows = _record_flow_rows(monkeypatch)
     rng = RNG(47)
-    guess = SpectralField(1, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    guess = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     model = ModelSpec(exponential_kernel(1.0, 1), Quadratic(1.0), 1)
     res = newton_fixed_point(model, guess, steps=10, max_iter=25)
     assert res.converged
@@ -429,7 +429,7 @@ def test_newton_backtracks_past_a_full_step_that_overflows(seed, monkeypatch):
 
     monkeypatch.setattr(dynamics, "evolve_many", recording)
     rng = RNG(seed)
-    guess = SpectralField(1, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    guess = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     model = ModelSpec(exponential_kernel(1.0, 1), Quadratic(2.0), 1)
     first = newton_fixed_point(model, guess, steps=10, max_iter=1)
     assert not np.all(np.isfinite(flows[1][0]))
@@ -444,7 +444,7 @@ def test_newton_backtracks_past_a_full_step_that_overflows(seed, monkeypatch):
 
 def _rng_guess(seed):
     rng = RNG(seed)
-    return SpectralField(1, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    return rng.standard_normal(3) + 1j * rng.standard_normal(3)
 
 
 def _quadratic_k1(eps):
@@ -467,7 +467,7 @@ def test_newton_is_bitwise_the_reference_corrector(model, guess, kwargs):
     # in for flows the plain corrector makes; they may change no float
     res = newton_fixed_point(model, guess, max_iter=25, **kwargs)
     ref = reference_newton(model, guess, max_iter=25, **kwargs)
-    assert np.array_equal(res.point.coeffs, ref.point.coeffs)
+    assert np.array_equal(res.point, ref.point)
     assert (res.phase, res.residual, res.iterations) == (
         ref.phase, ref.residual, ref.iterations
     )
@@ -537,7 +537,7 @@ def test_continuation_one_step_schedule_halves_on_failure():
     assert one.converged
     assert one.attempts == 3
     assert len(one.entries) == 2
-    assert fs_distance(one.final.point.coeffs, path.final.point.coeffs) <= 1e-12
+    assert fs_distance(one.final.point, path.final.point) <= 1e-12
 
 
 def test_continuation_schedule_follows_the_mode():
@@ -592,6 +592,6 @@ def test_continuation_reaches_target_strength():
     assert out.final.residual < 1e-10
     # the path stays near the free mode it started from
     seed = mode_point(0, 5)
-    dists = [fs_distance(e.point.coeffs, seed.coeffs) for e in out.entries]
+    dists = [fs_distance(e.point, seed) for e in out.entries]
     assert dists[0] < 1e-12
     assert all(d < 0.5 for d in dists)

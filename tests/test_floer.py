@@ -43,7 +43,6 @@ from nlsfloer.model import (
     grad_F_tangent,
     hofer_norm,
 )
-from nlsfloer.spectral import SpectralField
 from reference import cutoff_slope, floer_residual_twisted, grad_rows
 
 RNG = np.random.default_rng
@@ -63,7 +62,7 @@ def quadratic_model(k=4, eps=0.05):
 
 
 def constant_rows(point, N_t):
-    return np.tile(point.coeffs, (N_t, 1)).astype(np.complex128)
+    return np.tile(point, (N_t, 1)).astype(np.complex128)
 
 
 def frozen_state(grid, rows):
@@ -95,7 +94,7 @@ def solved_quadratic(k=4, N_s=32, N_t=16, S=4.0, T=1.0):
     mix = np.zeros(2 * k + 1, dtype=np.complex128)
     mix[k], mix[k + 1] = 0.8, 0.6
     left = boundary_orbit(mode_point(0, k), N_t, side="left")
-    right = boundary_orbit(gauge_fix(SpectralField(k, mix)), N_t, side="right")
+    right = boundary_orbit(gauge_fix(mix), N_t, side="right")
     return model, grid, solve_floer(model, grid, (left, right), tol=1e-8)
 
 
@@ -200,14 +199,14 @@ def test_boundary_orbit_pure_mode_is_constant():
     for n in (-2, 0, 1):
         rows = boundary_orbit(mode_point(n, 3), 16)
         assert np.allclose(rows, rows[0][None], atol=1e-15)
-        assert np.allclose(rows[0], mode_point(n, 3).coeffs, atol=1e-15)
+        assert np.allclose(rows[0], mode_point(n, 3), atol=1e-15)
 
 
 def test_boundary_orbit_t0_row_is_the_point():
     k = 4
     point = continued_point(k)
     rows = boundary_orbit(point, 32, side="right")
-    assert np.allclose(rows[0], point.coeffs, atol=1e-14)
+    assert np.allclose(rows[0], point, atol=1e-14)
     assert np.allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-14)
 
 
@@ -437,7 +436,7 @@ def test_solve_potential_end_to_end():
     bound = 2.0 * hofer_norm(model).estimate + 1e-3
     assert 0.0 < result.energy <= bound
     u1 = continued_point(4)
-    assert fs_distance(result.state.coeffs[-1, 0], u1.coeffs) < 1e-4
+    assert fs_distance(result.state.coeffs[-1, 0], u1) < 1e-4
 
 
 def test_solve_pins_boundary_rows():
@@ -573,7 +572,7 @@ def test_solve_partial_result_when_budget_exhausted():
     left = boundary_orbit(mode_point(1, k), 8, side="left")
     pair = np.zeros(2 * k + 1, dtype=np.complex128)
     pair[k + 1] = pair[k - 1] = 1.0 / math.sqrt(2.0)
-    right = boundary_orbit(gauge_fix(SpectralField(k, pair)), 8, side="right")
+    right = boundary_orbit(gauge_fix(pair), 8, side="right")
     result = solve_floer(model, grid, (left, right), tol=1e-10, max_iter=2)
     assert not result.converged
     assert result.message == "iteration budget exhausted"
@@ -593,7 +592,7 @@ def test_free_cylinder_energy_is_the_action_difference():
     pair = np.zeros(2 * k + 1, dtype=np.complex128)
     pair[k + 1] = pair[k - 1] = 1.0 / math.sqrt(2.0)
     left = boundary_orbit(mode_point(0, k), N_t, side="left")
-    right = boundary_orbit(gauge_fix(SpectralField(k, pair)), N_t, side="right")
+    right = boundary_orbit(gauge_fix(pair), N_t, side="right")
     errors = []
     for N_s in (32, 64, 128):
         grid = CylinderGrid(S=4.0, N_s=N_s, N_t=N_t, k=k, T=1.0)
@@ -712,7 +711,7 @@ def test_band_limited_confinement():
     cont = continue_fixed_point(model, 0)
     assert cont.converged
     modes = np.abs(np.arange(-k, k + 1))
-    assert np.linalg.norm(cont.final.point.coeffs[modes > 1]) < 1e-10
+    assert np.linalg.norm(cont.final.point[modes > 1]) < 1e-10
     grid = CylinderGrid(S=4.0, N_s=40, N_t=8, k=k, T=1.0)
     left = boundary_orbit(mode_point(0, k), 8, side="left")
     right = boundary_orbit(cont.final.point, 8, side="right")
@@ -834,7 +833,7 @@ def _even_point(n, k):
     """Mode 0, or the even pair (e_n + e_-n) / sqrt 2: a free fixed point."""
     c = np.zeros(2 * k + 1, dtype=np.complex128)
     c[k + n] = c[k - n] = 1.0
-    return gauge_fix(SpectralField(k, c))
+    return gauge_fix(c)
 
 
 def test_free_ended_cylinders_find_the_periodic_orbits():
